@@ -1,0 +1,198 @@
+"""Golden digests: output bytes pinned, not just rerun-stable.
+
+Every figure here was recorded from the reference implementation.  A
+change that moves any of them changed what railsim writes, so a
+refactor or speed-up that is meant to keep behaviour must keep them all.
+
+The paper-suite digest follows the bundle recipe: files sorted by name,
+each fed as ``name + b"\\0" + bytes``.  The simulate scenarios are small
+but reach every datapath branch that keeps state across rows: a sticky
+loss / AR(1) scan that crosses a chunk boundary, the window-miss dedup
+loop feeding the reorder hold, and padding with a shared segment, forced
+losses and a trace replay that wraps.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from railsim import cli, suite
+from railsim.pathsim import CHUNK
+
+PAPER_SUITE_SHA256 = "4183b08667e37815151419683ddbe0c7df4cd6513b7cd3ba018259754516d132"
+
+CORRELATED = f"""
+[scenario]
+label = golden correlated
+seed = 424242
+
+[traffic]
+interval = 20
+count = {CHUNK + 500}
+
+[padding]
+enabled = true
+target_one_way = 120
+
+[paths.0]
+id = a
+rate = 0.05
+correlation = 0.6
+delay = paretonormal
+mean = 60
+stddev = 15
+delay_correlation = 0.9
+
+[paths.1]
+id = b
+rate = 0.08
+correlation = 0.6
+delay = paretonormal
+mean = 80
+stddev = 25
+delay_correlation = 0.9
+
+[paths.2]
+id = c
+rate = 0.02
+correlation = 0.6
+delay = normal
+mean = 100
+stddev = 10
+delay_correlation = 0.9
+"""
+
+HOLD = """
+[scenario]
+label = golden hold
+seed = 777
+dedup_window = 64
+reorder_removal = true
+
+[traffic]
+interval = 1
+count = 4000
+
+[padding]
+enabled = false
+target_one_way = 150
+
+[paths.0]
+id = a
+rate = 0.2
+delay = normal
+mean = 40
+stddev = 30
+
+[paths.1]
+id = b
+rate = 0.2
+delay = normal
+mean = 60
+stddev = 30
+
+[paths.2]
+id = c
+rate = 0.2
+delay = normal
+mean = 80
+stddev = 30
+"""
+
+PADDED = """
+[scenario]
+label = golden padded
+seed = 31337
+
+[traffic]
+interval = 20
+count = 3000
+
+[padding]
+enabled = true
+target_one_way = 90
+
+[shared.core]
+rate = 0.05
+correlation = 0.4
+
+[paths.0]
+id = a
+rate = 0.03
+delay = normal
+mean = 50
+stddev = 20
+delay_correlation = 0.3
+shared = core
+force_loss = 0,7,99,2999
+
+[paths.1]
+id = b
+rate = 0.01
+delay = paretonormal
+mean = 70
+stddev = 10
+shared = core
+
+[paths.2]
+id = t
+delay = trace
+trace = golden.trace
+force_loss = 5
+"""
+
+TRACE = "".join(f"{k},{0 if k % 17 == 0 else 45 + (k * 7) % 23}\n"
+                for k in range(1, 1001))
+
+SIMULATE_SHA256 = {
+    "correlated": {
+        "records.csv":
+            "c92b9e7155225ec6c1a780a64cf56bf4308de195f7a4177de2f8d9e0bcd1bb79",
+        "summary.json":
+            "c8caf448bbf82326efc0124450f32187aebcb79d6450021c1121d1186541412c",
+    },
+    "hold": {
+        "records.csv":
+            "09c42c4778f7c3ee1c756de52f5ccd6fd1d5b38680051bd89d6ab693400fcf0a",
+        "summary.json":
+            "a27fa1e3c98c1871b493955cf45ef7327afa0a30599aba7146454c98e2017830",
+    },
+    "padded": {
+        "records.csv":
+            "f73ea6d9dfa6687148021b3eb8723f095587e649e34678280941e111c3d0aaec",
+        "summary.json":
+            "c71706abe78d2a9860eadeadbb0bffb98a02630bc908ef90d07a2030829f8693",
+    },
+}
+
+SCENARIOS = {"correlated": CORRELATED, "hold": HOLD, "padded": PADDED}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def bundle_digest(out_dir: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir(), key=lambda p: p.name):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_simulate_output_matches_golden(name, tmp_path):
+    (tmp_path / "golden.trace").write_text(TRACE)
+    scenario = tmp_path / f"{name}.scenario"
+    scenario.write_text(SCENARIOS[name])
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    got = {f: _sha256(out / f) for f in ("records.csv", "summary.json")}
+    assert got == SIMULATE_SHA256[name]
+
+
+def test_paper_suite_bundle_matches_golden(tmp_path):
+    bundle, gates = suite.run_paper_suite()
+    assert all(g.passed for g in gates)
+    bundle.write(tmp_path)
+    assert bundle_digest(tmp_path) == PAPER_SUITE_SHA256
