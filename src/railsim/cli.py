@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,18 +35,27 @@ class _UsageError(RailSimError):
     pass
 
 
+def _float(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise _UsageError(f"{what}: not a number: {text.strip()!r}") from None
+
+
 def _parse_range(spec: str) -> list[float]:
     """'a:b:step' (inclusive) or a comma-separated list."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise _UsageError(f"expected 'start:stop:step', got {spec!r}")
-        a, b, step = (float(x) for x in parts)
+        a, b, step = (_float(x, "range") for x in parts)
+        if not all(map(math.isfinite, (a, b, step))):
+            raise _UsageError(f"range bounds and step must be finite, got {spec!r}")
         if step <= 0:
             raise _UsageError("step must be > 0")
         n = int((b - a) / step + 1e-9) + 1
         return [a + k * step for k in range(max(n, 0))]
-    return [float(x) for x in spec.split(",") if x.strip()]
+    return [_float(x, "value list") for x in spec.split(",") if x.strip()]
 
 
 def _out_dir(args) -> Path | None:
@@ -240,8 +250,10 @@ def cmd_tcp_model(args) -> int:
     for chunk in args.paths.split(";"):
         if not chunk.strip():
             continue
-        p, rtt = chunk.split(",")
-        pairs.append((float(p), float(rtt)))
+        fields = chunk.split(",")
+        if len(fields) != 2:
+            raise _UsageError(f"--paths: expected 'loss,rtt', got {chunk.strip()!r}")
+        pairs.append(tuple(_float(x, "--paths") for x in fields))
     pathset = quality.TcpPathSet.of(pairs)
     pred = quality.tcp_throughput_rail(pathset)
     singles = [quality.tcp_throughput_single(p.loss_rate, p.rtt)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import copy
+import functools
 import hashlib
 import json
 from collections.abc import Sequence
@@ -20,9 +21,9 @@ import numpy as np
 
 from . import pathsim
 from .errors import ConfigurationError, ValidationError
-from .pathsim import (DelayModel, LossModel, Outcome, PathSpec, PathStream,
-                      SharedSegmentSpec, load_trace, path_rng, shared_rng,
-                      validate_delay_model, validate_loss_model)
+from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, Outcome, PathSpec, PathStream,
+                      SharedSegmentSpec, fits_clock, load_trace, path_rng,
+                      shared_rng, validate_delay_model, validate_loss_model)
 from .railedge import (DEFAULT_DEDUP_WINDOW, DedupState, PaddingConfig,
                        reorder_hold_schedule)
 
@@ -107,15 +108,21 @@ class PathOutcomes(Sequence):
 @dataclass
 class SimResult:
     scenario: Scenario
-    records: list[ForwardRecord]
     per_path_outcomes: list[PathOutcomes]
     forwarded_order: list[int]
     counters: Counters
     warnings: list[str]
     send_ns: np.ndarray          # int64[n]
+    arrival_ns: np.ndarray       # int64[n_paths, n], _LOST_NS where lost
     rail_delay_ns: np.ndarray    # int64[n], -1 where all copies lost
     forward_ns: np.ndarray       # int64[n] first release, -1 where never
     padding_ns: np.ndarray       # int64[n]
+
+    @functools.cached_property
+    def records(self) -> list[ForwardRecord]:
+        """Per-packet ledger, built from the columns on first access."""
+        return _build_records(self.send_ns, self.arrival_ns, self.rail_delay_ns,
+                              self.forward_ns, self.padding_ns)
 
     def rail_lost_mask(self) -> np.ndarray:
         return self.rail_delay_ns < 0
@@ -165,13 +172,25 @@ def validate_scenario(s: Scenario) -> list[str]:
             problems.append(f"paths[{i}].shared: unknown segment {p.shared!r}")
     for i, g in enumerate(s.shared_segments):
         problems += validate_loss_model(g.loss, f"shared_segments[{i}].loss")
-    if s.traffic.interval <= 0:
-        problems.append(f"traffic.interval: must be > 0, got {s.traffic.interval}")
-    if s.traffic.count < 1:
-        problems.append(f"traffic.count: must be >= 1, got {s.traffic.count}")
+    interval, count = s.traffic.interval, s.traffic.count
+    if not interval > 0:
+        problems.append(f"traffic.interval: must be > 0, got {interval}")
+    elif not fits_clock(interval):
+        problems.append(f"traffic.interval: {interval} ms overflows the int64 ns clock")
+    elif ms_to_ns(interval) == 0:
+        problems.append(f"traffic.interval: {interval} ms rounds to 0 ns")
+    elif count * ms_to_ns(interval) >= CLOCK_LIMIT_NS:
+        problems.append(f"traffic: {count} packets at {interval} ms "
+                        "overflow the int64 ns clock")
+    if count < 1:
+        problems.append(f"traffic.count: must be >= 1, got {count}")
     if s.traffic.packet_size < 1:
         problems.append("traffic.packet_size: must be >= 1")
-    if s.padding.enabled and s.padding.target_one_way < 0:
+    target = s.padding.target_one_way
+    if not fits_clock(target):
+        problems.append(f"padding.target_one_way: must be finite and fit the "
+                        f"int64 ns clock, got {target}")
+    elif s.padding.enabled and target < 0:
         problems.append("padding.target_one_way: must be >= 0 when enabled")
     if s.reorder_removal and s.padding.target_one_way <= 0:
         problems.append(
@@ -286,7 +305,11 @@ def simulate(scenario: Scenario) -> SimResult:
             )
         # lost entries may carry NaN delays (trace convention); zero them
         # before the integer cast, the mask keeps them out of the run
-        delay_ns = _delay_to_ns(np.where(lost, 0.0, delay_ms))
+        delay_ms = np.where(lost, 0.0, delay_ms)
+        if not fits_clock(float(delay_ms.max())):
+            raise ConfigurationError(
+                f"path {spec.id}: a sampled delay overflows the int64 ns clock")
+        delay_ns = _delay_to_ns(delay_ms)
         arrival_ns[pidx] = np.where(lost, _LOST_NS, send_ns + delay_ns)
         lost_copies += int(np.count_nonzero(lost))
         # expose the ns-quantised delays the event loop actually used, so
@@ -306,51 +329,51 @@ def simulate(scenario: Scenario) -> SimResult:
         padding_ns = np.zeros(n, dtype=np.int64)
     release_ns = np.where(ever, first_ns + padding_ns, -1)
 
+    # release order: first forwards plus window-miss duplicates, by time
+    # then seq; the reorder hold reschedules that stream when enabled
     seqs = np.nonzero(ever)[0]
-    events = [(int(release_ns[s]), int(s)) for s in seqs]
-    events += dups
-    events.sort()
+    t = release_ns[seqs]
+    if dups:
+        dup = np.array(dups, dtype=np.int64)
+        t = np.concatenate([t, dup[:, 0]])
+        seqs = np.concatenate([seqs, dup[:, 1]])
+    order = np.lexsort((seqs, t))
+    t, seqs = t[order], seqs[order]
 
     if scenario.reorder_removal:
         timeout_ns = ms_to_ns(scenario.padding.target_one_way)
         released = reorder_hold_schedule(
-            events, timeout_ns, window=scenario.dedup_window
+            list(zip(t.tolist(), seqs.tolist())), timeout_ns,
+            window=scenario.dedup_window,
         )
-    else:
-        released = events
+        t, seqs = np.array(released, dtype=np.int64).reshape(-1, 2).T
 
-    forward_ns = np.full(n, -1, dtype=np.int64)
-    forwarded_order: list[int] = []
-    for t, s in released:
-        forwarded_order.append(s)
-        if forward_ns[s] < 0:
-            forward_ns[s] = t
-
-    records = _build_records(
-        scenario, send_ns, arrival_ns, rail_delay_ns, forward_ns, padding_ns
-    )
+    forward_ns = np.full(n, _LOST_NS, dtype=np.int64)
+    np.minimum.at(forward_ns, seqs, t)
+    forward_ns[forward_ns == _LOST_NS] = -1
+    forwarded_order = seqs.tolist()
 
     counters = Counters(
-        forwarded=len(released),
+        forwarded=len(forwarded_order),
         suppressed=suppressed,
         lost_copies=lost_copies,
         window_miss_duplicates=len(dups),
     )
     return SimResult(
         scenario=scenario,
-        records=records,
         per_path_outcomes=per_path,
         forwarded_order=forwarded_order,
         counters=counters,
         warnings=warnings,
         send_ns=send_ns,
+        arrival_ns=arrival_ns,
         rail_delay_ns=rail_delay_ns,
         forward_ns=forward_ns,
         padding_ns=padding_ns,
     )
 
 
-def _build_records(scenario, send_ns, arrival_ns, rail_delay_ns, forward_ns,
+def _build_records(send_ns, arrival_ns, rail_delay_ns, forward_ns,
                    padding_ns) -> list[ForwardRecord]:
     n = len(send_ns)
     send_ms = (send_ns / NS_PER_MS).tolist()
@@ -365,7 +388,7 @@ def _build_records(scenario, send_ns, arrival_ns, rail_delay_ns, forward_ns,
         ForwardRecord(
             seq=s,
             send_time=send_ms[s],
-            arrivals=tuple(arr_ms[p][s] for p in range(len(scenario.paths))),
+            arrivals=tuple(row[s] for row in arr_ms),
             rail_delay=rail_ms[s],
             forward_time=fwd_ms[s],
             padding_applied=pad_ms[s],
@@ -405,7 +428,12 @@ def set_parameter(scenario: Scenario, parameter: str, value) -> None:
         raise ConfigurationError(
             f"parameter {parameter!r} does not address a numeric field"
         )
-    setattr(obj, leaf, int(value) if isinstance(current, int) else float(value))
+    try:
+        value = int(value) if isinstance(current, int) else float(value)
+    except (ValueError, OverflowError):
+        raise ConfigurationError(
+            f"parameter {parameter!r}: {value!r} is not an integer") from None
+    setattr(obj, leaf, value)
 
 
 def run_sweep(base: Scenario, parameter: str,

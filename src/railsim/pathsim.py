@@ -3,9 +3,9 @@
 Every path owns an independent RNG stream derived from the scenario seed,
 so a (path spec, seed) pair always reproduces the same outcome sequence
 regardless of how many packets are drawn or whether they are drawn one at
-a time or in bulk.  Randomness is consumed in fixed-size chunks with a
+a time or in bulk.  Randomness is drawn in fixed-size chunks with a
 fixed draw order per chunk; the sequential recurrences (sticky loss,
-AR(1) delay) run through the kernel backend.
+AR(1) delay) run through the kernel backend, on the rows handed out only.
 """
 
 from __future__ import annotations
@@ -120,8 +120,21 @@ class PathSpec:
     shared: str | None = None
 
 
+# The engine's clock is int64 nanoseconds.  Each time it takes in (run
+# length, delay, padding target) stays below 2**60 ns, about 36 years, so
+# the sums it forms (send + delay + padding + hold timeout) stay inside
+# int64 and below the reorder hold's 2**62 sentinel.
+CLOCK_LIMIT_NS = 2 ** 60
+
+
+def fits_clock(ms: float) -> bool:
+    """True when ``ms`` is finite and within the engine's clock range."""
+    return math.isfinite(ms) and abs(ms) * 1e6 < CLOCK_LIMIT_NS
+
+
 def validate_loss_model(m: LossModel, where: str = "loss") -> list[str]:
     problems = []
+    # the range checks also reject NaN: every comparison with it is false
     if not 0.0 <= m.rate <= 1.0:
         problems.append(f"{where}.rate: must be in [0, 1], got {m.rate}")
     if not 0.0 <= m.correlation < 1.0:
@@ -133,16 +146,18 @@ def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
     problems = []
     if m.kind not in DELAY_KINDS:
         problems.append(f"{where}.kind: unknown kind {m.kind!r}")
-    if m.mean < 0:
+    if not m.mean >= 0:
         problems.append(f"{where}.mean: must be >= 0, got {m.mean}")
-    if m.stddev < 0:
-        problems.append(f"{where}.stddev: must be >= 0, got {m.stddev}")
+    elif not fits_clock(m.mean):
+        problems.append(f"{where}.mean: {m.mean} ms overflows the int64 ns clock")
+    if not 0 <= m.stddev < math.inf:
+        problems.append(f"{where}.stddev: must be finite and >= 0, got {m.stddev}")
     if not 0.0 <= m.correlation < 1.0:
         problems.append(f"{where}.correlation: must be in [0, 1), got {m.correlation}")
     if m.kind == "trace" and m.trace is None:
         problems.append(f"{where}.trace: kind 'trace' requires a trace")
-    if m.pareto_alpha <= 1.0:
-        problems.append(f"{where}.pareto_alpha: must be > 1, got {m.pareto_alpha}")
+    if not 1.0 < m.pareto_alpha < math.inf:
+        problems.append(f"{where}.pareto_alpha: must be finite and > 1, got {m.pareto_alpha}")
     if not 0.0 <= m.pareto_weight <= 1.0:
         problems.append(f"{where}.pareto_weight: must be in [0, 1]")
     return problems
@@ -235,29 +250,42 @@ def trace_outcome(trace: Trace, seq: int) -> Outcome:
 
 
 class _Buffered:
-    """take(n) over a chunk producer, carrying leftovers between calls."""
+    """take(n) over whole chunks of draws, finishing only the rows handed out.
+
+    Each chunk's raw draws are made whole and in a fixed order, so packet i
+    sees the same randomness whatever the request sizes.  The work that
+    turns draws into outcomes (the sequential scans, the clamp, the trace
+    merge) runs only on the rows a ``take`` returns; the scans carry their
+    state from one call to the next, so split takes equal one large take.
+    """
 
     def __init__(self):
-        self._leftover: tuple[np.ndarray, ...] | None = None
+        self._raw: tuple[np.ndarray, ...] = ()
+        self._cursor = CHUNK  # next unfinished row of the current chunk
+        self._chunk_start = -CHUNK  # packet index of the current chunk's row 0
 
-    def _produce(self) -> tuple[np.ndarray, ...]:
+    def _draw(self) -> tuple[np.ndarray, ...]:
+        raise NotImplementedError
+
+    def _finish(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
 
     def _take(self, n: int) -> tuple[np.ndarray, ...]:
         parts: list[tuple[np.ndarray, ...]] = []
-        got = 0
-        if self._leftover is not None:
-            parts.append(self._leftover)
-            got = len(self._leftover[0])
-            self._leftover = None
-        while got < n:
-            chunk = self._produce()
-            parts.append(chunk)
-            got += len(chunk[0])
-        cols = tuple(np.concatenate(c) for c in zip(*parts))
-        if got > n:
-            self._leftover = tuple(c[n:] for c in cols)
-        return tuple(c[:n] for c in cols)
+        while True:
+            if self._cursor == CHUNK:
+                self._raw = self._draw()
+                self._cursor = 0
+                self._chunk_start += CHUNK
+            k = min(n, CHUNK - self._cursor)
+            parts.append(self._finish(self._cursor, self._cursor + k))
+            self._cursor += k
+            n -= k
+            if n == 0:
+                break
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(c) for c in zip(*parts))
 
 
 class LossStream(_Buffered):
@@ -270,11 +298,16 @@ class LossStream(_Buffered):
         self._rng = rng
         self._state = -1
 
-    def _produce(self):
+    def _draw(self):
         u_repeat = self._rng.random(CHUNK)
         u_fresh = self._rng.random(CHUNK)
+        return u_repeat, u_fresh
+
+    def _finish(self, lo, hi):
+        u_repeat, u_fresh = self._raw
         out, self._state = sticky_scan(
-            u_fresh, u_repeat, self.model.rate, self.model.correlation, self._state
+            u_fresh[lo:hi], u_repeat[lo:hi], self.model.rate,
+            self.model.correlation, self._state,
         )
         return (out,)
 
@@ -301,41 +334,51 @@ class PathStream(_Buffered):
         self._loss_state = -1
         self._ar_prev = 0.0
         self._ar_has = False
-        self._pos = 0  # packets produced so far (drives trace replay)
         self._consumed = 0
         self.wrapped = False  # True once a trace replay had to wrap around
 
-    def _delay_chunk(self) -> np.ndarray:
-        d = self.spec.delay
-        if d.kind == "constant":
-            return np.full(CHUNK, float(d.mean))
-        if d.kind == "normal":
-            eps = d.stddev * self._rng.standard_normal(CHUNK)
-        else:  # paretonormal
+    def _draw(self) -> tuple[np.ndarray, ...]:
+        u_repeat = self._rng.random(CHUNK)
+        u_fresh = self._rng.random(CHUNK)
+        kind = self.spec.delay.kind
+        if kind == "normal":
+            return u_repeat, u_fresh, self._rng.standard_normal(CHUNK)
+        if kind == "paretonormal":
             u_mix = self._rng.random(CHUNK)
             z = self._rng.standard_normal(CHUNK)
-            u_par = 1.0 - self._rng.random(CHUNK)  # (0, 1], keeps the tail finite
+            u_par = self._rng.random(CHUNK)
+            return u_repeat, u_fresh, u_mix, z, u_par
+        return u_repeat, u_fresh  # constant and trace draw no delay randomness
+
+    def _delay_rows(self, lo: int, hi: int) -> np.ndarray:
+        d = self.spec.delay
+        if d.kind == "constant":
+            return np.full(hi - lo, float(d.mean))
+        if d.kind == "normal":
+            eps = d.stddev * self._raw[2][lo:hi]
+        else:  # paretonormal
+            u_mix, z, u_par = (r[lo:hi] for r in self._raw[2:])
+            u_par = 1.0 - u_par  # (0, 1], keeps the tail finite
             pareto = u_par ** (-1.0 / d.pareto_alpha)
             pareto_mean = d.pareto_alpha / (d.pareto_alpha - 1.0)
             eps = d.stddev * np.where(u_mix < d.pareto_weight, pareto - pareto_mean, z)
         x, self._ar_prev = ar1_scan(eps, d.correlation, self._ar_prev, self._ar_has)
-        self._ar_has = True
+        self._ar_has = self._ar_has or hi > lo
         return np.maximum(d.mean + x, 0.0)
 
-    def _produce(self) -> tuple[np.ndarray, np.ndarray]:
-        u_repeat = self._rng.random(CHUNK)
-        u_fresh = self._rng.random(CHUNK)
+    def _finish(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        u_repeat, u_fresh = self._raw[:2]
         own_lost, self._loss_state = sticky_scan(
-            u_fresh, u_repeat, self.spec.loss.rate, self.spec.loss.correlation,
-            self._loss_state,
+            u_fresh[lo:hi], u_repeat[lo:hi], self.spec.loss.rate,
+            self.spec.loss.correlation, self._loss_state,
         )
         lost = own_lost.astype(bool)
         if self.spec.delay.kind == "trace":
-            t_lost, delay, _ = self.spec.delay.trace.replay_window(self._pos, CHUNK)
+            t_lost, delay, _ = self.spec.delay.trace.replay_window(
+                self._chunk_start + lo, hi - lo)
             lost = lost | t_lost
         else:
-            delay = self._delay_chunk()
-        self._pos += CHUNK
+            delay = self._delay_rows(lo, hi)
         return lost, delay
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -79,6 +79,10 @@ def rail_loss_shared(p_shared: float, own_rates: Sequence[float]) -> float:
 
 
 def _delivered(delay_samples) -> np.ndarray:
+    """Delivered delays as float64: NaN, None and lost outcomes dropped."""
+    if isinstance(delay_samples, np.ndarray) and delay_samples.dtype.kind in "fiu":
+        arr = delay_samples.astype(np.float64, copy=False)
+        return arr[~np.isnan(arr)]
     vals = []
     for d in delay_samples:
         if d is None:
@@ -98,7 +102,7 @@ def effective_loss(network_loss: float, delay_samples: Iterable, deadline: float
     """Total loss seen by the application: network loss plus delivered
     packets that miss the playout deadline."""
     _check_prob(network_loss, "network_loss")
-    if deadline < 0:
+    if not deadline >= 0:  # also rejects NaN
         raise DomainError(f"deadline must be >= 0, got {deadline}")
     delivered = _delivered(delay_samples)
     if delivered.size == 0:
@@ -116,7 +120,7 @@ def mos(loss: float, one_way_delay: float, params: EModelParams = G711) -> Quali
     mapped through the standard cubic to MOS in [1, 4.5].
     """
     _check_prob(loss, "loss")
-    if one_way_delay < 0:
+    if not one_way_delay >= 0:  # also rejects NaN
         raise DomainError(f"one_way_delay must be >= 0, got {one_way_delay}")
     loss_pct = 100.0 * loss
     ie_eff = params.codec_ie + (95.0 - params.codec_ie) * loss_pct / (

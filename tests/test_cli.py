@@ -138,6 +138,30 @@ def test_tcp_model_bad_input(capsys):
     assert run(["tcp-model", "--paths", "0.0,10;0.01,100"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["tcp-model", "--paths", "abc"],
+    ["tcp-model", "--paths", "0.1"],
+    ["tcp-model", "--paths", "0.1,x;0.01,100"],
+    ["mos", "--delay", "nan"],
+    ["mos", "--grid", "--losses", "0:inf:0.01"],
+    ["mos", "--grid", "--delays", "0,ten"],
+])
+def test_malformed_numbers_are_errors_not_tracebacks(argv, capsys):
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("parameter, values", [
+    ("paths.0.loss.rate", "x"),
+    ("paths.0.loss.rate", "0.1,nan"),
+    ("traffic.count", "inf"),
+])
+def test_sweep_bad_values_are_errors(scenario_file, parameter, values, capsys):
+    assert run(["sweep", "--scenario", scenario_file,
+                "--parameter", parameter, "--values", values]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_trace_analyze(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     trace.write_text("1,10\n2,0\n3,30\n4,0\n5,50\n")

@@ -11,7 +11,7 @@ from railsim.engine import (Scenario, TrafficSpec, load_scenario,
                             parse_scenario, run_sweep, set_parameter, simulate)
 from railsim.errors import ConfigurationError, ValidationError
 from railsim.metrics import reorder_stats
-from railsim.pathsim import DelayModel, LossModel, PathSpec
+from railsim.pathsim import DelayModel, LossModel, PathSpec, SharedSegmentSpec
 from railsim.railedge import PaddingConfig
 
 
@@ -78,6 +78,7 @@ def test_copy_accounting_balances():
     assert c.forwarded + c.suppressed + c.lost_copies == 2 * 5000
     assert len(sim.forwarded_order) == c.forwarded
     assert len(sim.records) == 5000
+    assert sim.records is sim.records  # built once, on first access
 
 
 def test_rail_delay_is_min_over_delivered_copies():
@@ -314,6 +315,56 @@ def test_reorder_removal_requires_hold_timeout():
     scenario = two_const_paths(reorder_removal=True)
     with pytest.raises(ValidationError, match="target_one_way"):
         simulate(scenario)
+
+
+# each of these used to run and report every packet lost, raise a bare
+# OverflowError, or send every packet at time 0
+@pytest.mark.parametrize("field, value, match", [
+    ("paths.0.delay.mean", math.nan, r"paths\[0\]\.delay\.mean"),
+    ("paths.0.delay.mean", math.inf, r"paths\[0\]\.delay\.mean"),
+    ("paths.0.delay.mean", 1e13, "overflows"),
+    ("paths.1.delay.stddev", math.nan, r"paths\[1\]\.delay\.stddev"),
+    ("paths.1.delay.stddev", math.inf, r"paths\[1\]\.delay\.stddev"),
+    ("paths.0.delay.correlation", math.nan, r"paths\[0\]\.delay\.correlation"),
+    ("paths.0.delay.pareto_alpha", math.inf, "pareto_alpha"),
+    ("paths.0.loss.rate", math.nan, r"paths\[0\]\.loss\.rate"),
+    ("paths.0.loss.rate", math.inf, r"paths\[0\]\.loss\.rate"),
+    ("paths.1.loss.correlation", math.nan, r"paths\[1\]\.loss\.correlation"),
+    ("traffic.interval", math.nan, "traffic.interval"),
+    ("traffic.interval", math.inf, "traffic.interval"),
+    ("traffic.interval", 1e-7, "rounds to 0 ns"),
+    ("traffic.interval", 1e10, "overflow"),
+    ("padding.target_one_way", math.nan, "target_one_way"),
+    ("padding.target_one_way", math.inf, "target_one_way"),
+])
+def test_validation_rejects_non_finite_and_overflowing_values(field, value, match):
+    scenario = two_const_paths(count=1000)
+    set_parameter(scenario, field, value)
+    with pytest.raises(ValidationError, match=match):
+        simulate(scenario)
+
+
+def test_validation_rejects_shared_segment_nan_loss():
+    scenario = two_const_paths(
+        shared_segments=[SharedSegmentSpec("core", LossModel(math.nan))])
+    with pytest.raises(ValidationError, match=r"shared_segments\[0\]\.loss\.rate"):
+        simulate(scenario)
+
+
+def test_sampled_delay_beyond_the_clock_is_an_error():
+    # the mean fits, but a heavy tail scaled this far cannot
+    scenario = Scenario(
+        paths=[PathSpec("a", delay=DelayModel("paretonormal", mean=1.0,
+                                              stddev=1e300))],
+        traffic=TrafficSpec(count=100),
+    )
+    with pytest.raises(ConfigurationError, match="clock"):
+        simulate(scenario)
+
+
+def test_set_parameter_rejects_non_integer_for_integer_field():
+    with pytest.raises(ConfigurationError, match="traffic.count"):
+        set_parameter(two_const_paths(), "traffic.count", math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from railsim.errors import ConfigurationError, TraceParseError, TraceRangeError
 from railsim.pathsim import (CHUNK, LOST, DelayModel, LossModel, LossStream,
                              Outcome, PathSpec, PathState, PathStream,
                              SharedSegmentSpec, SharedSegmentState,
-                             load_trace, path_rng, sample_outcome,
+                             load_trace, path_rng, sample_outcome, shared_rng,
                              trace_outcome)
 
 N = 100_000
@@ -143,6 +143,54 @@ def test_prefix_independent_of_request_size():
     l_big, d_big = _stream(spec, seed=5).take(CHUNK + 100)
     assert np.array_equal(l_small, l_big[:100])
     assert np.array_equal(d_small, d_big[:100])
+
+
+# piece sizes that start and stop inside a chunk, cross one boundary and
+# cover a whole chunk past it
+SPLIT_PIECES = [1, 999, CHUNK - 1000, 2, CHUNK + 7]
+
+
+def _split_and_whole(make, take):
+    whole = take(make(), sum(SPLIT_PIECES))
+    stream = make()
+    pieces = [take(stream, k) for k in SPLIT_PIECES]
+    split = tuple(np.concatenate(c) for c in zip(*pieces))
+    return split, whole
+
+
+def test_split_takes_equal_one_take_with_carried_scan_state():
+    spec = PathSpec("a", loss=LossModel(0.1, 0.6),
+                    delay=DelayModel("paretonormal", mean=60.0, stddev=15.0,
+                                     correlation=0.9))
+    split, whole = _split_and_whole(lambda: _stream(spec, seed=8, idx=1),
+                                    lambda s, k: s.take(k))
+    for a, b in zip(split, whole):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_split_takes_equal_one_take_for_wrapping_trace():
+    trace = load_trace("".join(f"{k},{0 if k % 5 == 0 else 10 + k % 7}\n"
+                               for k in range(1, 3001)))
+    spec = PathSpec("t", loss=LossModel(0.05, 0.3),
+                    delay=DelayModel("trace", trace=trace))
+
+    def take(stream, k):
+        lost, delay = stream.take(k)
+        return lost, delay, np.array([stream.wrapped])
+
+    split, whole = _split_and_whole(lambda: _stream(spec, seed=2), take)
+    assert split[0].tobytes() == whole[0].tobytes()
+    assert split[1].tobytes() == whole[1].tobytes()
+    # the flag rises on the first take that runs past the trace, then stays
+    assert split[2].tolist() == [False, False, True, True, True]
+    assert whole[2].tolist() == [True]
+
+
+def test_split_takes_equal_one_take_for_shared_segment():
+    model = LossModel(0.2, 0.7)
+    split, whole = _split_and_whole(lambda: LossStream(model, shared_rng(6, 1)),
+                                    lambda s, k: (s.take(k),))
+    assert split[0].tobytes() == whole[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

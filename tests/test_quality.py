@@ -104,6 +104,19 @@ def test_effective_loss_empty_with_partial_loss_is_error():
         effective_loss(0.5, [], 100.0)
     with pytest.raises(DomainError):
         effective_loss(0.0, [10.0], -1.0)
+    with pytest.raises(DomainError):
+        effective_loss(0.0, [10.0], math.nan)
+
+
+def test_array_samples_filter_like_the_outcome_loop():
+    values = [10.0, math.nan, 500.0, 120.0, math.nan, 80.0]
+    as_outcomes = [LOST if math.isnan(v) else Outcome(v) for v in values]
+    arr = np.array(values)
+    for deadline in (0.0, 100.0, 200.0, 1000.0):
+        assert (effective_loss(0.1, arr, deadline)
+                == effective_loss(0.1, as_outcomes, deadline))
+    assert (mos_curve(10, arr, [50.0, 150.0], 40.0)
+            == mos_curve(10, as_outcomes, [50.0, 150.0], 40.0))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +167,14 @@ def test_mos_rejects_bad_inputs():
         mos(-0.1, 10.0)
     with pytest.raises(DomainError):
         mos(0.1, -10.0)
+
+
+def test_mos_rejects_nan_delay_and_loss():
+    # a NaN delay used to fall through every comparison and score MOS 1.0
+    with pytest.raises(DomainError, match="one_way_delay"):
+        mos(0.0, math.nan)
+    with pytest.raises(DomainError, match="loss"):
+        mos(math.nan, 10.0)
 
 
 # ---------------------------------------------------------------------------
