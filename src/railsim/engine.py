@@ -21,9 +21,10 @@ import numpy as np
 
 from . import pathsim
 from .errors import ConfigurationError, ValidationError
-from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, Outcome, PathSpec, PathStream,
-                      SharedSegmentSpec, fits_clock, load_trace, path_rng,
-                      shared_rng, validate_delay_model, validate_loss_model)
+from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, Outcome, PathSpec,
+                      PathStream, SharedSegmentSpec, fits_clock, load_trace,
+                      path_rng, shared_rng, validate_delay_model,
+                      validate_loss_model)
 from .railedge import (DEFAULT_DEDUP_WINDOW, DedupState, PaddingConfig,
                        reorder_hold_schedule)
 

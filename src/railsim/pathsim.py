@@ -157,7 +157,8 @@ def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
     if m.kind == "trace" and m.trace is None:
         problems.append(f"{where}.trace: kind 'trace' requires a trace")
     if not 1.0 < m.pareto_alpha < math.inf:
-        problems.append(f"{where}.pareto_alpha: must be finite and > 1, got {m.pareto_alpha}")
+        problems.append(
+            f"{where}.pareto_alpha: must be finite and > 1, got {m.pareto_alpha}")
     if not 0.0 <= m.pareto_weight <= 1.0:
         problems.append(f"{where}.pareto_weight: must be in [0, 1]")
     return problems

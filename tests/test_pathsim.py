@@ -181,6 +181,10 @@ def test_split_takes_equal_one_take_for_wrapping_trace():
     split, whole = _split_and_whole(lambda: _stream(spec, seed=2), take)
     assert split[0].tobytes() == whole[0].tobytes()
     assert split[1].tobytes() == whole[1].tobytes()
+    # the replay stays positional across the chunk boundary
+    t_lost, t_delay, _ = trace.replay(sum(SPLIT_PIECES))
+    assert whole[1].tobytes() == t_delay.tobytes()
+    assert np.all(whole[0][t_lost])
     # the flag rises on the first take that runs past the trace, then stays
     assert split[2].tolist() == [False, False, True, True, True]
     assert whole[2].tolist() == [True]
