@@ -8,8 +8,9 @@ The paper-suite digest follows the bundle recipe: files sorted by name,
 each fed as ``name + b"\\0" + bytes``.  The simulate scenarios are small
 but reach every datapath branch that keeps state across rows: a sticky
 loss / AR(1) scan that crosses a chunk boundary, the window-miss dedup
-loop feeding the reorder hold, and padding with a shared segment, forced
-losses and a trace replay that wraps.
+loop feeding the reorder hold, padding with a shared segment, forced
+losses and a trace replay that wraps, and a run whose times pass 2^53 ns,
+where int64 nanoseconds stop being exact float64 values.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from railsim import cli, suite
+from railsim.engine import NS_PER_MS, load_scenario, simulate
 from railsim.pathsim import CHUNK
 
 PAPER_SUITE_SHA256 = "4183b08667e37815151419683ddbe0c7df4cd6513b7cd3ba018259754516d132"
@@ -142,6 +144,36 @@ trace = golden.trace
 force_loss = 5
 """
 
+# Send, arrival and padding times beyond 2^53 ns (about 104 days), a path
+# id that the CSV header must quote, one partial and one total forced loss.
+FAR = """
+[scenario]
+label = golden far
+seed = 2053
+
+[traffic]
+interval = 2e8
+count = 100
+
+[padding]
+enabled = true
+target_one_way = 3e10
+
+[paths.0]
+id = a,b
+delay = normal
+mean = 1e10
+stddev = 1e9
+force_loss = 3,7
+
+[paths.1]
+id = c
+delay = normal
+mean = 1.5e10
+stddev = 5e9
+force_loss = 7
+"""
+
 TRACE = "".join(f"{k},{0 if k % 17 == 0 else 45 + (k * 7) % 23}\n"
                 for k in range(1, 1001))
 
@@ -164,9 +196,18 @@ SIMULATE_SHA256 = {
         "summary.json":
             "c71706abe78d2a9860eadeadbb0bffb98a02630bc908ef90d07a2030829f8693",
     },
+    "far": {
+        "records.csv":
+            "09e8fde9e2561f5390c64b2b6d8fcc5e78a467bfeb2d00357640445dac503612",
+        "summary.json":
+            "c2486499d050e3bf897b36ff103ccf7e18f6c51c949bae90c778486ec1ebddb5",
+    },
 }
 
-SCENARIOS = {"correlated": CORRELATED, "hold": HOLD, "padded": PADDED}
+PADDED_RECORDS_JSON_SHA256 = (
+    "7fe6dd0e3b16bbab5affaba04e01535082c208a575b9e8300faa19ff34dae8ac")
+
+SCENARIOS = {"correlated": CORRELATED, "hold": HOLD, "padded": PADDED, "far": FAR}
 
 
 def _sha256(path: Path) -> str:
@@ -180,15 +221,42 @@ def bundle_digest(out_dir: Path) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_simulate_output_matches_golden(name, tmp_path):
+def _simulate(name: str, tmp_path: Path, *options: str) -> Path:
     (tmp_path / "golden.trace").write_text(TRACE)
     scenario = tmp_path / f"{name}.scenario"
     scenario.write_text(SCENARIOS[name])
     out = tmp_path / "out"
-    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out),
+                     *options]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_simulate_output_matches_golden(name, tmp_path):
+    out = _simulate(name, tmp_path)
     got = {f: _sha256(out / f) for f in ("records.csv", "summary.json")}
     assert got == SIMULATE_SHA256[name]
+
+
+def test_simulate_json_records_match_golden(tmp_path):
+    out = _simulate("padded", tmp_path, "--format", "json")
+    assert _sha256(out / "records.json") == PADDED_RECORDS_JSON_SHA256
+
+
+def test_far_scenario_arrivals_need_exact_integer_division(tmp_path):
+    """The far pin bites only if float64 division of the int64 column
+    would print some arrival cell differently."""
+    out = _simulate("far", tmp_path)
+    header, *rows = (out / "records.csv").read_text().splitlines()
+    assert header.startswith('seq,send_ms,"arrival_a,b_ms",')
+    arrival_ns = simulate(load_scenario(tmp_path / "far.scenario")).arrival_ns[1]
+    written = [row.split(",")[3] for row in rows]  # arrival_c_ms
+    assert "LOST" in written
+    delivered = [i for i, cell in enumerate(written) if cell != "LOST"]
+    by_numpy = [f"{x:.6f}" for x in (arrival_ns[delivered] / NS_PER_MS).tolist()]
+    assert any(written[i] != cell for i, cell in zip(delivered, by_numpy))
+    assert all(written[i] == f"{int(arrival_ns[i]) / NS_PER_MS:.6f}"
+               for i in delivered)
 
 
 def test_paper_suite_bundle_matches_golden(tmp_path):
