@@ -12,8 +12,8 @@ a VoIP MOS model and a TCP throughput model.
 __version__ = "0.1.0"
 
 from ._backend import backend_name
-from .engine import (ForwardRecord, Scenario, SimResult, TrafficSpec,
-                     load_scenario, run_sweep, simulate)
+from .engine import (Scenario, SimResult, TrafficSpec, load_scenario, run_sweep,
+                     simulate)
 from .errors import (ConfigurationError, DomainError, RailSimError,
                      TraceParseError, TraceRangeError, ValidationError)
 from .metrics import (BurstStats, DelayCdf, ReorderStats, burst_stats,
@@ -31,4 +31,27 @@ from .railedge import (DedupState, Decision, PaddingConfig, RailHeader,
                        decode_packet, encode_packet, on_wan_arrival,
                        padding_release, replicate)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "backend_name",
+    # engine
+    "Scenario", "SimResult", "TrafficSpec", "load_scenario", "run_sweep",
+    "simulate",
+    # errors
+    "ConfigurationError", "DomainError", "RailSimError", "TraceParseError",
+    "TraceRangeError", "ValidationError",
+    # metrics
+    "BurstStats", "DelayCdf", "ReorderStats", "burst_stats", "downtime_combine",
+    "empirical_cdf", "rail_cdf", "reorder_stats",
+    # pathsim
+    "LOST", "DelayModel", "LossModel", "Outcome", "PathSpec", "PathState",
+    "SharedSegmentSpec", "Trace", "load_trace", "sample_outcome", "trace_outcome",
+    # quality
+    "G711", "EModelParams", "MosPoint", "QualityScore", "TcpPath", "TcpPathSet",
+    "TcpPrediction", "effective_loss", "mos", "mos_curve", "optimal_playout",
+    "path_mos_curve", "rail_loss_independent", "rail_loss_shared",
+    "rail_mos_curve", "tcp_fact1_check", "tcp_throughput_rail",
+    "tcp_throughput_single",
+    # railedge
+    "DedupState", "Decision", "PaddingConfig", "RailHeader", "decode_packet",
+    "encode_packet", "on_wan_arrival", "padding_release", "replicate",
+]

@@ -53,6 +53,8 @@ def _parse_range(spec: str) -> list[float]:
             raise _UsageError(f"range bounds and step must be finite, got {spec!r}")
         if step <= 0:
             raise _UsageError("step must be > 0")
+        if a > b:
+            raise _UsageError(f"range start exceeds stop in {spec!r}")
         n = int((b - a) / step + 1e-9) + 1
         return [a + k * step for k in range(max(n, 0))]
     return [_float(x, "value list") for x in spec.split(",") if x.strip()]
@@ -84,21 +86,45 @@ def _load(args) -> engine.Scenario:
 # report builders
 
 
+# int64 ns up to this magnitude convert to float64 exactly, so numpy's
+# float division of the column agrees with Python's int division
+_EXACT_NS = 2 ** 53
+
+
+def _ms_cells(ns: np.ndarray, missing: np.ndarray | None = None,
+              word: str = "") -> list[str]:
+    """``ns / NS_PER_MS`` in float64, six decimals; ``word`` where ``missing``."""
+    cells = [f"{x:.6f}" for x in (ns / engine.NS_PER_MS).tolist()]
+    if missing is not None:
+        for i in np.flatnonzero(missing).tolist():
+            cells[i] = word
+    return cells
+
+
+def _exact_ms_cells(ns: np.ndarray, missing: np.ndarray, word: str) -> list[str]:
+    """As :func:`_ms_cells`, but rounded as Python divides the int:
+    beyond 2^53 ns the float64 conversion would round first."""
+    cells = _ms_cells(ns, missing, word)
+    for i in np.flatnonzero((np.abs(ns) > _EXACT_NS) & ~missing).tolist():
+        cells[i] = f"{int(ns[i]) / engine.NS_PER_MS:.6f}"
+    return cells
+
+
 def _records_table(sim: engine.SimResult) -> tuple[list[str], list[list]]:
+    """The per-packet ledger, one column per header name."""
     path_ids = [p.id for p in sim.scenario.paths]
     header = (["seq", "send_ms"]
               + [f"arrival_{pid}_ms" for pid in path_ids]
               + ["rail_delay_ms", "forward_ms", "padding_ms"])
-    rows = []
-    for r in sim.records:
-        rows.append(
-            [r.seq, fmt_ms(r.send_time)]
-            + [("LOST" if a is None else fmt_ms(a)) for a in r.arrivals]
-            + ["LOST" if r.rail_delay is None else fmt_ms(r.rail_delay),
-               "NEVER" if r.forward_time is None else fmt_ms(r.forward_time),
-               fmt_ms(r.padding_applied)]
-        )
-    return header, rows
+    columns = (
+        [list(range(len(sim.send_ns))), _ms_cells(sim.send_ns)]
+        + [_exact_ms_cells(row, row == engine.LOST_NS, "LOST")
+           for row in sim.arrival_ns]
+        + [_exact_ms_cells(sim.rail_delay_ns, sim.rail_delay_ns < 0, "LOST"),
+           _exact_ms_cells(sim.forward_ns, sim.forward_ns < 0, "NEVER"),
+           _ms_cells(sim.padding_ns)]
+    )
+    return header, columns
 
 
 def _stream_summary(n_sent: int, lost_mask, delays) -> dict:
@@ -143,8 +169,7 @@ def simulation_bundle(sim: engine.SimResult) -> ReportBundle:
         "label": sim.scenario.label,
         "scenario_sha256": engine.scenario_sha256(sim.scenario),
     })
-    header, rows = _records_table(sim)
-    bundle.add_table("records", header, rows)
+    bundle.add_columns("records", *_records_table(sim))
     bundle.summaries = summary
     return bundle
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import copy
-import functools
 import hashlib
 import json
 from collections.abc import Sequence
@@ -29,7 +28,7 @@ from .railedge import (DEFAULT_DEDUP_WINDOW, DedupState, PaddingConfig,
                        reorder_hold_schedule)
 
 NS_PER_MS = 1_000_000
-_LOST_NS = np.iinfo(np.int64).max
+LOST_NS = np.iinfo(np.int64).max  # arrival_ns of a lost copy
 
 # test hook: force the sequential dedup pass even when the window is
 # larger than the run (both code paths must agree exactly)
@@ -62,18 +61,6 @@ class Scenario:
     # impairment injection: path id -> seqs whose copy on that path is
     # forced lost (used for loss-vs-reorder experiments)
     forced_losses: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-
-@dataclass(frozen=True, slots=True)
-class ForwardRecord:
-    """Per-packet ledger entry."""
-
-    seq: int
-    send_time: float                      # ms
-    arrivals: tuple[float | None, ...]    # per-path arrival time (ms) or None
-    rail_delay: float | None              # min delivered one-way delay (ms)
-    forward_time: float | None            # release to the LAN (ms); None = never
-    padding_applied: float                # ms
 
 
 @dataclass
@@ -114,16 +101,10 @@ class SimResult:
     counters: Counters
     warnings: list[str]
     send_ns: np.ndarray          # int64[n]
-    arrival_ns: np.ndarray       # int64[n_paths, n], _LOST_NS where lost
+    arrival_ns: np.ndarray       # int64[n_paths, n], LOST_NS where lost
     rail_delay_ns: np.ndarray    # int64[n], -1 where all copies lost
     forward_ns: np.ndarray       # int64[n] first release, -1 where never
     padding_ns: np.ndarray       # int64[n]
-
-    @functools.cached_property
-    def records(self) -> list[ForwardRecord]:
-        """Per-packet ledger, built from the columns on first access."""
-        return _build_records(self.send_ns, self.arrival_ns, self.rail_delay_ns,
-                              self.forward_ns, self.padding_ns)
 
     def rail_lost_mask(self) -> np.ndarray:
         return self.rail_delay_ns < 0
@@ -215,13 +196,13 @@ def validate_scenario(s: Scenario) -> list[str]:
 def _dedup_pass(arrival_ns: np.ndarray, window: int):
     """First-forward bookkeeping over all delivered copies.
 
-    arrival_ns is (n_paths, count) with _LOST_NS marking lost copies.
+    arrival_ns is (n_paths, count) with LOST_NS marking lost copies.
     Returns (first_ns int64[count] with -1 when never forwarded,
     suppressed count, duplicate forward events as (t, seq) pairs).
     """
     n_paths, count = arrival_ns.shape
-    delivered_total = int(np.count_nonzero(arrival_ns < _LOST_NS))
-    first_raw = arrival_ns.min(axis=0)  # _LOST_NS when no copy delivered
+    delivered_total = int(np.count_nonzero(arrival_ns < LOST_NS))
+    first_raw = arrival_ns.min(axis=0)  # LOST_NS when no copy delivered
 
     use_fast = window >= count
     if not use_fast:
@@ -231,12 +212,12 @@ def _dedup_pass(arrival_ns: np.ndarray, window: int):
         # window provably cannot fill up.  Arrivals tied exactly at the
         # interval start are not counted, and at most one per other path
         # can tie there, hence the n_paths margin.
-        n_dlv = np.count_nonzero(arrival_ns < _LOST_NS, axis=0)
+        n_dlv = np.count_nonzero(arrival_ns < LOST_NS, axis=0)
         multi = n_dlv >= 2
         if not np.any(multi):
             use_fast = True
         else:
-            last = np.where(arrival_ns < _LOST_NS, arrival_ns, np.int64(-1)).max(axis=0)
+            last = np.where(arrival_ns < LOST_NS, arrival_ns, np.int64(-1)).max(axis=0)
             ff = np.sort(first_raw[n_dlv >= 1])
             between = (np.searchsorted(ff, last[multi], side="right")
                        - np.searchsorted(ff, first_raw[multi], side="right"))
@@ -245,11 +226,11 @@ def _dedup_pass(arrival_ns: np.ndarray, window: int):
     if use_fast and not _FORCE_DEDUP_LOOP:
         # no eviction is possible: first copy forwarded, later copies
         # suppressed, exactly what the window state machine would do
-        first_ns = np.where(first_raw == _LOST_NS, -1, first_raw)
+        first_ns = np.where(first_raw == LOST_NS, -1, first_raw)
         forwarded = int(np.count_nonzero(first_ns >= 0))
         return first_ns, delivered_total - forwarded, []
 
-    mask = arrival_ns < _LOST_NS
+    mask = arrival_ns < LOST_NS
     p_idx, s_idx = np.nonzero(mask)
     t = arrival_ns[p_idx, s_idx]
     order = np.lexsort((p_idx, s_idx, t))  # by time, then seq, then path
@@ -311,7 +292,7 @@ def simulate(scenario: Scenario) -> SimResult:
             raise ConfigurationError(
                 f"path {spec.id}: a sampled delay overflows the int64 ns clock")
         delay_ns = _delay_to_ns(delay_ms)
-        arrival_ns[pidx] = np.where(lost, _LOST_NS, send_ns + delay_ns)
+        arrival_ns[pidx] = np.where(lost, LOST_NS, send_ns + delay_ns)
         lost_copies += int(np.count_nonzero(lost))
         # expose the ns-quantised delays the event loop actually used, so
         # per-path ground truth and rail delays live on the same grid
@@ -349,9 +330,9 @@ def simulate(scenario: Scenario) -> SimResult:
         )
         t, seqs = np.array(released, dtype=np.int64).reshape(-1, 2).T
 
-    forward_ns = np.full(n, _LOST_NS, dtype=np.int64)
+    forward_ns = np.full(n, LOST_NS, dtype=np.int64)
     np.minimum.at(forward_ns, seqs, t)
-    forward_ns[forward_ns == _LOST_NS] = -1
+    forward_ns[forward_ns == LOST_NS] = -1
     forwarded_order = seqs.tolist()
 
     counters = Counters(
@@ -372,30 +353,6 @@ def simulate(scenario: Scenario) -> SimResult:
         forward_ns=forward_ns,
         padding_ns=padding_ns,
     )
-
-
-def _build_records(send_ns, arrival_ns, rail_delay_ns, forward_ns,
-                   padding_ns) -> list[ForwardRecord]:
-    n = len(send_ns)
-    send_ms = (send_ns / NS_PER_MS).tolist()
-    arr_ms = [
-        [None if t == _LOST_NS else t / NS_PER_MS for t in row]
-        for row in arrival_ns.tolist()
-    ]
-    rail_ms = [None if d < 0 else d / NS_PER_MS for d in rail_delay_ns.tolist()]
-    fwd_ms = [None if t < 0 else t / NS_PER_MS for t in forward_ns.tolist()]
-    pad_ms = (padding_ns / NS_PER_MS).tolist()
-    return [
-        ForwardRecord(
-            seq=s,
-            send_time=send_ms[s],
-            arrivals=tuple(row[s] for row in arr_ms),
-            rail_delay=rail_ms[s],
-            forward_time=fwd_ms[s],
-            padding_applied=pad_ms[s],
-        )
-        for s in range(n)
-    ]
 
 
 # ---------------------------------------------------------------------------

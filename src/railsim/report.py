@@ -9,6 +9,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 
 def fmt_ms(value) -> str:
@@ -25,24 +26,73 @@ def fmt_num(value) -> str:
     return f"{value:.12g}"
 
 
+class Table(NamedTuple):
+    """A header plus one list of cells per header name."""
+
+    header: list[str]
+    columns: list[list]
+
+
+def _text(column: list) -> list[str]:
+    """A column as CSV cells, printed as ``csv.writer`` prints them."""
+    if set(map(type, column)) <= {str}:
+        return column
+    return ["" if c is None else str(c) for c in column]
+
+
+def _plain(cells: list[str]) -> bool:
+    """True when no cell needs quoting: joining adds exactly one comma per
+    gap between cells, and no quote or line break appears anywhere."""
+    joined = ",".join(cells)
+    return (joined.count(",") == len(cells) - 1
+            and not any(c in joined for c in '"\r\n'))
+
+
+def table_csv(table: Table) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.header)
+    cells = [_text(c) for c in table.columns]
+    # csv.writer quotes the lone empty cell of a one-column row
+    if all(map(_plain, cells)) and not (len(cells) == 1 and "" in cells[0]):
+        rows = list(map(",".join, zip(*cells)))
+        if rows:
+            buf.write("\n".join(rows) + "\n")
+    else:
+        writer.writerows(zip(*cells))
+    return buf.getvalue()
+
+
+def table_json(table: Table) -> str:
+    rows = [dict(zip(table.header, row)) for row in zip(*table.columns)]
+    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
+
+
 @dataclass
 class ReportBundle:
-    """manifest + named tables (rows of cells; first row is the header)
-    + JSON summaries."""
+    """manifest + named tables + JSON summaries."""
 
     manifest: dict
-    tables: dict[str, list[list]] = field(default_factory=dict)
+    tables: dict[str, Table] = field(default_factory=dict)
     summaries: dict = field(default_factory=dict)
 
     def add_table(self, name: str, header: list[str], rows: list[list]) -> None:
-        self.tables[name] = [list(header)] + [list(r) for r in rows]
+        """Add a table given row by row."""
+        header = list(header)
+        if any(len(r) != len(header) for r in rows):
+            raise ValueError(f"table {name!r}: every row needs {len(header)} cells")
+        columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in header]
+        self.tables[name] = Table(header, columns)
+
+    def add_columns(self, name: str, header: list[str], columns: list[list]) -> None:
+        """Add a table given column by column."""
+        if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+            raise ValueError(f"table {name!r}: needs {len(header)} columns "
+                             "of one length")
+        self.tables[name] = Table(list(header), columns)
 
     def table_csv(self, name: str) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in self.tables[name]:
-            writer.writerow(["" if c is None else c for c in row])
-        return buf.getvalue()
+        return table_csv(self.tables[name])
 
     def write(self, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
         """Write manifest.json, summary.json and one file per table."""
@@ -58,11 +108,9 @@ class ReportBundle:
         for name in sorted(self.tables):
             if fmt == "json":
                 path = out / f"{name}.json"
-                header, *rows = self.tables[name]
-                payload = [dict(zip(header, row)) for row in rows]
-                path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+                path.write_text(table_json(self.tables[name]))
             else:
                 path = out / f"{name}.csv"
-                path.write_text(self.table_csv(name))
+                path.write_text(table_csv(self.tables[name]))
             written.append(path)
         return written

@@ -2,9 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from railsim import cli, suite
+from railsim.engine import (LOST_NS, NS_PER_MS, Counters, Scenario, SimResult,
+                            TrafficSpec)
+from railsim.pathsim import PathSpec
+from railsim.report import fmt_ms
 
 SCENARIO = """
 [scenario]
@@ -160,6 +167,57 @@ def test_sweep_bad_values_are_errors(scenario_file, parameter, values, capsys):
     assert run(["sweep", "--scenario", scenario_file,
                 "--parameter", parameter, "--values", values]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("losses", ["1:0:1", "10:1:5"])
+def test_reversed_range_is_an_error(losses, tmp_path, capsys):
+    out = tmp_path / "grid"
+    assert run(["mos", "--grid", "--losses", losses, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+# int64 ns over the engine's clock range, weighted towards 2^53, where
+# float64 stops holding every integer
+NS = st.one_of(st.integers(0, 2 ** 60 - 1),
+               st.integers(2 ** 53 - 2 ** 12, 2 ** 53 + 2 ** 12),
+               st.integers(2 ** 53, 2 ** 55))
+
+
+def _per_cell_rows(sim):
+    """The ledger row by row: Python int division, except send and
+    padding, which numpy divides."""
+    rows = []
+    for s in range(len(sim.send_ns)):
+        arrivals = [t.item() for t in sim.arrival_ns[:, s]]
+        rail, fwd = sim.rail_delay_ns[s].item(), sim.forward_ns[s].item()
+        rows.append(
+            [s, fmt_ms(float(sim.send_ns[s] / NS_PER_MS))]
+            + ["LOST" if t == LOST_NS else fmt_ms(t / NS_PER_MS) for t in arrivals]
+            + ["LOST" if rail < 0 else fmt_ms(rail / NS_PER_MS),
+               "NEVER" if fwd < 0 else fmt_ms(fwd / NS_PER_MS),
+               fmt_ms(float(sim.padding_ns[s] / NS_PER_MS))])
+    return rows
+
+
+@given(st.lists(st.tuples(NS, st.one_of(NS, st.just(LOST_NS)),
+                          st.one_of(NS, st.just(LOST_NS)),
+                          st.one_of(NS, st.just(-1)), st.one_of(NS, st.just(-1)),
+                          NS),
+                min_size=1, max_size=30))
+def test_records_columns_match_the_per_cell_rule(rows):
+    send, arr_a, arr_b, rail, fwd, pad = (np.array(c, dtype=np.int64)
+                                          for c in zip(*rows))
+    sim = SimResult(
+        scenario=Scenario(paths=[PathSpec("a"), PathSpec("b")],
+                          traffic=TrafficSpec(count=len(rows))),
+        per_path_outcomes=[], forwarded_order=[], counters=Counters(), warnings=[],
+        send_ns=send, arrival_ns=np.stack([arr_a, arr_b]), rail_delay_ns=rail,
+        forward_ns=fwd, padding_ns=pad)
+    header, columns = cli._records_table(sim)
+    assert header == ["seq", "send_ms", "arrival_a_ms", "arrival_b_ms",
+                      "rail_delay_ms", "forward_ms", "padding_ms"]
+    assert [list(r) for r in zip(*columns)] == _per_cell_rows(sim)
 
 
 def test_trace_analyze(tmp_path, capsys):

@@ -34,11 +34,11 @@ def test_lossless_constant_paths_take_the_fast_path():
     assert sim.forwarded_order == list(range(10))
     assert reorder_stats(sim.forwarded_order).out_of_order_count == 0
     assert sim.counters.suppressed == 10  # every slow copy suppressed
-    for r in sim.records:
-        assert r.rail_delay == 30.0
-        assert r.arrivals == (r.send_time + 30.0, r.send_time + 50.0)
-        assert r.forward_time == r.send_time + 30.0
-        assert r.padding_applied == 0.0
+    send, ms = sim.send_ns, engine.ms_to_ns
+    assert np.all(sim.rail_delay_ns == ms(30.0))
+    assert np.array_equal(sim.arrival_ns, [send + ms(30.0), send + ms(50.0)])
+    assert np.array_equal(sim.forward_ns, send + ms(30.0))
+    assert np.all(sim.padding_ns == 0)
 
 
 def test_single_path_certain_loss():
@@ -48,7 +48,7 @@ def test_single_path_certain_loss():
         traffic=TrafficSpec(count=20),
     ))
     assert sim.forwarded_order == []
-    assert all(r.rail_delay is None and r.forward_time is None for r in sim.records)
+    assert np.all(sim.rail_delay_ns == -1) and np.all(sim.forward_ns == -1)
     assert sim.counters.lost_copies == 20
     assert np.all(sim.rail_lost_mask())
 
@@ -77,8 +77,9 @@ def test_copy_accounting_balances():
     c = sim.counters
     assert c.forwarded + c.suppressed + c.lost_copies == 2 * 5000
     assert len(sim.forwarded_order) == c.forwarded
-    assert len(sim.records) == 5000
-    assert sim.records is sim.records  # built once, on first access
+    ledger = (sim.send_ns, *sim.arrival_ns, sim.rail_delay_ns, sim.forward_ns,
+              sim.padding_ns)
+    assert all(col.dtype == np.int64 and col.shape == (5000,) for col in ledger)
 
 
 def test_rail_delay_is_min_over_delivered_copies():
@@ -90,17 +91,16 @@ def test_rail_delay_is_min_over_delivered_copies():
         traffic=TrafficSpec(count=2000),
         seed=13,
     ))
-    for i, r in enumerate(sim.records):
+    rail_ms = sim.rail_delay_ns / engine.NS_PER_MS
+    for i in range(2000):
         delivered = [
             out.delay_ms[i] for out in sim.per_path_outcomes if not out.lost[i]
         ]
         if delivered:
-            assert r.rail_delay == min(delivered)
-            # ms values are exact /1e6 views of the ns clock; re-adding
-            # them in float can round up by an ulp
-            assert r.forward_time >= r.send_time + r.rail_delay - 1e-9
+            assert rail_ms[i] == min(delivered)
+            assert sim.forward_ns[i] >= sim.send_ns[i] + sim.rail_delay_ns[i]
         else:
-            assert r.rail_delay is None and r.forward_time is None
+            assert sim.rail_delay_ns[i] == -1 and sim.forward_ns[i] == -1
 
 
 def test_determinism_byte_identical():
@@ -115,9 +115,9 @@ def test_determinism_byte_identical():
     )
     a = simulate(scenario)
     b = simulate(scenario)
-    assert a.records == b.records
+    for col in ("send_ns", "arrival_ns", "rail_delay_ns", "forward_ns", "padding_ns"):
+        assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
     assert a.forwarded_order == b.forwarded_order
-    assert a.rail_delay_ns.tobytes() == b.rail_delay_ns.tobytes()
     from railsim.cli import simulation_bundle
     assert (simulation_bundle(a).table_csv("records")
             == simulation_bundle(b).table_csv("records"))
@@ -138,9 +138,10 @@ def test_padding_release_is_max_of_delay_and_target():
     sim = simulate(base)
     fwd = (sim.forward_ns - sim.send_ns) / engine.NS_PER_MS
     rail = sim.rail_delay_ns / engine.NS_PER_MS
+    padding = sim.padding_ns / engine.NS_PER_MS
     for i in range(4000):
         assert fwd[i] == max(rail[i], 150.0)
-        assert sim.records[i].padding_applied == pytest.approx(
+        assert padding[i] == pytest.approx(
             max(0.0, 150.0 - rail[i]), abs=1e-9)
     # packets under the target come out with literally zero jitter
     padded = fwd[rail <= 150.0]
@@ -192,7 +193,7 @@ def test_reorder_removal_restores_order_without_dropping():
         reorder_removal=True,
     ))
     assert sim.forwarded_order == list(range(10))
-    assert sim.records[5].forward_time is not None
+    assert sim.forward_ns[5] >= 0
     assert np.count_nonzero(sim.forward_ns >= 0) == 10
 
 
@@ -467,7 +468,7 @@ def test_parse_scenario_round_trip():
     assert scenario.forced_losses == {"isp-b": (3, 5)}
     assert scenario.padding.enabled and scenario.padding.target_one_way == 120.0
     sim = simulate(scenario)
-    assert len(sim.records) == 40
+    assert len(sim.send_ns) == 40
 
 
 def test_parse_scenario_reports_all_problems():
