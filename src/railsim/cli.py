@@ -20,7 +20,7 @@ from . import __version__, engine, metrics, quality, suite
 from .engine import load_scenario, run_sweep, simulate
 from .errors import RailSimError
 from .pathsim import load_trace
-from .report import ReportBundle, fmt_ms, fmt_num
+from .report import ReportBundle, fmt_ms, fmt_ms_column, fmt_num
 
 ENV_OUT_DIR = "RAILSIM_OUT"
 
@@ -86,30 +86,6 @@ def _load(args) -> engine.Scenario:
 # report builders
 
 
-# int64 ns up to this magnitude convert to float64 exactly, so numpy's
-# float division of the column agrees with Python's int division
-_EXACT_NS = 2 ** 53
-
-
-def _ms_cells(ns: np.ndarray, missing: np.ndarray | None = None,
-              word: str = "") -> list[str]:
-    """``ns / NS_PER_MS`` in float64, six decimals; ``word`` where ``missing``."""
-    cells = [f"{x:.6f}" for x in (ns / engine.NS_PER_MS).tolist()]
-    if missing is not None:
-        for i in np.flatnonzero(missing).tolist():
-            cells[i] = word
-    return cells
-
-
-def _exact_ms_cells(ns: np.ndarray, missing: np.ndarray, word: str) -> list[str]:
-    """As :func:`_ms_cells`, but rounded as Python divides the int:
-    beyond 2^53 ns the float64 conversion would round first."""
-    cells = _ms_cells(ns, missing, word)
-    for i in np.flatnonzero((np.abs(ns) > _EXACT_NS) & ~missing).tolist():
-        cells[i] = f"{int(ns[i]) / engine.NS_PER_MS:.6f}"
-    return cells
-
-
 def _records_table(sim: engine.SimResult) -> tuple[list[str], list[list]]:
     """The per-packet ledger, one column per header name."""
     path_ids = [p.id for p in sim.scenario.paths]
@@ -117,12 +93,13 @@ def _records_table(sim: engine.SimResult) -> tuple[list[str], list[list]]:
               + [f"arrival_{pid}_ms" for pid in path_ids]
               + ["rail_delay_ms", "forward_ms", "padding_ms"])
     columns = (
-        [list(range(len(sim.send_ns))), _ms_cells(sim.send_ns)]
-        + [_exact_ms_cells(row, row == engine.LOST_NS, "LOST")
+        [list(range(len(sim.send_ns))),
+         fmt_ms_column(sim.send_ns, int_division=False)]
+        + [fmt_ms_column(row, row == engine.LOST_NS, "LOST")
            for row in sim.arrival_ns]
-        + [_exact_ms_cells(sim.rail_delay_ns, sim.rail_delay_ns < 0, "LOST"),
-           _exact_ms_cells(sim.forward_ns, sim.forward_ns < 0, "NEVER"),
-           _ms_cells(sim.padding_ns)]
+        + [fmt_ms_column(sim.rail_delay_ns, sim.rail_delay_ns < 0, "LOST"),
+           fmt_ms_column(sim.forward_ns, sim.forward_ns < 0, "NEVER"),
+           fmt_ms_column(sim.padding_ns, int_division=False)]
     )
     return header, columns
 

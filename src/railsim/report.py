@@ -11,9 +11,76 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
+from .engine import NS_PER_MS
+
 
 def fmt_ms(value) -> str:
     return "" if value is None else f"{value:.6f}"
+
+
+# Below 2^33 ms the float64 nearest ns / NS_PER_MS lies within 2^-21 ms
+# of it, so six decimals print its exact decimal, whichever division
+# made it: those cells are spelled from the int's digits.
+_DECIMAL_NS = 2 ** 33 * NS_PER_MS
+
+
+def _words(chars: np.ndarray) -> np.ndarray:
+    """Rows of four ASCII bytes as uint32 words."""
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32).ravel()
+
+
+_I = np.arange(10_000)
+_DIGITS = (np.stack([_I // 1000, _I // 100, _I // 10, _I], axis=1) % 10
+           + ord("0"))
+_ZEROS4 = _words(_DIGITS)                                           # "0042"
+_SPACES4 = _words(np.where(_I[:, None] < [1000, 100, 10, 0], ord(" "), _DIGITS))
+_DOT3 = _words(np.c_[np.full(1000, ord(".")), _DIGITS[:1000, 1:]])  # ".042"
+_SPACE3 = _words(np.c_[_DIGITS[:1000, 1:], np.full(1000, ord(" "))])  # "042 "
+_BLANK4 = _words(np.full((1, 4), ord(" ")))[0]
+
+
+def _decimal_cells(ns: np.ndarray) -> list[str]:
+    """``ns / NS_PER_MS`` with six decimals, for 0 <= ns < _DECIMAL_NS.
+
+    Each cell is spelled right-aligned in five four-byte words (up to ten
+    integer digits, then ".ddd" and "ddd "); split() drops the padding.
+    """
+    q, r = np.divmod(ns, NS_PER_MS)
+    hi, lo = np.divmod(q, 10 ** 4)
+    top, mid = np.divmod(hi, 10 ** 4)
+    words = np.empty((len(ns), 5), dtype=np.uint32)
+    words[:, 0] = np.where(top > 0, _SPACES4[top], _BLANK4)
+    words[:, 1] = np.where(top > 0, _ZEROS4[mid],
+                           np.where(mid > 0, _SPACES4[mid], _BLANK4))
+    words[:, 2] = np.where(hi > 0, _ZEROS4[lo], _SPACES4[lo])
+    frac_hi, frac_lo = np.divmod(r, 1000)
+    words[:, 3] = _DOT3[frac_hi]
+    words[:, 4] = _SPACE3[frac_lo]
+    return words.tobytes().decode("ascii").split()
+
+
+def fmt_ms_column(ns: np.ndarray, missing: np.ndarray | None = None,
+                  word: str = "", int_division: bool = True) -> list[str]:
+    """``ns / NS_PER_MS`` with six decimals, ``word`` where ``missing``.
+
+    The quotient is Python's int division, or numpy's float64 division
+    when not ``int_division``; the ledger has always printed send and
+    padding times the second way, and the two differ beyond 2^53 ns.
+    """
+    if missing is None:
+        missing = np.zeros(len(ns), dtype=bool)
+    big = (ns >= _DECIMAL_NS) & ~missing
+    cells = _decimal_cells(np.where(big | missing, 0, ns))
+    for i in np.flatnonzero(missing).tolist():
+        cells[i] = word
+    where = np.flatnonzero(big)
+    quotients = ([t / NS_PER_MS for t in ns[where].tolist()] if int_division
+                 else (ns[where] / NS_PER_MS).tolist())
+    for i, t in zip(where.tolist(), quotients):
+        cells[i] = f"{t:.6f}"
+    return cells
 
 
 def fmt_num(value) -> str:
@@ -48,26 +115,6 @@ def _plain(cells: list[str]) -> bool:
             and not any(c in joined for c in '"\r\n'))
 
 
-def table_csv(table: Table) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.header)
-    cells = [_text(c) for c in table.columns]
-    # csv.writer quotes the lone empty cell of a one-column row
-    if all(map(_plain, cells)) and not (len(cells) == 1 and "" in cells[0]):
-        rows = list(map(",".join, zip(*cells)))
-        if rows:
-            buf.write("\n".join(rows) + "\n")
-    else:
-        writer.writerows(zip(*cells))
-    return buf.getvalue()
-
-
-def table_json(table: Table) -> str:
-    rows = [dict(zip(table.header, row)) for row in zip(*table.columns)]
-    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
-
-
 @dataclass
 class ReportBundle:
     """manifest + named tables + JSON summaries."""
@@ -92,7 +139,19 @@ class ReportBundle:
         self.tables[name] = Table(list(header), columns)
 
     def table_csv(self, name: str) -> str:
-        return table_csv(self.tables[name])
+        header, columns = self.tables[name]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        cells = [_text(c) for c in columns]
+        # csv.writer quotes the lone empty cell of a one-column row
+        if all(map(_plain, cells)) and not (len(cells) == 1 and "" in cells[0]):
+            rows = list(map(",".join, zip(*cells)))
+            if rows:
+                buf.write("\n".join(rows) + "\n")
+        else:
+            writer.writerows(zip(*cells))
+        return buf.getvalue()
 
     def write(self, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
         """Write manifest.json, summary.json and one file per table."""
@@ -108,9 +167,11 @@ class ReportBundle:
         for name in sorted(self.tables):
             if fmt == "json":
                 path = out / f"{name}.json"
-                path.write_text(table_json(self.tables[name]))
+                header, columns = self.tables[name]
+                payload = [dict(zip(header, row)) for row in zip(*columns)]
+                path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
             else:
                 path = out / f"{name}.csv"
-                path.write_text(table_csv(self.tables[name]))
+                path.write_text(self.table_csv(name))
             written.append(path)
         return written

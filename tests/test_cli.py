@@ -177,9 +177,12 @@ def test_reversed_range_is_an_error(losses, tmp_path, capsys):
     assert not out.exists()
 
 
-# int64 ns over the engine's clock range, weighted towards 2^53, where
+# int64 ns over the engine's clock range, weighted towards 2^33 ms, where
+# the cells stop being spelled from digits, and towards 2^53 ns, where
 # float64 stops holding every integer
 NS = st.one_of(st.integers(0, 2 ** 60 - 1),
+               st.integers(0, 10 ** 7),
+               st.integers(2 ** 33 * NS_PER_MS - 2 ** 12, 2 ** 33 * NS_PER_MS + 2 ** 12),
                st.integers(2 ** 53 - 2 ** 12, 2 ** 53 + 2 ** 12),
                st.integers(2 ** 53, 2 ** 55))
 
@@ -187,16 +190,18 @@ NS = st.one_of(st.integers(0, 2 ** 60 - 1),
 def _per_cell_rows(sim):
     """The ledger row by row: Python int division, except send and
     padding, which numpy divides."""
+    send_ms = (sim.send_ns / NS_PER_MS).tolist()
+    pad_ms = (sim.padding_ns / NS_PER_MS).tolist()
     rows = []
     for s in range(len(sim.send_ns)):
-        arrivals = [t.item() for t in sim.arrival_ns[:, s]]
+        arrivals = sim.arrival_ns[:, s].tolist()
         rail, fwd = sim.rail_delay_ns[s].item(), sim.forward_ns[s].item()
         rows.append(
-            [s, fmt_ms(float(sim.send_ns[s] / NS_PER_MS))]
+            [s, fmt_ms(send_ms[s])]
             + ["LOST" if t == LOST_NS else fmt_ms(t / NS_PER_MS) for t in arrivals]
             + ["LOST" if rail < 0 else fmt_ms(rail / NS_PER_MS),
                "NEVER" if fwd < 0 else fmt_ms(fwd / NS_PER_MS),
-               fmt_ms(float(sim.padding_ns[s] / NS_PER_MS))])
+               fmt_ms(pad_ms[s])])
     return rows
 
 
