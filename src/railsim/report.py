@@ -75,10 +75,10 @@ def fmt_ms_column(ns: np.ndarray, missing: np.ndarray | None = None,
     cells = _decimal_cells(np.where(big | missing, 0, ns))
     for i in np.flatnonzero(missing).tolist():
         cells[i] = word
-    where = np.flatnonzero(big)
-    quotients = ([t / NS_PER_MS for t in ns[where].tolist()] if int_division
-                 else (ns[where] / NS_PER_MS).tolist())
-    for i, t in zip(where.tolist(), quotients):
+    at = np.flatnonzero(big)
+    quotients = ([t / NS_PER_MS for t in ns[at].tolist()] if int_division
+                 else (ns[at] / NS_PER_MS).tolist())
+    for i, t in zip(at.tolist(), quotients):
         cells[i] = f"{t:.6f}"
     return cells
 
