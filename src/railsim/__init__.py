@@ -11,40 +11,36 @@ a VoIP MOS model and a TCP throughput model.
 
 __version__ = "0.1.0"
 
-from ._backend import backend_name
 from .engine import (Scenario, SimResult, TrafficSpec, load_scenario, run_sweep,
                      simulate)
 from .errors import (ConfigurationError, DomainError, RailSimError,
-                     TraceParseError, TraceRangeError, ValidationError)
+                     TraceParseError, ValidationError)
 from .metrics import (BurstStats, DelayCdf, ReorderStats, burst_stats,
                       downtime_combine, empirical_cdf, rail_cdf, reorder_stats)
-from .pathsim import (LOST, DelayModel, LossModel, Outcome, PathSpec,
-                      PathState, SharedSegmentSpec, Trace, load_trace,
-                      sample_outcome, trace_outcome)
+from .pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
+                      Trace, load_trace)
 from .quality import (G711, EModelParams, MosPoint, QualityScore, TcpPath,
                       TcpPathSet, TcpPrediction, effective_loss, mos,
                       mos_curve, optimal_playout, path_mos_curve,
                       rail_loss_independent, rail_loss_shared, rail_mos_curve,
                       tcp_fact1_check, tcp_throughput_rail,
                       tcp_throughput_single)
-from .railedge import (DedupState, Decision, PaddingConfig, RailHeader,
-                       decode_packet, encode_packet, on_wan_arrival,
-                       padding_release, replicate)
+from .railedge import (DedupState, PaddingConfig, RailHeader, decode_packet,
+                       encode_packet, padding_release, replicate)
 
 __all__ = [
-    "backend_name",
     # engine
     "Scenario", "SimResult", "TrafficSpec", "load_scenario", "run_sweep",
     "simulate",
     # errors
     "ConfigurationError", "DomainError", "RailSimError", "TraceParseError",
-    "TraceRangeError", "ValidationError",
+    "ValidationError",
     # metrics
     "BurstStats", "DelayCdf", "ReorderStats", "burst_stats", "downtime_combine",
     "empirical_cdf", "rail_cdf", "reorder_stats",
     # pathsim
-    "LOST", "DelayModel", "LossModel", "Outcome", "PathSpec", "PathState",
-    "SharedSegmentSpec", "Trace", "load_trace", "sample_outcome", "trace_outcome",
+    "DelayModel", "LossModel", "PathSpec", "SharedSegmentSpec", "Trace",
+    "load_trace",
     # quality
     "G711", "EModelParams", "MosPoint", "QualityScore", "TcpPath", "TcpPathSet",
     "TcpPrediction", "effective_loss", "mos", "mos_curve", "optimal_playout",
@@ -52,6 +48,6 @@ __all__ = [
     "rail_mos_curve", "tcp_fact1_check", "tcp_throughput_rail",
     "tcp_throughput_single",
     # railedge
-    "DedupState", "Decision", "PaddingConfig", "RailHeader", "decode_packet",
-    "encode_packet", "on_wan_arrival", "padding_release", "replicate",
+    "DedupState", "PaddingConfig", "RailHeader", "decode_packet",
+    "encode_packet", "padding_release", "replicate",
 ]

@@ -275,7 +275,7 @@ def cmd_trace_analyze(args) -> int:
     path = Path(args.trace)
     if not path.exists():
         raise _UsageError(f"trace not found: {path}")
-    trace = load_trace(path.read_text())
+    trace = load_trace(engine.read_text(path, "trace"))
     lost, delays, _ = trace.replay(len(trace))
     delivered = delays[~lost]
     b = metrics.burst_stats(lost)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pathsim
 from .errors import ConfigurationError, ValidationError
-from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, Outcome, PathSpec,
+from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, PathSpec,
                       PathStream, SharedSegmentSpec, fits_clock, load_trace,
                       path_rng, shared_rng, validate_delay_model,
                       validate_loss_model)
@@ -71,23 +71,13 @@ class Counters:
     window_miss_duplicates: int = 0
 
 
-class PathOutcomes(Sequence):
-    """Outcome column for one path; indexes as :class:`pathsim.Outcome`."""
+@dataclass
+class PathOutcomes:
+    """Loss and delay columns for one path."""
 
-    def __init__(self, path_id: str, lost: np.ndarray, delay_ms: np.ndarray):
-        self.path_id = path_id
-        self.lost = lost
-        self.delay_ms = delay_ms
-
-    def __len__(self) -> int:
-        return len(self.lost)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        if self.lost[i]:
-            return pathsim.LOST
-        return Outcome(float(self.delay_ms[i]))
+    path_id: str
+    lost: np.ndarray      # bool[n]
+    delay_ms: np.ndarray  # float64[n], ns-quantised; ignored where lost
 
     def delivered_delays(self) -> np.ndarray:
         return self.delay_ms[~self.lost]
@@ -487,7 +477,7 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
                 if not trace_path.exists():
                     problems.append(f"[{name}]: trace file not found: {trace_path}")
                 else:
-                    trace = load_trace(trace_path.read_text())
+                    trace = load_trace(read_text(trace_path, "trace file"))
         delay = DelayModel(
             kind=kind,
             mean=_field(sec, "mean", 0.0, float, name, problems),
@@ -544,8 +534,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def read_text(path: Path, what: str) -> str:
+    """Contents of a text file; a file that cannot be read or decoded
+    (a directory, no permission, not UTF-8) is a ConfigurationError."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigurationError(f"cannot read {what} {path}: {e}") from None
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"scenario not found: {path}")
-    return parse_scenario(path.read_text(), base_dir=path.parent)
+    return parse_scenario(read_text(path, "scenario"), base_dir=path.parent)

@@ -27,9 +27,5 @@ class TraceParseError(RailSimError):
         super().__init__(message)
 
 
-class TraceRangeError(RailSimError):
-    """A sequence number was requested that the trace does not contain."""
-
-
 class DomainError(RailSimError, ValueError):
     """An analytical model was evaluated outside its domain."""

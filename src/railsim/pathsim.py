@@ -5,7 +5,7 @@ so a (path spec, seed) pair always reproduces the same outcome sequence
 regardless of how many packets are drawn or whether they are drawn one at
 a time or in bulk.  Randomness is drawn in fixed-size chunks with a
 fixed draw order per chunk; the sequential recurrences (sticky loss,
-AR(1) delay) run through the kernel backend, on the rows handed out only.
+AR(1) delay) run on the rows handed out only.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
-from ._backend import ar1_scan, sticky_scan
-from .errors import ConfigurationError, TraceParseError, TraceRangeError
+from .errors import ConfigurationError, TraceParseError
 
 # Randomness is drawn in whole chunks of this size so that packet i sees
 # the same draws no matter how many packets a run asks for.
@@ -43,24 +42,6 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
 
 def shared_rng(seed: int, segment_index: int) -> np.random.Generator:
     return stream_rng(seed, _SHARED_STREAM, segment_index)
-
-
-# ---------------------------------------------------------------------------
-# outcome of one copy on one path
-
-
-@dataclass(frozen=True, slots=True)
-class Outcome:
-    """One copy on one path: delivered after ``delay_ms``, or lost (None)."""
-
-    delay_ms: float | None = None
-
-    @property
-    def lost(self) -> bool:
-        return self.delay_ms is None
-
-
-LOST = Outcome()
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +163,6 @@ class Trace:
     def __post_init__(self):
         if not self.entries:
             raise TraceParseError("empty trace")
-        self._by_seq = {seq: d for seq, d in self.entries}
         self._delay_ms = np.array(
             [math.nan if d is None else d for _, d in self.entries], dtype=np.float64
         )
@@ -190,12 +170,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def outcome(self, seq: int) -> Outcome:
-        if seq not in self._by_seq:
-            raise TraceRangeError(f"seq {seq} not present in trace")
-        d = self._by_seq[seq]
-        return LOST if d is None else Outcome(d)
 
     def replay_window(self, start: int, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
         """Positional replay of packets [start, start+n), wrapping around.
@@ -213,7 +187,8 @@ def load_trace(source: str | IO[str]) -> Trace:
     """Parse a trace: one ``seq,delay_ms`` pair per line.
 
     ``#`` starts a comment, blank lines are skipped, delay 0 marks a lost
-    packet, sequence numbers must be strictly increasing.
+    packet, delays must be finite and >= 0, sequence numbers must be
+    strictly increasing.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
     entries: list[tuple[int, float | None]] = []
@@ -230,6 +205,8 @@ def load_trace(source: str | IO[str]) -> Trace:
             delay = float(parts[1])
         except ValueError:
             raise TraceParseError(f"malformed entry {line!r}", lineno) from None
+        if not math.isfinite(delay):
+            raise TraceParseError(f"non-finite delay {delay}", lineno)
         if delay < 0:
             raise TraceParseError(f"negative delay {delay}", lineno)
         if prev_seq is not None and seq <= prev_seq:
@@ -241,9 +218,65 @@ def load_trace(source: str | IO[str]) -> Trace:
     return Trace(entries)
 
 
-def trace_outcome(trace: Trace, seq: int) -> Outcome:
-    """Outcome recorded for ``seq``: LOST for 0-delay entries."""
-    return trace.outcome(seq)
+# ---------------------------------------------------------------------------
+# scan kernels
+
+
+def sticky_scan(u_fresh, u_repeat, rate, corr, prev):
+    """First-order sticky Bernoulli process.
+
+    Outcome i repeats outcome i-1 with probability ``corr`` (decided by
+    ``u_repeat[i]``), otherwise it is a fresh draw ``u_fresh[i] < rate``.
+    ``prev`` is the outcome carried over from an earlier chunk (-1 when
+    there is none).  Returns (bool array of outcomes, last outcome).
+
+    Outcome i is the fresh draw of the last fresh row at or before i, so
+    no loop is needed: rows with ``u_repeat >= corr`` are fresh (row 0 too
+    when nothing is carried over), a running maximum over their indices
+    finds that row, and rows before the first fresh one repeat ``prev``.
+    """
+    n = len(u_fresh)
+    if n == 0:
+        return np.empty(0, dtype=bool), prev
+    fresh = u_repeat >= corr
+    if prev == -1:
+        fresh[0] = True
+    src = np.where(fresh, np.arange(n), -1)
+    np.maximum.accumulate(src, out=src)
+    out = (u_fresh < rate)[src]
+    out[src < 0] = prev == 1
+    return out, int(out[-1])
+
+
+def ar1_scan(eps, corr, prev, has_prev):
+    """AR(1) scan: x[i] = corr * x[i-1] + sqrt(1 - corr^2) * eps[i].
+
+    The first element is taken verbatim from ``eps`` when ``has_prev``
+    is false, so a chunked scan continues an earlier one exactly.
+    Returns (float64 array, last value).  The correlated case stays a
+    sequential loop: no numpy-only form reproduces its rounding exactly.
+    """
+    n = len(eps)
+    if n == 0:
+        return np.empty(0, dtype=np.float64), prev
+    if corr == 0.0:
+        # Value-identical to the scan (adding 0.0 normalises -0.0).
+        out = eps + 0.0
+        return out, float(out[-1])
+    s = math.sqrt(1.0 - corr * corr)
+    out = np.empty(n, dtype=np.float64)
+    start = 0
+    x = prev
+    if not has_prev:
+        x = float(eps[0])
+        out[0] = x
+        start = 1
+    for i in range(start, n):
+        a = corr * x
+        b = s * float(eps[i])
+        x = a + b
+        out[i] = x
+    return out, x
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +347,7 @@ class LossStream(_Buffered):
 
     def take(self, n: int) -> np.ndarray:
         """Next ``n`` loss outcomes as a bool array (True = lost)."""
-        return self._take(n)[0].astype(bool)
+        return self._take(n)[0]
 
 
 class PathStream(_Buffered):
@@ -369,11 +402,10 @@ class PathStream(_Buffered):
 
     def _finish(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         u_repeat, u_fresh = self._raw[:2]
-        own_lost, self._loss_state = sticky_scan(
+        lost, self._loss_state = sticky_scan(
             u_fresh[lo:hi], u_repeat[lo:hi], self.spec.loss.rate,
             self.spec.loss.correlation, self._loss_state,
         )
-        lost = own_lost.astype(bool)
         if self.spec.delay.kind == "trace":
             t_lost, delay, _ = self.spec.delay.trace.replay_window(
                 self._chunk_start + lo, hi - lo)
@@ -394,49 +426,3 @@ class PathStream(_Buffered):
             self.wrapped = self.wrapped or self._consumed > len(self.spec.delay.trace)
         return cols
 
-
-class SharedSegmentState:
-    """Streaming loss sampler for one shared segment."""
-
-    def __init__(self, spec: SharedSegmentSpec, seed: int, segment_index: int = 0):
-        self.spec = spec
-        self._stream = LossStream(spec.loss, shared_rng(seed, segment_index))
-
-    def sample(self) -> Outcome:
-        """Loss outcome of the next packet on the shared segment."""
-        lost = bool(self._stream.take(1)[0])
-        return LOST if lost else Outcome(0.0)
-
-
-class PathState:
-    """Per-run, per-packet sampling state for one path."""
-
-    def __init__(self, spec: PathSpec, seed: int, path_index: int = 0):
-        self.spec = spec
-        self._stream = PathStream(spec, path_rng(seed, path_index))
-
-    def next_outcome(self, shared_outcomes: Mapping[str, object] | None = None) -> Outcome:
-        shared_lost = False
-        if self.spec.shared is not None:
-            if shared_outcomes is None or self.spec.shared not in shared_outcomes:
-                raise ConfigurationError(
-                    f"path {self.spec.id}: missing shared outcome for "
-                    f"segment {self.spec.shared!r}"
-                )
-            res = shared_outcomes[self.spec.shared]
-            shared_lost = res.lost if isinstance(res, Outcome) else bool(res)
-        lost, delay = self._stream.take(1)
-        if shared_lost or bool(lost[0]):
-            return LOST
-        return Outcome(float(delay[0]))
-
-
-def sample_outcome(path_state: PathState,
-                   shared_outcomes: Mapping[str, object] | None = None) -> Outcome:
-    """Outcome of the next packet on a path.
-
-    A packet is lost when the referenced shared segment lost it or the
-    path's own loss process fired; otherwise it is delivered with a delay
-    drawn from the path's delay model.
-    """
-    return path_state.next_outcome(shared_outcomes)

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .pathsim import Outcome
 
 TCP_CONSTANT = 1.22  # packets-per-RTT rule-of-thumb coefficient
 
@@ -79,26 +78,14 @@ def rail_loss_shared(p_shared: float, own_rates: Sequence[float]) -> float:
 
 
 def _delivered(delay_samples) -> np.ndarray:
-    """Delivered delays as float64: NaN, None and lost outcomes dropped."""
-    if isinstance(delay_samples, np.ndarray) and delay_samples.dtype.kind in "fiu":
-        arr = delay_samples.astype(np.float64, copy=False)
-        return arr[~np.isnan(arr)]
-    vals = []
-    for d in delay_samples:
-        if d is None:
-            continue
-        if isinstance(d, Outcome):
-            if d.lost:
-                continue
-            d = d.delay_ms
-        d = float(d)
-        if math.isnan(d):
-            continue
-        vals.append(d)
-    return np.asarray(vals, dtype=np.float64)
+    """Delivered delays as float64: NaN and None (lost packets) dropped."""
+    arr = np.asarray(delay_samples, dtype=np.float64)
+    return arr[~np.isnan(arr)]
 
 
-def effective_loss(network_loss: float, delay_samples: Iterable, deadline: float) -> float:
+def effective_loss(network_loss: float,
+                   delay_samples: Sequence[float | None] | np.ndarray,
+                   deadline: float) -> float:
     """Total loss seen by the application: network loss plus delivered
     packets that miss the playout deadline."""
     _check_prob(network_loss, "network_loss")

@@ -4,7 +4,6 @@ duplicate suppression at the receiver, and release-time policies
 
 from __future__ import annotations
 
-import enum
 import heapq
 import struct
 from collections import deque
@@ -59,11 +58,6 @@ def replicate(packet_seq: int, sender_id: int,
     return [(path_id, header) for path_id in active_paths]
 
 
-class Decision(enum.Enum):
-    FORWARD = "forward"
-    SUPPRESS = "suppress"
-
-
 class DedupState:
     """Sliding-window duplicate filter over sequence numbers.
 
@@ -77,13 +71,8 @@ class DedupState:
         if window < 1:
             raise ConfigurationError(f"dedup window must be >= 1, got {window}")
         self.window = window
-        self.highest_forwarded: int | None = None
         self._seen: set[int] = set()
         self._order: deque[int] = deque()
-
-    @property
-    def seen(self) -> frozenset[int]:
-        return frozenset(self._seen)
 
     def observe(self, seq: int) -> bool:
         """True if this copy should be forwarded; updates the window."""
@@ -93,15 +82,7 @@ class DedupState:
         self._order.append(seq)
         if len(self._order) > self.window:
             self._seen.discard(self._order.popleft())
-        if self.highest_forwarded is None or seq > self.highest_forwarded:
-            self.highest_forwarded = seq
         return True
-
-
-def on_wan_arrival(state: DedupState, header: RailHeader,
-                   arrival_time: float) -> Decision:
-    """Receiver-side decision for one copy arriving from the WAN."""
-    return Decision.FORWARD if state.observe(header.seq) else Decision.SUPPRESS
 
 
 @dataclass

@@ -90,6 +90,37 @@ def test_invalid_scenario_lists_problems(tmp_path, capsys):
     assert "count" in err and "rate" in err
 
 
+def _trace_scenario(tmp_path, trace_name):
+    path = tmp_path / "trace.scenario"
+    path.write_text("[traffic]\ncount = 5\n"
+                    f"[paths.0]\nid = t\ndelay = trace\ntrace = {trace_name}\n")
+    return path
+
+
+def test_scenario_that_is_a_directory_is_an_error(tmp_path, capsys):
+    assert run(["simulate", "--scenario", tmp_path, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read scenario") and "Traceback" not in err
+
+
+def test_scenario_trace_that_is_a_directory_is_an_error(tmp_path, capsys):
+    (tmp_path / "traces").mkdir()
+    scenario = _trace_scenario(tmp_path, "traces")
+    assert run(["simulate", "--scenario", scenario, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read trace file") and "traces" in err
+
+
+def test_non_utf8_trace_is_an_error(tmp_path, capsys):
+    trace = tmp_path / "latin1.trace"
+    trace.write_bytes("# sonde d\u00e9bit\n1,10\n".encode("latin-1"))
+    assert run(["trace-analyze", "--trace", trace, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read trace")
+    scenario = _trace_scenario(tmp_path, trace.name)
+    assert run(["simulate", "--scenario", scenario, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read trace file")
+
+
 def test_usage_error_exit_code_is_one(capsys):
     assert run(["simulate"]) == 1  # --scenario missing
     assert run(["mos", "--loss", "nope"]) == 1

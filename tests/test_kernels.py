@@ -1,158 +1,145 @@
-"""Both kernel backends must agree bit-for-bit and continue across chunks."""
-
-import os
-import subprocess
-import sys
+"""The scan kernels: hand cases, carry-over across chunks, and the numpy
+sticky-loss pass against a plain sequential loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from railsim import _kernels_py
-
-try:
-    from railsim import _kernels
-    HAVE_COMPILED = True
-except ImportError:
-    _kernels = None
-    HAVE_COMPILED = False
-
-BACKENDS = [_kernels_py] + ([_kernels] if HAVE_COMPILED else [])
-IDS = ["python"] + (["compiled"] if HAVE_COMPILED else [])
+from railsim import pathsim
 
 
-@pytest.fixture(params=BACKENDS, ids=IDS)
-def backend(request):
+def loop_sticky_scan(u_fresh, u_repeat, rate, corr, prev):
+    """The sticky-loss recurrence written out one row at a time (oracle)."""
+    out = np.empty(len(u_fresh), dtype=bool)
+    p = prev
+    for i in range(len(u_fresh)):
+        if p != -1 and u_repeat[i] < corr:
+            cur = p
+        else:
+            cur = 1 if u_fresh[i] < rate else 0
+        out[i] = cur
+        p = cur
+    return out, p
+
+
+@pytest.fixture(params=[pathsim.sticky_scan, loop_sticky_scan], ids=["numpy", "loop"])
+def sticky_scan(request):
     return request.param
 
 
-def test_sticky_hand_case(backend):
+def test_sticky_hand_case(sticky_scan):
     u_fresh = np.array([0.05, 0.5, 0.02, 0.9])
     u_repeat = np.array([0.9, 0.3, 0.7, 0.1])
-    out, last = backend.sticky_scan(u_fresh, u_repeat, 0.1, 0.5, -1)
+    out, last = sticky_scan(u_fresh, u_repeat, 0.1, 0.5, -1)
     # fresh-lost, repeat, fresh-lost, repeat
     assert out.tolist() == [1, 1, 1, 1]
     assert last == 1
 
     u_fresh = np.array([0.5, 0.05, 0.5, 0.5])
     u_repeat = np.array([0.0, 0.9, 0.2, 0.6])
-    out, last = backend.sticky_scan(u_fresh, u_repeat, 0.1, 0.5, -1)
+    out, last = sticky_scan(u_fresh, u_repeat, 0.1, 0.5, -1)
     assert out.tolist() == [0, 1, 1, 0]
     assert last == 0
 
 
-def test_sticky_zero_corr_is_fresh_bernoulli(backend):
+def test_sticky_zero_corr_is_fresh_bernoulli(sticky_scan):
     rng = np.random.default_rng(5)
     u_fresh = rng.random(1000)
     u_repeat = rng.random(1000)
-    out, last = backend.sticky_scan(u_fresh, u_repeat, 0.3, 0.0, -1)
-    expected = (u_fresh < 0.3).astype(np.uint8)
+    out, last = sticky_scan(u_fresh, u_repeat, 0.3, 0.0, -1)
+    expected = u_fresh < 0.3
     assert np.array_equal(out, expected)
     assert last == int(expected[-1])
 
 
-def test_sticky_prev_carries_over(backend):
+def test_sticky_prev_carries_over(sticky_scan):
     u_fresh = np.array([0.99])
     u_repeat = np.array([0.1])  # repeats (0.1 < 0.8)
-    out, last = backend.sticky_scan(u_fresh, u_repeat, 0.5, 0.8, 1)
+    out, last = sticky_scan(u_fresh, u_repeat, 0.5, 0.8, 1)
     assert out.tolist() == [1] and last == 1
+    # repeating needs u_repeat strictly below corr: a tie draws fresh
+    out, last = sticky_scan(np.array([0.99, 0.1]), np.array([0.8, 0.0]), 0.5, 0.8, 1)
+    assert out.tolist() == [0, 0] and last == 0
 
 
-def test_ar1_hand_case(backend):
+def test_ar1_hand_case():
     eps = np.array([1.0, 2.0, 3.0])
-    out, last = backend.ar1_scan(eps, 0.5, 0.0, False)
+    out, last = pathsim.ar1_scan(eps, 0.5, 0.0, False)
     assert out[0] == 1.0
     assert out[1] == pytest.approx(2.2320508075688772, abs=1e-14)
     assert out[2] == pytest.approx(3.7141016151377544, abs=1e-14)
     assert last == out[2]
 
 
-def test_ar1_zero_corr_passthrough(backend):
+def test_ar1_zero_corr_passthrough():
     rng = np.random.default_rng(6)
     eps = rng.standard_normal(500)
-    out, last = backend.ar1_scan(eps, 0.0, 0.0, False)
+    out, last = pathsim.ar1_scan(eps, 0.0, 0.0, False)
     assert np.array_equal(out, eps)
     assert last == eps[-1]
 
 
-def test_empty_inputs(backend):
-    out, last = backend.sticky_scan(np.empty(0), np.empty(0), 0.5, 0.5, -1)
-    assert len(out) == 0 and last == -1
-    out, last = backend.ar1_scan(np.empty(0), 0.5, 1.25, True)
+def test_empty_inputs():
+    out, last = pathsim.sticky_scan(np.empty(0), np.empty(0), 0.5, 0.5, -1)
+    assert len(out) == 0 and out.dtype == bool and last == -1
+    out, last = pathsim.ar1_scan(np.empty(0), 0.5, 1.25, True)
     assert len(out) == 0 and last == 1.25
 
 
 @pytest.mark.parametrize("corr", [0.0, 0.3, 0.9])
-def test_chunked_scan_continues_exactly(backend, corr):
+def test_chunked_scan_continues_exactly(corr):
     rng = np.random.default_rng(7)
     u_fresh = rng.random(1000)
     u_repeat = rng.random(1000)
-    full, full_last = backend.sticky_scan(u_fresh, u_repeat, 0.2, corr, -1)
+    full, full_last = pathsim.sticky_scan(u_fresh, u_repeat, 0.2, corr, -1)
     state = -1
     parts = []
     for lo, hi in [(0, 1), (1, 37), (37, 640), (640, 1000)]:
-        part, state = backend.sticky_scan(u_fresh[lo:hi], u_repeat[lo:hi],
+        part, state = pathsim.sticky_scan(u_fresh[lo:hi], u_repeat[lo:hi],
                                           0.2, corr, state)
         parts.append(part)
     assert np.array_equal(np.concatenate(parts), full)
     assert state == full_last
 
     eps = rng.standard_normal(1000)
-    full, full_last = backend.ar1_scan(eps, corr, 0.0, False)
+    full, full_last = pathsim.ar1_scan(eps, corr, 0.0, False)
     prev, has = 0.0, False
     parts = []
     for lo, hi in [(0, 1), (1, 37), (37, 640), (640, 1000)]:
-        part, prev = backend.ar1_scan(eps[lo:hi], corr, prev, has)
+        part, prev = pathsim.ar1_scan(eps[lo:hi], corr, prev, has)
         has = True
         parts.append(part)
     assert np.array_equal(np.concatenate(parts), full)
     assert prev == full_last
 
 
-_SIM_DIGEST_SCRIPT = """
-import hashlib
-from railsim import backend_name
-from railsim.cli import simulation_bundle
-from railsim.engine import Scenario, TrafficSpec, simulate
-from railsim.pathsim import DelayModel, LossModel, PathSpec
-
-sim = simulate(Scenario(
-    paths=[PathSpec("a", loss=LossModel(0.1, 0.5),
-                    delay=DelayModel("paretonormal", mean=80.0, stddev=25.0,
-                                     correlation=0.4)),
-           PathSpec("b", loss=LossModel(0.05),
-                    delay=DelayModel("normal", mean=60.0, stddev=10.0))],
-    traffic=TrafficSpec(count=2000),
-    seed=314,
-))
-csv = simulation_bundle(sim).table_csv("records")
-print(backend_name(), hashlib.sha256(csv.encode()).hexdigest())
-"""
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-def test_simulation_output_independent_of_backend():
-    digests = {}
-    for backend in ("py", "c"):
-        env = dict(os.environ, RAILSIM_KERNELS=backend)
-        out = subprocess.run([sys.executable, "-c", _SIM_DIGEST_SCRIPT],
-                             env=env, capture_output=True, text=True, check=True)
-        name, digest = out.stdout.split()
-        digests[name] = digest
-    assert digests["python"] == digests["compiled"]
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-def test_backends_bit_identical():
-    rng = np.random.default_rng(8)
-    for corr in (0.0, 0.2, 0.5, 0.95):
-        for rate in (0.0, 0.1, 0.5, 1.0):
-            u_fresh = rng.random(4096)
-            u_repeat = rng.random(4096)
-            a, la = _kernels_py.sticky_scan(u_fresh, u_repeat, rate, corr, -1)
-            b, lb = _kernels.sticky_scan(u_fresh, u_repeat, rate, corr, -1)
-            assert np.array_equal(a, b) and la == lb
-        eps = rng.standard_normal(4096)
-        a, la = _kernels_py.ar1_scan(eps, corr, 0.0, False)
-        b, lb = _kernels.ar1_scan(eps, corr, 0.0, False)
-        assert a.tobytes() == b.tobytes()
-        assert la == lb
+@settings(max_examples=300, deadline=None)
+@given(
+    rate=st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    corr=st.sampled_from([0.0, 0.2, 0.5, 0.6, 0.8, 0.95]) | st.floats(0.0, 0.999),
+    prev=st.sampled_from([-1, 0, 1]),
+    n=st.integers(0, 400),
+    cuts=st.lists(st.integers(0, 400), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_numpy_sticky_scan_equals_the_loop(rate, corr, prev, n, cuts, seed):
+    rng = np.random.default_rng(seed)
+    u_fresh = rng.random(n)
+    u_repeat = rng.random(n)
+    # some draws sit exactly on the thresholds
+    u_fresh[rng.random(n) < 0.1] = rate
+    u_repeat[rng.random(n) < 0.1] = corr
+    bounds = [0] + sorted(min(c, n) for c in cuts) + [n]
+    got, want = [], []
+    got_last = want_last = prev
+    for lo, hi in zip(bounds, bounds[1:]):
+        part, got_last = pathsim.sticky_scan(u_fresh[lo:hi], u_repeat[lo:hi],
+                                             rate, corr, got_last)
+        assert part.dtype == bool
+        got.append(part)
+        part, want_last = loop_sticky_scan(u_fresh[lo:hi], u_repeat[lo:hi],
+                                           rate, corr, want_last)
+        want.append(part)
+    assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+    assert got_last == want_last and type(got_last) is int

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from railsim.errors import ConfigurationError, TraceParseError, TraceRangeError
-from railsim.pathsim import (CHUNK, LOST, DelayModel, LossModel, LossStream,
-                             Outcome, PathSpec, PathState, PathStream,
-                             SharedSegmentSpec, SharedSegmentState,
-                             load_trace, path_rng, sample_outcome, shared_rng,
-                             trace_outcome)
+from railsim.engine import Scenario, TrafficSpec, simulate
+from railsim.errors import ConfigurationError, TraceParseError
+from railsim.pathsim import (CHUNK, DelayModel, LossModel, LossStream, PathSpec,
+                             PathStream, SharedSegmentSpec, load_trace,
+                             path_rng, shared_rng)
 
 N = 100_000
 
@@ -20,23 +19,30 @@ def _stream(spec, seed=0, idx=0):
 
 
 # ---------------------------------------------------------------------------
-# sample_outcome
+# path outcomes
+
+
+def _one_at_a_time(stream, n):
+    pieces = [stream.take(1) for _ in range(n)]
+    return tuple(np.concatenate(c) for c in zip(*pieces))
 
 
 def test_zero_loss_constant_delay_delivers():
-    state = PathState(PathSpec("a", delay=DelayModel("constant", mean=100.0)), seed=1)
-    for _ in range(50):
-        out = sample_outcome(state)
-        assert not out.lost and out.delay_ms == 100.0
+    spec = PathSpec("a", delay=DelayModel("constant", mean=100.0))
+    lost, delay = _one_at_a_time(_stream(spec, seed=1), 200)
+    assert lost.dtype == bool and not lost.any()
+    assert np.all(delay == 100.0)
+    batch = _stream(spec, seed=1).take(200)
+    assert lost.tobytes() == batch[0].tobytes()
+    assert delay.tobytes() == batch[1].tobytes()
 
 
 def test_certain_loss_always_lost():
-    state = PathState(
-        PathSpec("a", loss=LossModel(rate=1.0),
-                 delay=DelayModel("normal", mean=50.0, stddev=10.0)),
-        seed=1,
-    )
-    assert all(sample_outcome(state).lost for _ in range(50))
+    spec = PathSpec("a", loss=LossModel(rate=1.0),
+                    delay=DelayModel("normal", mean=50.0, stddev=10.0))
+    lost, _ = _one_at_a_time(_stream(spec, seed=1), 200)
+    assert lost.all()
+    assert _stream(spec, seed=1).take(200)[0].all()
 
 
 def test_measured_loss_rate_matches_bernoulli_mean():
@@ -82,28 +88,18 @@ def test_sticky_loss_lengthens_runs():
     assert mean_run(sticky) > 1.5 * mean_run(plain)
 
 
-def test_missing_shared_outcome_is_configuration_error():
-    state = PathState(PathSpec("a", shared="backbone"), seed=1)
-    with pytest.raises(ConfigurationError, match="backbone"):
-        state.next_outcome({})
-    with pytest.raises(ConfigurationError):
-        state.next_outcome(None)
-
-
 def test_shared_segment_couples_paths():
-    seg = SharedSegmentSpec("core", LossModel(0.2, 0.0))
-    shared = SharedSegmentState(seg, seed=3, segment_index=0)
-    spec = PathSpec("a", delay=DelayModel("constant", mean=10.0), shared="core")
-    p0 = PathState(spec, seed=3, path_index=0)
-    p1 = PathState(spec, seed=3, path_index=1)
-    losses = 0
-    for _ in range(4000):
-        res = {"core": shared.sample()}
-        a = p0.next_outcome(res)
-        b = p1.next_outcome(res)
-        assert a == b  # own rates are 0, so only the shared draw decides
-        losses += a.lost
-    measured = losses / 4000
+    sim = simulate(Scenario(
+        paths=[PathSpec(pid, delay=DelayModel("constant", mean=10.0), shared="core")
+               for pid in ("a", "b")],
+        shared_segments=[SharedSegmentSpec("core", LossModel(0.2, 0.0))],
+        traffic=TrafficSpec(count=4000),
+        seed=3,
+    ))
+    a, b = (out.lost for out in sim.per_path_outcomes)
+    # own rates are 0, so only the shared draw decides
+    assert a.tobytes() == b.tobytes()
+    measured = float(np.count_nonzero(a)) / 4000
     assert abs(measured - 0.2) <= 4 * math.sqrt(0.2 * 0.8 / 4000)
 
 
@@ -128,12 +124,9 @@ def test_streaming_equals_batch():
                     delay=DelayModel("normal", mean=60.0, stddev=12.0,
                                      correlation=0.3))
     lost, delay = _stream(spec, seed=4, idx=2).take(200)
-    state = PathState(spec, seed=4, path_index=2)
-    for i in range(200):
-        out = state.next_outcome()
-        assert out.lost == bool(lost[i])
-        if not out.lost:
-            assert out.delay_ms == delay[i]
+    one_lost, one_delay = _one_at_a_time(_stream(spec, seed=4, idx=2), 200)
+    assert one_lost.tobytes() == lost.tobytes()
+    assert one_delay.tobytes() == delay.tobytes()
 
 
 def test_prefix_independent_of_request_size():
@@ -282,12 +275,10 @@ def test_load_trace_empty_is_error():
         load_trace("# only comments\n")
 
 
-def test_trace_outcome_lookup():
-    trace = load_trace("1,52.3\n2,0\n3,54.1")
-    assert trace_outcome(trace, 2) == LOST
-    assert trace_outcome(trace, 3) == Outcome(54.1)
-    with pytest.raises(TraceRangeError):
-        trace_outcome(trace, 99)
+@pytest.mark.parametrize("delay", ["nan", "inf", "-inf", "NaN", "infinity"])
+def test_load_trace_rejects_non_finite_delay(delay):
+    with pytest.raises(TraceParseError, match="non-finite delay.* at line 2"):
+        load_trace(f"1,10\n2,{delay}\n3,30")
 
 
 def test_trace_replay_wraps():

@@ -7,7 +7,7 @@ import pytest
 
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import DomainError
-from railsim.pathsim import LOST, DelayModel, Outcome, PathSpec
+from railsim.pathsim import DelayModel, PathSpec
 from railsim.quality import (EModelParams, TcpPathSet, effective_loss, mos,
                              mos_curve, optimal_playout, path_mos_curve,
                              rail_loss_independent, rail_loss_shared,
@@ -95,7 +95,7 @@ def test_effective_loss_combines_both_terms():
 
 
 def test_effective_loss_accepts_outcomes_and_none():
-    samples = [Outcome(10.0), LOST, None, Outcome(500.0)]
+    samples = [10.0, math.nan, None, 500.0]
     assert effective_loss(0.0, samples, 100.0) == pytest.approx(0.5)
 
 
@@ -108,15 +108,15 @@ def test_effective_loss_empty_with_partial_loss_is_error():
         effective_loss(0.0, [10.0], math.nan)
 
 
-def test_array_samples_filter_like_the_outcome_loop():
+def test_array_samples_filter_like_the_list_with_none():
     values = [10.0, math.nan, 500.0, 120.0, math.nan, 80.0]
-    as_outcomes = [LOST if math.isnan(v) else Outcome(v) for v in values]
+    with_none = [None if math.isnan(v) else v for v in values]
     arr = np.array(values)
     for deadline in (0.0, 100.0, 200.0, 1000.0):
         assert (effective_loss(0.1, arr, deadline)
-                == effective_loss(0.1, as_outcomes, deadline))
+                == effective_loss(0.1, with_none, deadline))
     assert (mos_curve(10, arr, [50.0, 150.0], 40.0)
-            == mos_curve(10, as_outcomes, [50.0, 150.0], 40.0))
+            == mos_curve(10, with_none, [50.0, 150.0], 40.0))
 
 
 # ---------------------------------------------------------------------------

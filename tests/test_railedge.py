@@ -5,9 +5,9 @@ import random
 import pytest
 
 from railsim.errors import ConfigurationError
-from railsim.railedge import (Decision, DedupState, PaddingConfig, RailHeader,
-                              decode_packet, encode_packet, on_wan_arrival,
-                              padding_release, reorder_hold_schedule, replicate)
+from railsim.railedge import (DedupState, PaddingConfig, RailHeader,
+                              decode_packet, encode_packet, padding_release,
+                              reorder_hold_schedule, replicate)
 
 MS = 1_000_000  # ns per ms, matching the engine clock
 
@@ -69,28 +69,25 @@ def test_replicate_no_paths_is_error():
 
 
 def decisions(seqs, window=4096):
+    """True where a copy is forwarded, False where it is suppressed."""
     state = DedupState(window)
-    return [on_wan_arrival(state, RailHeader(1, s), t) for t, s in enumerate(seqs)]
+    return [state.observe(s) for s in seqs]
 
 
 def test_first_copy_forwarded_second_suppressed():
-    assert decisions([1, 1]) == [Decision.FORWARD, Decision.SUPPRESS]
+    assert decisions([1, 1]) == [True, False]
 
 
 def test_interleaved_copies():
     state = DedupState()
-    got = [on_wan_arrival(state, RailHeader(1, s), t)
-           for t, s in enumerate([3, 5, 3, 4, 5])]
-    assert got == [
-        Decision.FORWARD, Decision.FORWARD, Decision.SUPPRESS,
-        Decision.FORWARD, Decision.SUPPRESS,
-    ]
-    assert state.seen == {3, 4, 5}
-    assert state.highest_forwarded == 5
+    got = [state.observe(s) for s in [3, 5, 3, 4, 5]]
+    assert got == [True, True, False, True, False]
+    # every forwarded seq is remembered: another copy is suppressed
+    assert [state.observe(s) for s in (3, 4, 5)] == [False, False, False]
 
 
 def test_empty_state_forwards():
-    assert decisions([1]) == [Decision.FORWARD]
+    assert decisions([1]) == [True]
 
 
 def test_window_eviction_forwards_again():
@@ -98,7 +95,9 @@ def test_window_eviction_forwards_again():
     assert state.observe(1) and state.observe(2) and state.observe(3)
     assert state.observe(1)        # evicted, forwarded again
     assert not state.observe(3)    # still remembered
-    assert state.highest_forwarded == 3
+    assert not state.observe(1)    # back in the window
+    assert state.observe(2)        # evicted by 1
+    assert not state.observe(1)    # still remembered
 
 
 def test_window_must_be_positive():
