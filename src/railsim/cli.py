@@ -126,8 +126,8 @@ def simulation_bundle(sim: engine.SimResult) -> ReportBundle:
         "count": n,
         "rail": _stream_summary(n, sim.rail_lost_mask(), sim.forwarded_delays_ms()),
         "per_path": {
-            out.path_id: _stream_summary(n, out.lost, out.delivered_delays())
-            for out in sim.per_path_outcomes
+            spec.id: _stream_summary(n, sim.path_lost(i), sim.path_delays_ms(i))
+            for i, spec in enumerate(sim.scenario.paths)
         },
         "reorder": {"out_of_order": reorder.out_of_order_count,
                     "gaps": {str(k): v for k, v in sorted(reorder.gaps.items())}},
@@ -276,7 +276,7 @@ def cmd_trace_analyze(args) -> int:
     if not path.exists():
         raise _UsageError(f"trace not found: {path}")
     trace = load_trace(engine.read_text(path, "trace"))
-    lost, delays, _ = trace.replay(len(trace))
+    lost, delays = trace.replay(0, len(trace))
     delivered = delays[~lost]
     b = metrics.burst_stats(lost)
     summary = {
@@ -386,9 +386,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except RailSimError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -72,21 +72,8 @@ class Counters:
 
 
 @dataclass
-class PathOutcomes:
-    """Loss and delay columns for one path."""
-
-    path_id: str
-    lost: np.ndarray      # bool[n]
-    delay_ms: np.ndarray  # float64[n], ns-quantised; ignored where lost
-
-    def delivered_delays(self) -> np.ndarray:
-        return self.delay_ms[~self.lost]
-
-
-@dataclass
 class SimResult:
     scenario: Scenario
-    per_path_outcomes: list[PathOutcomes]
     forwarded_order: list[int]
     counters: Counters
     warnings: list[str]
@@ -109,18 +96,19 @@ class SimResult:
         ok = self.forward_ns >= 0
         return (self.forward_ns[ok] - self.send_ns[ok]) / NS_PER_MS
 
+    def path_lost(self, path_index: int) -> np.ndarray:
+        """Loss column of one path (own, shared-segment and forced losses)."""
+        return self.arrival_ns[path_index] == LOST_NS
+
     def path_delays_ms(self, path_index: int) -> np.ndarray:
-        return self.per_path_outcomes[path_index].delivered_delays()
+        """One-way delays of the copies one path delivered, in send order."""
+        ok = ~self.path_lost(path_index)
+        return (self.arrival_ns[path_index] - self.send_ns)[ok] / NS_PER_MS
 
     def path_in_send_order(self, path_index: int) -> bool:
         """True when the path delivered its copies in send order."""
-        out = self.per_path_outcomes[path_index]
-        arrivals = self.send_ns[~out.lost] + _delay_to_ns(out.delay_ms[~out.lost])
+        arrivals = self.arrival_ns[path_index][~self.path_lost(path_index)]
         return bool(np.all(np.diff(arrivals) >= 0))
-
-
-def _delay_to_ns(delay_ms: np.ndarray) -> np.ndarray:
-    return np.rint(np.asarray(delay_ms) * NS_PER_MS).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +246,16 @@ def simulate(scenario: Scenario) -> SimResult:
             stream = pathsim.LossStream(seg.loss, shared_rng(scenario.seed, idx))
             shared_lost[seg.id] = stream.take(n)
 
-    per_path: list[PathOutcomes] = []
     arrival_ns = np.empty((len(scenario.paths), n), dtype=np.int64)
     lost_copies = 0
     for pidx, spec in enumerate(scenario.paths):
-        stream = PathStream(spec, path_rng(scenario.seed, pidx))
-        lost, delay_ms = stream.take(n)
+        lost, delay_ms = PathStream(spec, path_rng(scenario.seed, pidx)).take(n)
         if spec.shared is not None:
             lost = lost | shared_lost[spec.shared]
         forced = scenario.forced_losses.get(spec.id)
         if forced:
-            lost = lost.copy()
             lost[np.asarray(forced, dtype=np.int64)] = True
-        if stream.wrapped:
+        if spec.delay.kind == "trace" and n > len(spec.delay.trace):
             warnings.append(
                 f"path {spec.id}: trace shorter than the run "
                 f"({len(spec.delay.trace)} entries), replay wrapped around"
@@ -281,12 +266,9 @@ def simulate(scenario: Scenario) -> SimResult:
         if not fits_clock(float(delay_ms.max())):
             raise ConfigurationError(
                 f"path {spec.id}: a sampled delay overflows the int64 ns clock")
-        delay_ns = _delay_to_ns(delay_ms)
+        delay_ns = np.rint(delay_ms * NS_PER_MS).astype(np.int64)
         arrival_ns[pidx] = np.where(lost, LOST_NS, send_ns + delay_ns)
         lost_copies += int(np.count_nonzero(lost))
-        # expose the ns-quantised delays the event loop actually used, so
-        # per-path ground truth and rail delays live on the same grid
-        per_path.append(PathOutcomes(spec.id, lost, delay_ns / NS_PER_MS))
 
     first_ns, suppressed, dups = _dedup_pass(arrival_ns, scenario.dedup_window)
 
@@ -333,7 +315,6 @@ def simulate(scenario: Scenario) -> SimResult:
     )
     return SimResult(
         scenario=scenario,
-        per_path_outcomes=per_path,
         forwarded_order=forwarded_order,
         counters=counters,
         warnings=warnings,

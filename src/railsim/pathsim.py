@@ -163,6 +163,11 @@ class Trace:
     def __post_init__(self):
         if not self.entries:
             raise TraceParseError("empty trace")
+        for seq, d in self.entries:
+            # also rejects NaN: every comparison with it is false
+            if d is not None and not 0 <= d < math.inf:
+                raise TraceParseError(
+                    f"seq {seq}: delay must be finite and >= 0, got {d}")
         self._delay_ms = np.array(
             [math.nan if d is None else d for _, d in self.entries], dtype=np.float64
         )
@@ -171,16 +176,13 @@ class Trace:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def replay_window(self, start: int, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    def replay(self, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Positional replay of packets [start, start+n), wrapping around.
 
-        Returns (lost bool[n], delay_ms float[n], wrapped).
+        Returns (lost bool[n], delay_ms float[n]).
         """
         idx = (start + np.arange(n, dtype=np.int64)) % len(self.entries)
-        return self._lost[idx], self._delay_ms[idx], start + n > len(self.entries)
-
-    def replay(self, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
-        return self.replay_window(0, n)
+        return self._lost[idx], self._delay_ms[idx]
 
 
 def load_trace(source: str | IO[str]) -> Trace:
@@ -368,8 +370,6 @@ class PathStream(_Buffered):
         self._loss_state = -1
         self._ar_prev = 0.0
         self._ar_has = False
-        self._consumed = 0
-        self.wrapped = False  # True once a trace replay had to wrap around
 
     def _draw(self) -> tuple[np.ndarray, ...]:
         u_repeat = self._rng.random(CHUNK)
@@ -407,7 +407,7 @@ class PathStream(_Buffered):
             self.spec.loss.correlation, self._loss_state,
         )
         if self.spec.delay.kind == "trace":
-            t_lost, delay, _ = self.spec.delay.trace.replay_window(
+            t_lost, delay = self.spec.delay.trace.replay(
                 self._chunk_start + lo, hi - lo)
             lost = lost | t_lost
         else:
@@ -420,9 +420,4 @@ class PathStream(_Buffered):
         The delay column is populated for every packet; entries where
         ``lost`` is True are ignored downstream.
         """
-        cols = self._take(n)
-        self._consumed += n
-        if self.spec.delay.kind == "trace":
-            self.wrapped = self.wrapped or self._consumed > len(self.spec.delay.trace)
-        return cols
-
+        return self._take(n)

@@ -189,9 +189,8 @@ def path_mos_curve(sim, path_index: int, deadlines, end_system_delay: float,
                    params: EModelParams = G711) -> list[MosPoint]:
     """Curve a single path would have produced on its own, computed from
     the same per-path outcome stream as the replicated run."""
-    delays = sim.per_path_outcomes[path_index].delivered_delays()
-    return mos_curve(sim.scenario.traffic.count, delays, deadlines,
-                     end_system_delay, params)
+    return mos_curve(sim.scenario.traffic.count, sim.path_delays_ms(path_index),
+                     deadlines, end_system_delay, params)
 
 
 # ---------------------------------------------------------------------------

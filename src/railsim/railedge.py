@@ -1,61 +1,16 @@
-"""Edge-device datapath: encapsulation, replication over all links,
-duplicate suppression at the receiver, and release-time policies
-(delay padding, optional reorder removal)."""
+"""Edge-device datapath at the receiver: duplicate suppression and
+release-time policies (delay padding, optional reorder removal)."""
 
 from __future__ import annotations
 
 import heapq
-import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConfigurationError
 
-# Wire format: sender id (u64 BE), sequence number (u64 BE), payload
-# length (u16 BE), payload bytes.
-_HEADER = struct.Struct(">QQH")
-HEADER_SIZE = _HEADER.size
-_U64_MAX = (1 << 64) - 1
-
 DEFAULT_DEDUP_WINDOW = 4096
-
-
-@dataclass(frozen=True, slots=True)
-class RailHeader:
-    """Encapsulation header carried by every replicated copy."""
-
-    sender_id: int
-    seq: int
-
-
-def encode_packet(header: RailHeader, payload: bytes = b"") -> bytes:
-    if not 0 <= header.sender_id <= _U64_MAX:
-        raise ConfigurationError(f"sender_id out of range: {header.sender_id}")
-    if not 0 <= header.seq <= _U64_MAX:
-        raise ConfigurationError(f"seq out of range: {header.seq}")
-    if len(payload) > 0xFFFF:
-        raise ConfigurationError(f"payload too large: {len(payload)} bytes")
-    return _HEADER.pack(header.sender_id, header.seq, len(payload)) + payload
-
-
-def decode_packet(buf: bytes) -> tuple[RailHeader, bytes]:
-    if len(buf) < HEADER_SIZE:
-        raise ConfigurationError(f"short packet: {len(buf)} < {HEADER_SIZE} bytes")
-    sender_id, seq, length = _HEADER.unpack_from(buf)
-    payload = buf[HEADER_SIZE:HEADER_SIZE + length]
-    if len(payload) != length:
-        raise ConfigurationError("truncated payload")
-    return RailHeader(sender_id, seq), payload
-
-
-def replicate(packet_seq: int, sender_id: int,
-              active_paths: Sequence[str]) -> list[tuple[str, RailHeader]]:
-    """One copy per active path, all carrying the same (sender, seq)."""
-    if not active_paths:
-        raise ConfigurationError("replicate: no active paths")
-    header = RailHeader(sender_id, packet_seq)
-    return [(path_id, header) for path_id in active_paths]
 
 
 class DedupState:
@@ -94,29 +49,8 @@ class PaddingConfig:
     target_one_way: float = 0.0  # ms; also the reorder-removal hold timeout
 
 
-def padding_release(arrival_time: float, rail_delay: float,
-                    cfg: PaddingConfig) -> float:
-    """Release time for a packet that arrived with one-way delay ``rail_delay``.
-
-    Below the target the packet waits out the difference; at or above it
-    the packet goes straight out (late packets are never dropped).
-    """
-    if arrival_time < 0 or rail_delay < 0:
-        raise ConfigurationError(
-            f"negative padding input: arrival={arrival_time}, delay={rail_delay}"
-        )
-    if not cfg.enabled:
-        return arrival_time
-    if cfg.target_one_way < 0:
-        raise ConfigurationError(f"negative padding target: {cfg.target_one_way}")
-    if rail_delay < cfg.target_one_way:
-        return arrival_time + (cfg.target_one_way - rail_delay)
-    return arrival_time
-
-
 def reorder_hold_schedule(ready: Iterable[tuple[int, int]], timeout_ns: int,
-                          window: int = DEFAULT_DEDUP_WINDOW,
-                          first_seq: int = 0) -> list[tuple[int, int]]:
+                          window: int = DEFAULT_DEDUP_WINDOW) -> list[tuple[int, int]]:
     """Reorder-removal release schedule.
 
     ``ready`` is the (time_ns, seq) stream of packets as they become
@@ -130,7 +64,7 @@ def reorder_hold_schedule(ready: Iterable[tuple[int, int]], timeout_ns: int,
     released: list[tuple[int, int]] = []
     buffered: dict[int, int] = {}
     deadlines: list[tuple[int, int]] = []
-    next_expected = first_seq
+    next_expected = 0
     ready = list(ready)
     i, n = 0, len(ready)
     inf = 1 << 62

@@ -90,9 +90,8 @@ def loss_sweep(count: int = 100_000, seed: int = SEED_LOSS_SWEEP) -> list[LossSw
             rate1=rate, rate2=rate, count=count, seed=seed + k,
             label=f"loss-sweep p={rate}",
         ))
-        singles = tuple(
-            float(np.count_nonzero(out.lost)) / count for out in sim.per_path_outcomes
-        )
+        singles = tuple(float(np.count_nonzero(sim.path_lost(i))) / count
+                        for i in range(len(sim.scenario.paths)))
         rail = float(np.count_nonzero(sim.rail_lost_mask())) / count
         points.append(LossSweepPoint(rate, singles, rail, count))
     return points
@@ -133,7 +132,7 @@ def burst_grid(count: int = 1000, seed: int = SEED_BURST_GRID) -> list[BurstCell
                 count=count, seed=seed + 100 * i + j,
                 label=f"burst rate={rate} corr={corr}",
             ))
-            single = burst_stats(sim.per_path_outcomes[0].lost)
+            single = burst_stats(sim.path_lost(0))
             rail = burst_stats(sim.rail_lost_mask())
             cells.append(BurstCell(rate, corr, single, rail))
     return cells

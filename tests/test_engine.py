@@ -11,7 +11,8 @@ from railsim.engine import (Scenario, TrafficSpec, load_scenario,
                             parse_scenario, run_sweep, set_parameter, simulate)
 from railsim.errors import ConfigurationError, ValidationError
 from railsim.metrics import reorder_stats
-from railsim.pathsim import DelayModel, LossModel, PathSpec, SharedSegmentSpec
+from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
+                             load_trace)
 from railsim.railedge import PaddingConfig
 
 
@@ -91,13 +92,11 @@ def test_rail_delay_is_min_over_delivered_copies():
         traffic=TrafficSpec(count=2000),
         seed=13,
     ))
-    rail_ms = sim.rail_delay_ns / engine.NS_PER_MS
     for i in range(2000):
-        delivered = [
-            out.delay_ms[i] for out in sim.per_path_outcomes if not out.lost[i]
-        ]
+        delivered = [t - sim.send_ns[i] for t in sim.arrival_ns[:, i]
+                     if t != engine.LOST_NS]
         if delivered:
-            assert rail_ms[i] == min(delivered)
+            assert sim.rail_delay_ns[i] == min(delivered)
             assert sim.forward_ns[i] >= sim.send_ns[i] + sim.rail_delay_ns[i]
         else:
             assert sim.rail_delay_ns[i] == -1 and sim.forward_ns[i] == -1
@@ -499,9 +498,22 @@ def test_parse_scenario_trace_path(tmp_path):
     sim = simulate(scenario)
     assert any("wrapped" in w for w in sim.warnings)
     # positions 1, 4 replay the trace's lost entry
-    assert sim.per_path_outcomes[0].lost.tolist() == [
+    assert sim.path_lost(0).tolist() == [
         False, True, False, False, True, False, False
     ]
+
+
+@pytest.mark.parametrize("extra, warned", [(0, False), (1, True)])
+def test_trace_wrap_warning_starts_one_past_the_trace(extra, warned):
+    trace = load_trace("1,10\n2,0\n3,30")
+    sim = simulate(Scenario(
+        paths=[PathSpec("t", delay=DelayModel("trace", trace=trace)),
+               PathSpec("c", delay=DelayModel("constant", mean=5.0))],
+        traffic=TrafficSpec(count=len(trace) + extra),
+    ))
+    expected = ["path t: trace shorter than the run (3 entries), "
+                "replay wrapped around"]
+    assert sim.warnings == (expected if warned else [])
 
 
 def test_load_scenario_missing_file():

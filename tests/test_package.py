@@ -12,6 +12,7 @@ def test_all_names_public_objects_not_submodules():
 
 
 def test_removed_per_packet_api_is_gone():
+    import railsim.engine
     import railsim.errors
     import railsim.pathsim
     import railsim.railedge
@@ -19,9 +20,12 @@ def test_removed_per_packet_api_is_gone():
     gone = {
         railsim.pathsim: ["Outcome", "LOST", "PathState", "SharedSegmentState",
                           "sample_outcome", "trace_outcome"],
-        railsim.pathsim.Trace: ["outcome"],
-        railsim.railedge: ["Decision", "on_wan_arrival"],
+        railsim.pathsim.Trace: ["outcome", "replay_window"],
+        railsim.railedge: ["Decision", "on_wan_arrival", "RailHeader",
+                           "encode_packet", "decode_packet", "replicate",
+                           "HEADER_SIZE", "padding_release"],
         railsim.railedge.DedupState: ["seen", "highest_forwarded"],
+        railsim.engine: ["PathOutcomes"],
         railsim.errors: ["TraceRangeError"],
     }
     for owner, names in gone.items():
@@ -31,3 +35,12 @@ def test_removed_per_packet_api_is_gone():
     state.observe(1)
     assert not hasattr(state, "highest_forwarded")
     assert not hasattr(railsim.pathsim.load_trace("1,5"), "_by_seq")
+    # instance attributes and dataclass fields are not on the class
+    spec = railsim.PathSpec("a")
+    stream = railsim.pathsim.PathStream(spec, railsim.pathsim.path_rng(0, 0))
+    stream.take(1)
+    assert not hasattr(stream, "wrapped")
+    sim = railsim.simulate(railsim.Scenario(paths=[spec],
+                                            traffic=railsim.TrafficSpec(count=2)))
+    assert not hasattr(sim, "per_path_outcomes")
+    assert len(railsim.__all__) == 45

@@ -8,7 +8,7 @@ import pytest
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import ConfigurationError, TraceParseError
 from railsim.pathsim import (CHUNK, DelayModel, LossModel, LossStream, PathSpec,
-                             PathStream, SharedSegmentSpec, load_trace,
+                             PathStream, SharedSegmentSpec, Trace, load_trace,
                              path_rng, shared_rng)
 
 N = 100_000
@@ -96,7 +96,7 @@ def test_shared_segment_couples_paths():
         traffic=TrafficSpec(count=4000),
         seed=3,
     ))
-    a, b = (out.lost for out in sim.per_path_outcomes)
+    a, b = sim.path_lost(0), sim.path_lost(1)
     # own rates are 0, so only the shared draw decides
     assert a.tobytes() == b.tobytes()
     measured = float(np.count_nonzero(a)) / 4000
@@ -166,21 +166,14 @@ def test_split_takes_equal_one_take_for_wrapping_trace():
                                for k in range(1, 3001)))
     spec = PathSpec("t", loss=LossModel(0.05, 0.3),
                     delay=DelayModel("trace", trace=trace))
-
-    def take(stream, k):
-        lost, delay = stream.take(k)
-        return lost, delay, np.array([stream.wrapped])
-
-    split, whole = _split_and_whole(lambda: _stream(spec, seed=2), take)
+    split, whole = _split_and_whole(lambda: _stream(spec, seed=2),
+                                    lambda s, k: s.take(k))
     assert split[0].tobytes() == whole[0].tobytes()
     assert split[1].tobytes() == whole[1].tobytes()
     # the replay stays positional across the chunk boundary
-    t_lost, t_delay, _ = trace.replay(sum(SPLIT_PIECES))
+    t_lost, t_delay = trace.replay(0, sum(SPLIT_PIECES))
     assert whole[1].tobytes() == t_delay.tobytes()
     assert np.all(whole[0][t_lost])
-    # the flag rises on the first take that runs past the trace, then stays
-    assert split[2].tolist() == [False, False, True, True, True]
-    assert whole[2].tolist() == [True]
 
 
 def test_split_takes_equal_one_take_for_shared_segment():
@@ -281,10 +274,17 @@ def test_load_trace_rejects_non_finite_delay(delay):
         load_trace(f"1,10\n2,{delay}\n3,30")
 
 
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf, -5.0])
+def test_trace_rejects_non_finite_or_negative_delay(delay):
+    # a NaN entry would be a silently lost packet, a negative one would
+    # arrive before it was sent
+    with pytest.raises(TraceParseError, match="seq 2: delay must be finite"):
+        Trace([(1, 10.0), (2, delay), (3, None)])
+
+
 def test_trace_replay_wraps():
     trace = load_trace("1,10\n2,0\n3,30")
-    lost, delay, wrapped = trace.replay_window(0, 7)
-    assert wrapped
+    lost, delay = trace.replay(0, 7)
     assert lost.tolist() == [False, True, False, False, True, False, False]
     assert delay[0] == 10 and delay[2] == 30 and delay[3] == 10
 

@@ -1,67 +1,13 @@
-"""Header codec, replication, duplicate suppression and release policies."""
+"""Duplicate suppression and the reorder-removal hold."""
 
 import random
 
 import pytest
 
 from railsim.errors import ConfigurationError
-from railsim.railedge import (DedupState, PaddingConfig, RailHeader,
-                              decode_packet, encode_packet, padding_release,
-                              reorder_hold_schedule, replicate)
+from railsim.railedge import DedupState, reorder_hold_schedule
 
 MS = 1_000_000  # ns per ms, matching the engine clock
-
-
-# ---------------------------------------------------------------------------
-# encapsulation
-
-
-def test_encode_known_bytes():
-    buf = encode_packet(RailHeader(sender_id=1, seq=7), b"hi")
-    assert buf == (b"\x00" * 7 + b"\x01") + (b"\x00" * 7 + b"\x07") + b"\x00\x02hi"
-
-
-def test_round_trip_is_bit_exact():
-    cases = [
-        (RailHeader(0, 0), b""),
-        (RailHeader(1, 7), b"payload bytes"),
-        (RailHeader(2**64 - 1, 2**64 - 1), bytes(range(256))),
-    ]
-    for header, payload in cases:
-        buf = encode_packet(header, payload)
-        back_header, back_payload = decode_packet(buf)
-        assert back_header == header
-        assert back_payload == payload
-        assert encode_packet(back_header, back_payload) == buf
-
-
-def test_codec_errors():
-    with pytest.raises(ConfigurationError, match="short"):
-        decode_packet(b"\x00" * 10)
-    with pytest.raises(ConfigurationError, match="truncated"):
-        decode_packet(encode_packet(RailHeader(1, 1), b"abc")[:-1])
-    with pytest.raises(ConfigurationError, match="seq"):
-        encode_packet(RailHeader(1, 2**64))
-    with pytest.raises(ConfigurationError, match="payload"):
-        encode_packet(RailHeader(1, 1), b"x" * 70000)
-
-
-# ---------------------------------------------------------------------------
-# replication
-
-
-def test_replicate_fans_out_same_header():
-    copies = replicate(7, sender_id=3, active_paths=["A", "B"])
-    assert copies == [("A", RailHeader(3, 7)), ("B", RailHeader(3, 7))]
-
-
-def test_replicate_single_path():
-    assert replicate(7, 1, ["A"]) == [("A", RailHeader(1, 7))]
-
-
-def test_replicate_no_paths_is_error():
-    with pytest.raises(ConfigurationError):
-        replicate(7, 1, [])
 
 
 # ---------------------------------------------------------------------------
@@ -116,40 +62,6 @@ def test_random_interleavings_forward_each_seq_once():
         first_seen = list(dict.fromkeys(arrivals))
         assert forwarded == first_seen
         assert sorted(forwarded) == list(range(n))
-
-
-# ---------------------------------------------------------------------------
-# padding
-
-
-def test_padding_waits_out_the_difference():
-    cfg = PaddingConfig(enabled=True, target_one_way=150.0)
-    assert padding_release(1120.0, 120.0, cfg) == 1150.0
-
-
-def test_padding_forwards_late_packets_immediately():
-    cfg = PaddingConfig(enabled=True, target_one_way=150.0)
-    assert padding_release(1180.0, 180.0, cfg) == 1180.0
-
-
-def test_padding_disabled_is_identity():
-    assert padding_release(33.25, 12.0, PaddingConfig()) == 33.25
-
-
-def test_padding_rejects_negative_inputs():
-    cfg = PaddingConfig(enabled=True, target_one_way=100.0)
-    with pytest.raises(ConfigurationError):
-        padding_release(-1.0, 10.0, cfg)
-    with pytest.raises(ConfigurationError):
-        padding_release(10.0, -1.0, cfg)
-
-
-def test_padding_release_never_early():
-    cfg = PaddingConfig(enabled=True, target_one_way=90.0)
-    for delay in (0.0, 45.0, 90.0, 200.0):
-        release = padding_release(1000.0 + delay, delay, cfg)
-        assert release >= 1000.0 + delay
-        assert release - 1000.0 == max(delay, 90.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The reference walks the datapath one packet and one copy at a time with
 the scalar primitives: each path's outcome from ``PathStream.take(1)``,
 each shared segment's from ``LossStream.take(1)``, then forced losses and
 nanosecond quantisation, ``DedupState.observe`` over the copies in
-arrival order, ``padding_release`` and ``reorder_hold_schedule``.
-``simulate()`` must agree with it exactly, with the dedup fast path
+arrival order, the padding rule (``padding_release`` below) and
+``reorder_hold_schedule``.  ``simulate()`` must agree with it exactly,
+ledger columns and per-path accessors alike, with the dedup fast path
 allowed and with the sequential dedup pass forced.
 """
 
@@ -21,8 +22,7 @@ from railsim.engine import Counters, Scenario, TrafficSpec, simulate
 from railsim.pathsim import (DelayModel, LossModel, LossStream, PathSpec,
                              PathStream, SharedSegmentSpec, load_trace,
                              path_rng, shared_rng)
-from railsim.railedge import (DedupState, PaddingConfig, padding_release,
-                              reorder_hold_schedule)
+from railsim.railedge import DedupState, PaddingConfig, reorder_hold_schedule
 
 NS = 1_000_000  # ns per ms
 
@@ -30,8 +30,19 @@ TRACE = load_trace("".join(f"{k},{0 if k % 4 == 0 else 5 + 3 * (k % 5)}\n"
                            for k in range(1, 41)))
 
 
+def padding_release(arrival_ns: int, rail_delay_ns: int, target_ns: int | None) -> int:
+    """Release time of a first copy that arrived with one-way delay
+    ``rail_delay_ns``: below the padding target it waits out the
+    difference, at or above it (or with padding off, target None) it goes
+    straight out; late packets are never dropped."""
+    if target_ns is not None and rail_delay_ns < target_ns:
+        return arrival_ns + (target_ns - rail_delay_ns)
+    return arrival_ns
+
+
 @dataclass
 class Reference:
+    send_ns: list = field(default_factory=list)
     arrival_ns: list = field(default_factory=list)  # per path, None where lost
     rail_delay_ns: list = field(default_factory=list)
     padding_ns: list = field(default_factory=list)
@@ -47,7 +58,8 @@ def reference_simulate(s: Scenario) -> Reference:
     shared = {seg.id: LossStream(seg.loss, shared_rng(s.seed, i))
               for i, seg in enumerate(s.shared_segments) if seg.id in referenced}
     streams = [PathStream(p, path_rng(s.seed, i)) for i, p in enumerate(s.paths)]
-    ref = Reference(arrival_ns=[[] for _ in s.paths])
+    ref = Reference(send_ns=[seq * dt for seq in range(n)],
+                    arrival_ns=[[] for _ in s.paths])
 
     copies = []  # (arrival_ns, seq, path index) of every delivered copy
     for seq in range(n):
@@ -60,7 +72,7 @@ def reference_simulate(s: Scenario) -> Reference:
                 ref.counters.lost_copies += 1
                 ref.arrival_ns[pidx].append(None)
                 continue
-            t = seq * dt + int(round(float(delay_ms[0]) * NS))
+            t = ref.send_ns[seq] + int(round(float(delay_ms[0]) * NS))
             ref.arrival_ns[pidx].append(t)
             copies.append((t, seq, pidx))
 
@@ -76,15 +88,15 @@ def reference_simulate(s: Scenario) -> Reference:
             dups.append((t, seq))
 
     target_ns = int(round(s.padding.target_one_way * NS))
-    pad_cfg = PaddingConfig(s.padding.enabled, target_ns)
+    pad_target = target_ns if s.padding.enabled else None
     ready = list(dups)
     for seq, t in enumerate(first):
         if t is None:
             ref.rail_delay_ns.append(-1)
             ref.padding_ns.append(0)
             continue
-        rail = t - seq * dt
-        release = padding_release(t, rail, pad_cfg)
+        rail = t - ref.send_ns[seq]
+        release = padding_release(t, rail, pad_target)
         ref.rail_delay_ns.append(rail)
         ref.padding_ns.append(release - t)
         ready.append((release, seq))
@@ -159,7 +171,14 @@ def test_simulate_matches_the_per_packet_reference(scenario):
             sim = simulate(scenario)
         arrival = [[None if t == engine.LOST_NS else t for t in row]
                    for row in sim.arrival_ns.tolist()]
+        assert sim.send_ns.tolist() == ref.send_ns
         assert arrival == ref.arrival_ns
+        for i, row in enumerate(ref.arrival_ns):
+            arrivals = [t for t in row if t is not None]
+            assert sim.path_lost(i).tolist() == [t is None for t in row]
+            assert sim.path_delays_ms(i).tolist() == [
+                (t - send) / NS for t, send in zip(row, ref.send_ns) if t is not None]
+            assert sim.path_in_send_order(i) == (arrivals == sorted(arrivals))
         assert sim.rail_delay_ns.tolist() == ref.rail_delay_ns
         assert sim.padding_ns.tolist() == ref.padding_ns
         assert sim.forward_ns.tolist() == ref.forward_ns
