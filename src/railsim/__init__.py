@@ -25,7 +25,7 @@ from .quality import (G711, EModelParams, MosPoint, QualityScore, TcpPath,
                       rail_loss_independent, rail_loss_shared, rail_mos_curve,
                       tcp_fact1_check, tcp_throughput_rail,
                       tcp_throughput_single)
-from .railedge import DedupState, PaddingConfig
+from .railedge import PaddingConfig
 
 __all__ = [
     # engine
@@ -47,5 +47,5 @@ __all__ = [
     "rail_mos_curve", "tcp_fact1_check", "tcp_throughput_rail",
     "tcp_throughput_single",
     # railedge
-    "DedupState", "PaddingConfig",
+    "PaddingConfig",
 ]

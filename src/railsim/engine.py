@@ -24,8 +24,8 @@ from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, PathSpec,
                       PathStream, SharedSegmentSpec, fits_clock, load_trace,
                       path_rng, shared_rng, validate_delay_model,
                       validate_loss_model)
-from .railedge import (DEFAULT_DEDUP_WINDOW, DedupState, PaddingConfig,
-                       reorder_hold_schedule)
+from .railedge import (DEFAULT_DEDUP_WINDOW, PaddingConfig,
+                       reorder_hold_schedule, window_miss_duplicates)
 
 NS_PER_MS = 1_000_000
 LOST_NS = np.iinfo(np.int64).max  # arrival_ns of a lost copy
@@ -74,7 +74,7 @@ class Counters:
 @dataclass
 class SimResult:
     scenario: Scenario
-    forwarded_order: list[int]
+    forwarded_order: np.ndarray  # int64[forwarded] seqs in release order
     counters: Counters
     warnings: list[str]
     send_ns: np.ndarray          # int64[n]
@@ -176,11 +176,16 @@ def _dedup_pass(arrival_ns: np.ndarray, window: int):
 
     arrival_ns is (n_paths, count) with LOST_NS marking lost copies.
     Returns (first_ns int64[count] with -1 when never forwarded,
-    suppressed count, duplicate forward events as (t, seq) pairs).
+    suppressed count, window-miss duplicate times and seqs as int64
+    arrays).  The first copy of a seq is always forwarded, so only the
+    duplicates need the sequential window pass.
     """
     n_paths, count = arrival_ns.shape
-    delivered_total = int(np.count_nonzero(arrival_ns < LOST_NS))
+    delivered = arrival_ns < LOST_NS
+    delivered_total = int(np.count_nonzero(delivered))
     first_raw = arrival_ns.min(axis=0)  # LOST_NS when no copy delivered
+    first_ns = np.where(first_raw == LOST_NS, -1, first_raw)
+    n_first = int(np.count_nonzero(first_ns >= 0))
 
     use_fast = window >= count
     if not use_fast:
@@ -190,41 +195,28 @@ def _dedup_pass(arrival_ns: np.ndarray, window: int):
         # window provably cannot fill up.  Arrivals tied exactly at the
         # interval start are not counted, and at most one per other path
         # can tie there, hence the n_paths margin.
-        n_dlv = np.count_nonzero(arrival_ns < LOST_NS, axis=0)
+        n_dlv = np.count_nonzero(delivered, axis=0)
         multi = n_dlv >= 2
         if not np.any(multi):
             use_fast = True
         else:
-            last = np.where(arrival_ns < LOST_NS, arrival_ns, np.int64(-1)).max(axis=0)
+            last = np.where(delivered, arrival_ns, np.int64(-1)).max(axis=0)
             ff = np.sort(first_raw[n_dlv >= 1])
             between = (np.searchsorted(ff, last[multi], side="right")
                        - np.searchsorted(ff, first_raw[multi], side="right"))
             use_fast = bool(between.max() <= window - n_paths)
 
     if use_fast and not _FORCE_DEDUP_LOOP:
-        # no eviction is possible: first copy forwarded, later copies
-        # suppressed, exactly what the window state machine would do
-        first_ns = np.where(first_raw == LOST_NS, -1, first_raw)
-        forwarded = int(np.count_nonzero(first_ns >= 0))
-        return first_ns, delivered_total - forwarded, []
-
-    mask = arrival_ns < LOST_NS
-    p_idx, s_idx = np.nonzero(mask)
-    t = arrival_ns[p_idx, s_idx]
-    order = np.lexsort((p_idx, s_idx, t))  # by time, then seq, then path
-    state = DedupState(window)
-    first_ns = np.full(count, -1, dtype=np.int64)
-    suppressed = 0
-    dups: list[tuple[int, int]] = []
-    for tt, ss in zip(t[order].tolist(), s_idx[order].tolist()):
-        if state.observe(ss):
-            if first_ns[ss] < 0:
-                first_ns[ss] = tt
-            else:
-                dups.append((tt, ss))
-        else:
-            suppressed += 1
-    return first_ns, suppressed, dups
+        # no eviction is possible: no copy after the first is forwarded
+        dup_t = dup_s = np.empty(0, dtype=np.int64)
+    else:
+        p_idx, s_idx = np.nonzero(delivered)
+        t = arrival_ns[p_idx, s_idx]
+        order = np.lexsort((p_idx, s_idx, t))  # by time, then seq, then path
+        t, s_idx = t[order], s_idx[order]
+        misses = window_miss_duplicates(s_idx, count, window)
+        dup_t, dup_s = t[misses], s_idx[misses]
+    return first_ns, delivered_total - n_first - len(dup_t), dup_t, dup_s
 
 
 def simulate(scenario: Scenario) -> SimResult:
@@ -270,7 +262,7 @@ def simulate(scenario: Scenario) -> SimResult:
         arrival_ns[pidx] = np.where(lost, LOST_NS, send_ns + delay_ns)
         lost_copies += int(np.count_nonzero(lost))
 
-    first_ns, suppressed, dups = _dedup_pass(arrival_ns, scenario.dedup_window)
+    first_ns, suppressed, dup_t, dup_s = _dedup_pass(arrival_ns, scenario.dedup_window)
 
     ever = first_ns >= 0
     rail_delay_ns = np.where(ever, first_ns - send_ns, -1)
@@ -287,35 +279,31 @@ def simulate(scenario: Scenario) -> SimResult:
     # then seq; the reorder hold reschedules that stream when enabled
     seqs = np.nonzero(ever)[0]
     t = release_ns[seqs]
-    if dups:
-        dup = np.array(dups, dtype=np.int64)
-        t = np.concatenate([t, dup[:, 0]])
-        seqs = np.concatenate([seqs, dup[:, 1]])
+    if len(dup_s):
+        t = np.concatenate([t, dup_t])
+        seqs = np.concatenate([seqs, dup_s])
     order = np.lexsort((seqs, t))
     t, seqs = t[order], seqs[order]
 
     if scenario.reorder_removal:
         timeout_ns = ms_to_ns(scenario.padding.target_one_way)
-        released = reorder_hold_schedule(
-            list(zip(t.tolist(), seqs.tolist())), timeout_ns,
-            window=scenario.dedup_window,
-        )
-        t, seqs = np.array(released, dtype=np.int64).reshape(-1, 2).T
+        released = reorder_hold_schedule(np.column_stack((t, seqs)), timeout_ns,
+                                         window=scenario.dedup_window)
+        t, seqs = released[:, 0], released[:, 1]
 
     forward_ns = np.full(n, LOST_NS, dtype=np.int64)
     np.minimum.at(forward_ns, seqs, t)
     forward_ns[forward_ns == LOST_NS] = -1
-    forwarded_order = seqs.tolist()
 
     counters = Counters(
-        forwarded=len(forwarded_order),
+        forwarded=len(seqs),
         suppressed=suppressed,
         lost_copies=lost_copies,
-        window_miss_duplicates=len(dups),
+        window_miss_duplicates=len(dup_s),
     )
     return SimResult(
         scenario=scenario,
-        forwarded_order=forwarded_order,
+        forwarded_order=seqs,
         counters=counters,
         warnings=warnings,
         send_ns=send_ns,

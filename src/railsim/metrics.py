@@ -72,24 +72,19 @@ class BurstStats:
 
 
 def burst_stats(loss_sequence: Iterable[bool]) -> BurstStats:
-    runs: list[int] = []
-    cur = 0
-    for lost in loss_sequence:
-        if lost:
-            cur += 1
-        elif cur:
-            runs.append(cur)
-            cur = 0
-    if cur:
-        runs.append(cur)
-    bursts = [r for r in runs if r >= 2]
-    lost_in_burst = sum(bursts)
+    lost = np.asarray(loss_sequence if isinstance(loss_sequence, np.ndarray)
+                      else list(loss_sequence), dtype=bool)
+    # run starts and ends are the rising and falling edges of the padded mask
+    edges = np.diff(np.concatenate(([False], lost, [False])).view(np.int8))
+    runs = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    bursts = runs[runs >= 2]
+    lost_in_burst = int(bursts.sum())
     num_bursts = len(bursts)
     return BurstStats(
         lost_in_burst=lost_in_burst,
         num_bursts=num_bursts,
         avg_burst=lost_in_burst / num_bursts if num_bursts else 0.0,
-        max_burst=max(runs, default=0),
+        max_burst=int(runs.max()) if runs.size else 0,
     )
 
 
@@ -103,17 +98,18 @@ class ReorderStats:
 
 
 def reorder_stats(forwarded_order: Sequence[int]) -> ReorderStats:
-    gaps: dict[int, int] = {}
-    count = 0
-    high: int | None = None
-    for seq in forwarded_order:
-        if high is not None and seq < high:
-            g = high - seq
-            gaps[g] = gaps.get(g, 0) + 1
-            count += 1
-        elif high is None or seq > high:
-            high = seq
-    return ReorderStats(out_of_order_count=count, gaps=gaps)
+    order = np.asarray(forwarded_order, dtype=np.int64)
+    # highest seq forwarded before each packet (none before the first)
+    high = np.empty_like(order)
+    high[:1] = np.iinfo(np.int64).min
+    np.maximum.accumulate(order[:-1], out=high[1:])
+    late = order < high
+    gap_values, first_at, counts = np.unique(
+        high[late] - order[late], return_index=True, return_counts=True)
+    # the histogram keeps the order in which each gap first occurred
+    by_first = np.argsort(first_at)
+    gaps = dict(zip(gap_values[by_first].tolist(), counts[by_first].tolist()))
+    return ReorderStats(out_of_order_count=int(np.count_nonzero(late)), gaps=gaps)
 
 
 def downtime_combine(bad_fraction_1: float, bad_fraction_2: float) -> float:

@@ -266,19 +266,17 @@ def ar1_scan(eps, corr, prev, has_prev):
         out = eps + 0.0
         return out, float(out[-1])
     s = math.sqrt(1.0 - corr * corr)
-    out = np.empty(n, dtype=np.float64)
-    start = 0
+    out: list[float] = []
     x = prev
     if not has_prev:
         x = float(eps[0])
-        out[0] = x
-        start = 1
-    for i in range(start, n):
-        a = corr * x
-        b = s * float(eps[i])
-        x = a + b
-        out[i] = x
-    return out, x
+        out.append(x)
+        eps = eps[1:]
+    # numpy's float64 product is the same IEEE product as the scalar one
+    for b in (s * eps).tolist():
+        x = corr * x + b
+        out.append(x)
+    return np.array(out, dtype=np.float64), x
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def ordering_runs(n_runs: int = 100, count: int = 500,
             count=count, seed=seed + run, label=f"ordering run {run}",
         ))
         in_order = sim.path_in_send_order(0) and sim.path_in_send_order(1)
-        sorted_fwd = sim.forwarded_order == sorted(sim.forwarded_order)
+        sorted_fwd = bool(np.all(np.diff(sim.forwarded_order) >= 0))
         results.append((in_order, sorted_fwd))
     return results
 
@@ -250,9 +250,9 @@ def fast_path_loss_check() -> dict:
     fixed = simulate(held)
     return {
         "plain_stats": reorder_stats(plain.forwarded_order),
-        "plain_order": plain.forwarded_order,
+        "plain_order": plain.forwarded_order.tolist(),
         "held_stats": reorder_stats(fixed.forwarded_order),
-        "held_order": fixed.forwarded_order,
+        "held_order": fixed.forwarded_order.tolist(),
         "held_delivered": int(np.count_nonzero(fixed.forward_ns >= 0)),
         "count": base.traffic.count,
     }

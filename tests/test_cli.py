@@ -248,7 +248,7 @@ def test_records_columns_match_the_per_cell_rule(rows):
     sim = SimResult(
         scenario=Scenario(paths=[PathSpec("a"), PathSpec("b")],
                           traffic=TrafficSpec(count=len(rows))),
-        forwarded_order=[], counters=Counters(), warnings=[],
+        forwarded_order=np.empty(0, dtype=np.int64), counters=Counters(), warnings=[],
         send_ns=send, arrival_ns=np.stack([arr_a, arr_b]), rail_delay_ns=rail,
         forward_ns=fwd, padding_ns=pad)
     header, columns = cli._records_table(sim)

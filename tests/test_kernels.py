@@ -1,5 +1,8 @@
-"""The scan kernels: hand cases, carry-over across chunks, and the numpy
-sticky-loss pass against a plain sequential loop."""
+"""The scan kernels: hand cases, carry-over across chunks, the numpy
+sticky-loss pass against a plain sequential loop and the list-based AR(1)
+scan against an array loop, bit for bit."""
+
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +24,28 @@ def loop_sticky_scan(u_fresh, u_repeat, rate, corr, prev):
         out[i] = cur
         p = cur
     return out, p
+
+
+def loop_ar1_scan(eps, corr, prev, has_prev):
+    """The AR(1) recurrence on numpy scalars into a preallocated array
+    (oracle for the list-based scan)."""
+    n = len(eps)
+    if n == 0:
+        return np.empty(0, dtype=np.float64), prev
+    s = math.sqrt(1.0 - corr * corr)
+    out = np.empty(n, dtype=np.float64)
+    start = 0
+    x = prev
+    if not has_prev:
+        x = float(eps[0])
+        out[0] = x
+        start = 1
+    for i in range(start, n):
+        a = corr * x
+        b = s * float(eps[i])
+        x = a + b
+        out[i] = x
+    return out, x
 
 
 @pytest.fixture(params=[pathsim.sticky_scan, loop_sticky_scan], ids=["numpy", "loop"])
@@ -143,3 +168,21 @@ def test_numpy_sticky_scan_equals_the_loop(rate, corr, prev, n, cuts, seed):
         want.append(part)
     assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
     assert got_last == want_last and type(got_last) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    corr=st.sampled_from([0.2, 0.6, 0.9, 0.95]),
+    has_prev=st.booleans(),
+    prev=st.floats(-50.0, 50.0),
+    n=st.integers(0, 300),
+    scale=st.sampled_from([1.0, 30.0, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ar1_scan_equals_the_loop_bit_for_bit(corr, has_prev, prev, n, scale, seed):
+    eps = np.random.default_rng(seed).standard_normal(n) * scale
+    got, got_last = pathsim.ar1_scan(eps, corr, prev, has_prev)
+    want, want_last = loop_ar1_scan(eps, corr, prev, has_prev)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert np.float64(got_last).tobytes() == np.float64(want_last).tobytes()

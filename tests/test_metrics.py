@@ -5,11 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import DomainError
-from railsim.metrics import (BurstStats, burst_stats, downtime_combine,
-                             empirical_cdf, rail_cdf, reorder_stats)
+from railsim.metrics import (BurstStats, ReorderStats, burst_stats,
+                             downtime_combine, empirical_cdf, rail_cdf,
+                             reorder_stats)
 from railsim.pathsim import DelayModel, PathSpec
 
 
@@ -139,8 +142,73 @@ def test_burst_random_sequences_match_groupby_oracle():
             assert got.avg_burst == 0.0 and got.lost_in_burst == 0
 
 
+def loop_burst_stats(loss_sequence) -> BurstStats:
+    """Burst statistics one packet at a time (oracle for the numpy pass)."""
+    runs = []
+    cur = 0
+    for lost in loss_sequence:
+        if lost:
+            cur += 1
+        elif cur:
+            runs.append(cur)
+            cur = 0
+    if cur:
+        runs.append(cur)
+    bursts = [r for r in runs if r >= 2]
+    lost_in_burst = sum(bursts)
+    num_bursts = len(bursts)
+    return BurstStats(
+        lost_in_burst=lost_in_burst,
+        num_bursts=num_bursts,
+        avg_burst=lost_in_burst / num_bursts if num_bursts else 0.0,
+        max_burst=max(runs, default=0),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=st.lists(st.booleans(), max_size=120)
+       | st.integers(0, 120).map(lambda n: [True] * n))
+def test_burst_stats_equal_the_loop(mask):
+    want = loop_burst_stats(mask)
+    for given_as in (mask, np.array(mask, dtype=bool), iter(mask)):
+        got = burst_stats(given_as)
+        assert got == want
+        assert all(type(v) is int for v in
+                   (got.lost_in_burst, got.num_bursts, got.max_burst))
+        assert type(got.avg_burst) is float
+
+
 # ---------------------------------------------------------------------------
 # reordering
+
+
+def loop_reorder_stats(forwarded_order) -> ReorderStats:
+    """Reorder statistics one packet at a time (oracle for the numpy pass)."""
+    gaps = {}
+    count = 0
+    high = None
+    for seq in forwarded_order:
+        if high is not None and seq < high:
+            g = high - seq
+            gaps[g] = gaps.get(g, 0) + 1
+            count += 1
+        elif high is None or seq > high:
+            high = seq
+    return ReorderStats(out_of_order_count=count, gaps=gaps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=st.lists(st.integers(0, 60), max_size=120)
+       | st.permutations(range(40)))
+def test_reorder_stats_equal_the_loop(order):
+    want = loop_reorder_stats(order)
+    got = reorder_stats(np.array(order, dtype=np.int64))
+    assert got == want
+    assert reorder_stats(order) == want
+    # the suite writes str(gaps): the same keys in the same order, as ints
+    assert str(got.gaps) == str(want.gaps)
+    assert type(got.out_of_order_count) is int
+
 
 
 def test_reorder_detects_late_packet_with_gap():

@@ -23,17 +23,13 @@ def test_removed_per_packet_api_is_gone():
         railsim.pathsim.Trace: ["outcome", "replay_window"],
         railsim.railedge: ["Decision", "on_wan_arrival", "RailHeader",
                            "encode_packet", "decode_packet", "replicate",
-                           "HEADER_SIZE", "padding_release"],
-        railsim.railedge.DedupState: ["seen", "highest_forwarded"],
+                           "HEADER_SIZE", "padding_release", "DedupState"],
         railsim.engine: ["PathOutcomes"],
         railsim.errors: ["TraceRangeError"],
     }
     for owner, names in gone.items():
         for name in names:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
-    state = railsim.railedge.DedupState(4)
-    state.observe(1)
-    assert not hasattr(state, "highest_forwarded")
     assert not hasattr(railsim.pathsim.load_trace("1,5"), "_by_seq")
     # instance attributes and dataclass fields are not on the class
     spec = railsim.PathSpec("a")
@@ -43,4 +39,4 @@ def test_removed_per_packet_api_is_gone():
     sim = railsim.simulate(railsim.Scenario(paths=[spec],
                                             traffic=railsim.TrafficSpec(count=2)))
     assert not hasattr(sim, "per_path_outcomes")
-    assert len(railsim.__all__) == 45
+    assert len(railsim.__all__) == 44

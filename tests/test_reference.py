@@ -3,13 +3,17 @@
 The reference walks the datapath one packet and one copy at a time with
 the scalar primitives: each path's outcome from ``PathStream.take(1)``,
 each shared segment's from ``LossStream.take(1)``, then forced losses and
-nanosecond quantisation, ``DedupState.observe`` over the copies in
-arrival order, the padding rule (``padding_release`` below) and
-``reorder_hold_schedule``.  ``simulate()`` must agree with it exactly,
+nanosecond quantisation, a set-and-deque duplicate filter
+(``DedupState`` below) over the copies in arrival order, the padding rule
+(``padding_release``) and a heap-driven reorder hold
+(``reference_hold_schedule``).  None of these share code with the
+engine's datapath.  ``simulate()`` must agree with the reference exactly,
 ledger columns and per-path accessors alike, with the dedup fast path
 allowed and with the sequential dedup pass forced.
 """
 
+import heapq
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +26,94 @@ from railsim.engine import Counters, Scenario, TrafficSpec, simulate
 from railsim.pathsim import (DelayModel, LossModel, LossStream, PathSpec,
                              PathStream, SharedSegmentSpec, load_trace,
                              path_rng, shared_rng)
-from railsim.railedge import DedupState, PaddingConfig, reorder_hold_schedule
+from railsim.railedge import (PaddingConfig, reorder_hold_schedule,
+                              window_miss_duplicates)
 
 NS = 1_000_000  # ns per ms
 
 TRACE = load_trace("".join(f"{k},{0 if k % 4 == 0 else 5 + 3 * (k % 5)}\n"
                            for k in range(1, 41)))
+
+
+class DedupState:
+    """Sliding-window duplicate filter over sequence numbers.
+
+    Remembers the last ``window`` forwarded seqs; the first copy of a seq
+    is forwarded, later copies are suppressed.  A copy arriving after its
+    seq was evicted from the window is forwarded again (a window-miss
+    duplicate).
+    """
+
+    def __init__(self, window: int):
+        self.window = window
+        self._seen: set[int] = set()
+        self._order: deque[int] = deque()
+
+    def observe(self, seq: int) -> bool:
+        """True if this copy should be forwarded; updates the window."""
+        if seq in self._seen:
+            return False
+        self._seen.add(seq)
+        self._order.append(seq)
+        if len(self._order) > self.window:
+            self._seen.discard(self._order.popleft())
+        return True
+
+
+def reference_hold_schedule(ready, timeout_ns, window, events=None):
+    """Reorder-removal release schedule over (time_ns, seq) pairs sorted
+    by time, then seq: a deadline heap, a dict of held packets and scans
+    for the smallest held seq.  ``events`` (a Counter), when given, counts
+    the hold timeouts that released something and the give-ups at the
+    memory bound.  Returns the (release_ns, seq) events in emission order.
+    """
+    events = Counter() if events is None else events
+    released = []
+    buffered = {}
+    deadlines = []
+    next_expected = 0
+    ready = list(ready)
+    i, n = 0, len(ready)
+    inf = 1 << 62
+    while i < n or deadlines:
+        t_ready = ready[i][0] if i < n else inf
+        t_dead = deadlines[0][0] if deadlines else inf
+        if t_ready <= t_dead:
+            t, s = ready[i]
+            i += 1
+            if s < next_expected or s in buffered:
+                released.append((t, s))
+                continue
+            buffered[s] = t
+            heapq.heappush(deadlines, (t + timeout_ns, s))
+            while next_expected in buffered:
+                released.append((t, next_expected))
+                del buffered[next_expected]
+                next_expected += 1
+            if len(buffered) > window:
+                events["give_up"] += 1
+                s_min = min(buffered)
+                released.append((t, s_min))
+                del buffered[s_min]
+                next_expected = s_min + 1
+                while next_expected in buffered:
+                    released.append((t, next_expected))
+                    del buffered[next_expected]
+                    next_expected += 1
+        else:
+            dl, s = heapq.heappop(deadlines)
+            if s not in buffered:
+                continue
+            events["timeout"] += 1
+            for m in sorted(k for k in buffered if k <= s):
+                released.append((dl, m))
+                del buffered[m]
+            next_expected = s + 1
+            while next_expected in buffered:
+                released.append((dl, next_expected))
+                del buffered[next_expected]
+                next_expected += 1
+    return released
 
 
 def padding_release(arrival_ns: int, rail_delay_ns: int, target_ns: int | None) -> int:
@@ -49,6 +135,7 @@ class Reference:
     forward_ns: list = field(default_factory=list)
     forwarded_order: list = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
+    hold_events: Counter = field(default_factory=Counter)
 
 
 def reference_simulate(s: Scenario) -> Reference:
@@ -102,7 +189,8 @@ def reference_simulate(s: Scenario) -> Reference:
         ready.append((release, seq))
     ready.sort()
     if s.reorder_removal:
-        released = reorder_hold_schedule(ready, target_ns, window=s.dedup_window)
+        released = reference_hold_schedule(ready, target_ns, s.dedup_window,
+                                           ref.hold_events)
     else:
         released = ready
 
@@ -161,10 +249,29 @@ def scenarios(draw):
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(scenario=scenarios())
-def test_simulate_matches_the_per_packet_reference(scenario):
-    ref = reference_simulate(scenario)
+@st.composite
+def hard_scenarios(draw):
+    """Longer runs with small windows, heavy loss and jitter well above the
+    packet spacing: dedup windows fill, hold timeouts fire and the hold
+    gives up gaps at its memory bound."""
+    specs = [PathSpec(pid,
+                      loss=LossModel(draw(st.floats(0.0, 0.5)), draw(correlations)),
+                      delay=DelayModel("normal", mean=draw(st.floats(5.0, 60.0)),
+                                       stddev=draw(st.floats(2.0, 40.0))))
+             for pid in "abc"[:draw(st.sampled_from([2, 3]))]]
+    return Scenario(
+        paths=specs,
+        traffic=TrafficSpec(interval=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                            count=2000),
+        padding=PaddingConfig(enabled=draw(st.booleans()),
+                              target_one_way=draw(st.floats(1.0, 60.0))),
+        reorder_removal=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        dedup_window=draw(st.integers(1, 8)),
+    )
+
+
+def assert_matches_reference(scenario: Scenario, ref: Reference) -> None:
     for force_loop in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_FORCE_DEDUP_LOOP", force_loop)
@@ -182,7 +289,90 @@ def test_simulate_matches_the_per_packet_reference(scenario):
         assert sim.rail_delay_ns.tolist() == ref.rail_delay_ns
         assert sim.padding_ns.tolist() == ref.padding_ns
         assert sim.forward_ns.tolist() == ref.forward_ns
-        assert sim.forwarded_order == ref.forwarded_order
+        assert sim.forwarded_order.tolist() == ref.forwarded_order
         assert sim.counters == ref.counters
-        for arr in (sim.rail_delay_ns, sim.padding_ns, sim.forward_ns):
+        for arr in (sim.rail_delay_ns, sim.padding_ns, sim.forward_ns,
+                    sim.forwarded_order):
             assert arr.dtype == np.int64
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=scenarios())
+def test_simulate_matches_the_per_packet_reference(scenario):
+    assert_matches_reference(scenario, reference_simulate(scenario))
+
+
+@settings(max_examples=15, deadline=None)
+@given(scenario=hard_scenarios())
+def test_simulate_matches_the_reference_when_windows_fill(scenario):
+    assert_matches_reference(scenario, reference_simulate(scenario))
+
+
+def test_hard_runs_reach_every_datapath_event():
+    """One fixed hard run exercises window-miss duplicates, hold timeouts
+    and memory-bound give-ups, so the property tests above cover them."""
+    scenario = Scenario(
+        paths=[PathSpec(pid, loss=LossModel(0.4),
+                        delay=DelayModel("normal", mean=mean, stddev=30.0))
+               for pid, mean in (("a", 20.0), ("b", 40.0), ("c", 60.0))],
+        traffic=TrafficSpec(interval=1.0, count=2000),
+        padding=PaddingConfig(enabled=False, target_one_way=8.0),
+        reorder_removal=True,
+        seed=7,
+        dedup_window=4,
+    )
+    ref = reference_simulate(scenario)
+    assert ref.counters.window_miss_duplicates > 0
+    assert ref.hold_events["timeout"] > 0
+    assert ref.hold_events["give_up"] > 0
+    assert_matches_reference(scenario, ref)
+
+
+@st.composite
+def copy_streams(draw):
+    """Seqs of delivered copies in arrival order: each seq has 0-3 copies
+    landing at random offsets after its send slot, so windows fill and
+    evict."""
+    n = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seqs = np.repeat(np.arange(n), rng.integers(0, 4, size=n))
+    arrival = seqs + rng.integers(0, draw(st.sampled_from([1, 5, 40])), size=seqs.size)
+    return seqs[np.lexsort((seqs, arrival))].tolist(), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=copy_streams(), window=st.integers(1, 8) | st.integers(1, 300))
+def test_window_miss_duplicates_match_the_dedup_state(stream, window):
+    seqs, count = stream
+    state = DedupState(window)
+    seen = set()
+    want = []
+    for i, seq in enumerate(seqs):
+        if state.observe(seq) and seq in seen:
+            want.append(i)
+        seen.add(seq)
+    got = window_miss_duplicates(np.array(seqs, dtype=np.int64), count, window)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+@st.composite
+def ready_streams(draw):
+    """(time_ns, seq) ready rows sorted by time then seq, with missing
+    seqs, late stragglers, duplicates and ties."""
+    n = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seqs = np.repeat(np.arange(n), rng.choice([0, 1, 1, 1, 2], size=n))
+    t = 3 * seqs + rng.integers(0, draw(st.sampled_from([1, 10, 60])), size=seqs.size)
+    return sorted(zip(t.tolist(), seqs.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ready=ready_streams(), timeout=st.integers(0, 80),
+       window=st.integers(1, 8) | st.integers(1, 300))
+def test_hold_matches_the_heap_reference(ready, timeout, window):
+    got = reorder_hold_schedule(np.array(ready, dtype=np.int64).reshape(-1, 2),
+                                timeout, window)
+    assert got.dtype == np.int64 and got.shape == (len(ready), 2)
+    assert [tuple(r) for r in got.tolist()] == reference_hold_schedule(
+        ready, timeout, window)
