@@ -3,9 +3,11 @@
 Every path owns an independent RNG stream derived from the scenario seed,
 so a (path spec, seed) pair always reproduces the same outcome sequence
 regardless of how many packets are drawn or whether they are drawn one at
-a time or in bulk.  Randomness is drawn in fixed-size chunks with a
-fixed draw order per chunk; the sequential recurrences (sticky loss,
-AR(1) delay) run on the rows handed out only.
+a time or in bulk.  Randomness is laid out in fixed-size chunks with a
+fixed column layout per chunk, but only the rows handed out are drawn
+(the paretonormal kind's normal column is the one exception, drawn whole
+per chunk); the sequential recurrences (sticky loss, AR(1) delay) run on
+the rows handed out only.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import numpy as np
 
 from .errors import ConfigurationError, TraceParseError
 
-# Randomness is drawn in whole chunks of this size so that packet i sees
-# the same draws no matter how many packets a run asks for.
+# Randomness is laid out in chunks of this many rows, one column after
+# another, so that packet i sees the same draws no matter how many packets
+# a run asks for; a run draws only the rows it reads.
 CHUNK = 65536
 
 _MASK64 = (1 << 64) - 1
@@ -283,36 +286,93 @@ def ar1_scan(eps, corr, prev, has_prev):
 # sampling streams
 
 
-class _Buffered:
-    """take(n) over whole chunks of draws, finishing only the rows handed out.
+# Seeds the construction of column clones only; each clone's state is
+# overwritten at once (a fixed seed skips the OS entropy read).
+_CLONE_SEED = np.random.SeedSequence(0)
 
-    Each chunk's raw draws are made whole and in a fixed order, so packet i
-    sees the same randomness whatever the request sizes.  The work that
-    turns draws into outcomes (the sequential scans, the clamp, the trace
-    merge) runs only on the rows a ``take`` returns; the scans carry their
-    state from one call to the next, so split takes equal one large take.
+
+def _clone(state: dict, words: int) -> np.random.Generator:
+    """Generator over a PCG64 at ``state`` advanced by ``words`` outputs."""
+    bit_gen = np.random.PCG64(_CLONE_SEED)
+    bit_gen.state = state
+    bit_gen.advance(words)
+    return np.random.Generator(bit_gen)
+
+
+class _Buffered:
+    """take(n) over chunks with a fixed column layout, drawing only the rows
+    handed out.
+
+    Each chunk's randomness is laid out as whole columns of ``CHUNK`` rows
+    in a fixed order (``layout``: ``"u"`` a uniform column, ``"n"`` a
+    standard-normal one), exactly as if each column were drawn whole from
+    the stream's generator in turn, so packet i sees the same randomness
+    whatever the request sizes.  Only the rows a ``take`` returns are drawn:
+    when a chunk starts, each column gets its own PCG64 clone of the
+    chunk-start state, advanced to where that column begins.  This is
+    exact because ``random()`` takes one 64-bit word per value, and
+    consecutive ``random``/``standard_normal`` calls equal one call and
+    leave the same state.  A normal column followed by another column is
+    drawn whole, because a normal takes a variable number of words and the
+    next column starts where it ends.  The stream's generator moves to the
+    last column's end state when a take crosses into the next chunk; by
+    then every row of the chunk has been drawn.
+
+    The work that turns draws into outcomes (the sequential scans, the
+    clamp, the trace merge) runs on the rows a ``take`` returns; the scans
+    carry their state from one call to the next, so split takes equal one
+    large take.
     """
 
-    def __init__(self):
-        self._raw: tuple[np.ndarray, ...] = ()
+    def __init__(self, rng: np.random.Generator, layout: str):
+        if not (isinstance(rng, np.random.Generator)
+                and type(rng.bit_generator) is np.random.PCG64):
+            # the skip over unread rows relies on PCG64's one word per value
+            raise ConfigurationError(
+                f"sampling streams need a numpy Generator over PCG64, got {rng!r}")
+        self._rng = rng
+        self._layout = layout
+        # per column: a draw method positioned at the cursor row, or the
+        # whole column when it had to be drawn up front
+        self._cols: list = []
+        self._tail: np.random.Generator | None = None  # the last column's generator
         self._cursor = CHUNK  # next unfinished row of the current chunk
         self._chunk_start = -CHUNK  # packet index of the current chunk's row 0
 
-    def _draw(self) -> tuple[np.ndarray, ...]:
-        raise NotImplementedError
+    def _start_chunk(self) -> None:
+        if self._tail is not None:
+            self._rng.bit_generator.state = self._tail.bit_generator.state
+        base, words = self._rng.bit_generator.state, 0
+        self._cols = []
+        for j, kind in enumerate(self._layout):
+            gen = _clone(base, words)
+            if kind == "u":
+                self._cols.append(gen.random)
+                words += CHUNK
+            elif j < len(self._layout) - 1:
+                self._cols.append(gen.standard_normal(CHUNK))
+                base, words = gen.bit_generator.state, 0
+            else:
+                self._cols.append(gen.standard_normal)
+        self._tail = gen
+        self._cursor = 0
+        self._chunk_start += CHUNK
 
-    def _finish(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    def _rows(self, k: int) -> tuple[np.ndarray, ...]:
+        lo = self._cursor
+        return tuple(col[lo:lo + k] if isinstance(col, np.ndarray) else col(k)
+                     for col in self._cols)
+
+    def _finish(self, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
 
     def _take(self, n: int) -> tuple[np.ndarray, ...]:
         parts: list[tuple[np.ndarray, ...]] = []
         while True:
             if self._cursor == CHUNK:
-                self._raw = self._draw()
-                self._cursor = 0
-                self._chunk_start += CHUNK
+                self._start_chunk()
             k = min(n, CHUNK - self._cursor)
-            parts.append(self._finish(self._cursor, self._cursor + k))
+            parts.append(self._finish(self._rows(k)))
             self._cursor += k
             n -= k
             if n == 0:
@@ -326,23 +386,15 @@ class LossStream(_Buffered):
     """Chunked sampler for one LossModel."""
 
     def __init__(self, model: LossModel, rng: np.random.Generator):
-        super().__init__()
         _check(validate_loss_model(model))
+        super().__init__(rng, "uu")  # u_repeat, u_fresh
         self.model = model
-        self._rng = rng
         self._state = -1
 
-    def _draw(self):
-        u_repeat = self._rng.random(CHUNK)
-        u_fresh = self._rng.random(CHUNK)
-        return u_repeat, u_fresh
-
-    def _finish(self, lo, hi):
-        u_repeat, u_fresh = self._raw
+    def _finish(self, rows):
+        u_repeat, u_fresh = rows
         out, self._state = sticky_scan(
-            u_fresh[lo:hi], u_repeat[lo:hi], self.model.rate,
-            self.model.correlation, self._state,
-        )
+            u_fresh, u_repeat, self.model.rate, self.model.correlation, self._state)
         return (out,)
 
     def take(self, n: int) -> np.ndarray:
@@ -350,66 +402,58 @@ class LossStream(_Buffered):
         return self._take(n)[0]
 
 
+# Per-chunk column layout of each delay kind, after the loss columns
+# (u_repeat, u_fresh): normal draws eps; paretonormal draws u_mix, z, u_par;
+# constant and trace draw no delay randomness.
+_DELAY_LAYOUT = {"normal": "n", "paretonormal": "unu"}
+
+
 class PathStream(_Buffered):
     """Chunked sampler producing (lost, delay) columns for one path.
 
-    The per-chunk draw order is fixed (loss draws, then delay draws), so
-    outcome i is independent of the total number of packets requested.
-    Only the path's own loss process is sampled here; shared-segment loss
-    is combined by the caller.
+    The per-chunk column layout is fixed (loss columns, then delay
+    columns), so outcome i is independent of the total number of packets
+    requested.  Only the path's own loss process is sampled here;
+    shared-segment loss is combined by the caller.
     """
 
     def __init__(self, spec: PathSpec, rng: np.random.Generator):
-        super().__init__()
         _check(validate_loss_model(spec.loss, f"path {spec.id}: loss"))
         _check(validate_delay_model(spec.delay, f"path {spec.id}: delay"))
+        super().__init__(rng, "uu" + _DELAY_LAYOUT.get(spec.delay.kind, ""))
         self.spec = spec
-        self._rng = rng
         self._loss_state = -1
         self._ar_prev = 0.0
         self._ar_has = False
 
-    def _draw(self) -> tuple[np.ndarray, ...]:
-        u_repeat = self._rng.random(CHUNK)
-        u_fresh = self._rng.random(CHUNK)
-        kind = self.spec.delay.kind
-        if kind == "normal":
-            return u_repeat, u_fresh, self._rng.standard_normal(CHUNK)
-        if kind == "paretonormal":
-            u_mix = self._rng.random(CHUNK)
-            z = self._rng.standard_normal(CHUNK)
-            u_par = self._rng.random(CHUNK)
-            return u_repeat, u_fresh, u_mix, z, u_par
-        return u_repeat, u_fresh  # constant and trace draw no delay randomness
-
-    def _delay_rows(self, lo: int, hi: int) -> np.ndarray:
+    def _delay_rows(self, rows: tuple[np.ndarray, ...]) -> np.ndarray:
         d = self.spec.delay
         if d.kind == "constant":
-            return np.full(hi - lo, float(d.mean))
+            return np.full(len(rows[0]), float(d.mean))
         if d.kind == "normal":
-            eps = d.stddev * self._raw[2][lo:hi]
+            eps = d.stddev * rows[2]
         else:  # paretonormal
-            u_mix, z, u_par = (r[lo:hi] for r in self._raw[2:])
+            u_mix, z, u_par = rows[2:]
             u_par = 1.0 - u_par  # (0, 1], keeps the tail finite
             pareto = u_par ** (-1.0 / d.pareto_alpha)
             pareto_mean = d.pareto_alpha / (d.pareto_alpha - 1.0)
             eps = d.stddev * np.where(u_mix < d.pareto_weight, pareto - pareto_mean, z)
         x, self._ar_prev = ar1_scan(eps, d.correlation, self._ar_prev, self._ar_has)
-        self._ar_has = self._ar_has or hi > lo
+        self._ar_has = self._ar_has or len(eps) > 0
         return np.maximum(d.mean + x, 0.0)
 
-    def _finish(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        u_repeat, u_fresh = self._raw[:2]
+    def _finish(self, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+        u_repeat, u_fresh = rows[:2]
         lost, self._loss_state = sticky_scan(
-            u_fresh[lo:hi], u_repeat[lo:hi], self.spec.loss.rate,
-            self.spec.loss.correlation, self._loss_state,
+            u_fresh, u_repeat, self.spec.loss.rate, self.spec.loss.correlation,
+            self._loss_state,
         )
         if self.spec.delay.kind == "trace":
             t_lost, delay = self.spec.delay.trace.replay(
-                self._chunk_start + lo, hi - lo)
+                self._chunk_start + self._cursor, len(u_repeat))
             lost = lost | t_lost
         else:
-            delay = self._delay_rows(lo, hi)
+            delay = self._delay_rows(rows)
         return lost, delay
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:

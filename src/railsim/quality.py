@@ -83,21 +83,30 @@ def _delivered(delay_samples) -> np.ndarray:
     return arr[~np.isnan(arr)]
 
 
+def _check_loss_args(network_loss: float, deadline: float) -> None:
+    _check_prob(network_loss, "network_loss")
+    if not deadline >= 0:  # also rejects NaN
+        raise DomainError(f"deadline must be >= 0, got {deadline}")
+
+
+def _app_loss(network_loss: float, n_late: int, n_delivered: int) -> float:
+    """Network loss plus the share of delivered packets that arrive late."""
+    return network_loss + (1.0 - network_loss) * (float(n_late) / n_delivered)
+
+
 def effective_loss(network_loss: float,
                    delay_samples: Sequence[float | None] | np.ndarray,
                    deadline: float) -> float:
     """Total loss seen by the application: network loss plus delivered
     packets that miss the playout deadline."""
-    _check_prob(network_loss, "network_loss")
-    if not deadline >= 0:  # also rejects NaN
-        raise DomainError(f"deadline must be >= 0, got {deadline}")
+    _check_loss_args(network_loss, deadline)
     delivered = _delivered(delay_samples)
     if delivered.size == 0:
         if network_loss < 1.0:
             raise DomainError("no delivered samples but network_loss < 1")
         return 1.0
-    late = float(np.count_nonzero(delivered > deadline)) / delivered.size
-    return network_loss + (1.0 - network_loss) * late
+    return _app_loss(network_loss, np.count_nonzero(delivered > deadline),
+                     delivered.size)
 
 
 def mos(loss: float, one_way_delay: float, params: EModelParams = G711) -> QualityScore:
@@ -151,13 +160,19 @@ def mos_curve(n_sent: int, delivered_delays_ms, deadlines: Iterable[float],
     if n_sent < 1:
         raise DomainError("n_sent must be >= 1")
     network_loss = 1.0 - delivered.size / n_sent
+    ranked = np.sort(delivered)  # one sort serves every deadline's late count
     points = []
     for d in deadlines:
-        eff = (1.0 if delivered.size == 0
-               else effective_loss(network_loss, delivered, d))
-        on_time = delivered[delivered <= d] if delivered.size else delivered
+        if delivered.size:
+            _check_loss_args(network_loss, d)
+            n_late = delivered.size - int(np.searchsorted(ranked, d, "right"))
+            eff = _app_loss(network_loss, n_late, delivered.size)
+            # arrival order, not sorted: np.mean's pairwise sum depends on it
+            on_time = delivered if n_late == 0 else delivered[delivered <= d]
+        else:
+            eff, on_time = 1.0, delivered
         if on_time.size:
-            rep = end_system_delay + float(np.mean(np.minimum(on_time, d)))
+            rep = end_system_delay + float(np.mean(on_time))
         else:
             rep = end_system_delay + d  # nothing plays out; MOS floors on loss
         points.append(MosPoint(

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import ConfigurationError, TraceParseError
-from railsim.pathsim import (CHUNK, DelayModel, LossModel, LossStream, PathSpec,
-                             PathStream, SharedSegmentSpec, Trace, load_trace,
-                             path_rng, shared_rng)
+from railsim.pathsim import (CHUNK, DELAY_KINDS, DelayModel, LossModel, LossStream,
+                             PathSpec, PathStream, SharedSegmentSpec, Trace,
+                             load_trace, path_rng, shared_rng)
 
 N = 100_000
 
@@ -181,6 +183,125 @@ def test_split_takes_equal_one_take_for_shared_segment():
     split, whole = _split_and_whole(lambda: LossStream(model, shared_rng(6, 1)),
                                     lambda s, k: (s.take(k),))
     assert split[0].tobytes() == whole[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# lazy columns against whole-chunk draws
+
+
+class _EagerDraws:
+    """Oracle: every column of a chunk drawn whole, in order, from the
+    stream's own generator as soon as the chunk starts.  The rows of each
+    take are finished by the stream's own ``_finish``, so only the drawing
+    differs from the lazy stream.  ``chunk_start_state`` is the generator
+    state the current chunk was drawn from."""
+
+    def _take(self, n):
+        parts = []
+        while True:
+            if self._cursor == CHUNK:
+                self.chunk_start_state = self._rng.bit_generator.state
+                self._raw = self._draw()
+                self._cursor = 0
+                self._chunk_start += CHUNK
+            k = min(n, CHUNK - self._cursor)
+            lo = self._cursor
+            parts.append(self._finish(tuple(r[lo:lo + k] for r in self._raw)))
+            self._cursor += k
+            n -= k
+            if n == 0:
+                break
+        return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+class EagerLossStream(_EagerDraws, LossStream):
+    def _draw(self):
+        u_repeat = self._rng.random(CHUNK)
+        u_fresh = self._rng.random(CHUNK)
+        return u_repeat, u_fresh
+
+
+class EagerPathStream(_EagerDraws, PathStream):
+    def _draw(self):
+        u_repeat = self._rng.random(CHUNK)
+        u_fresh = self._rng.random(CHUNK)
+        kind = self.spec.delay.kind
+        if kind == "normal":
+            return u_repeat, u_fresh, self._rng.standard_normal(CHUNK)
+        if kind == "paretonormal":
+            u_mix = self._rng.random(CHUNK)
+            z = self._rng.standard_normal(CHUNK)
+            u_par = self._rng.random(CHUNK)
+            return u_repeat, u_fresh, u_mix, z, u_par
+        return u_repeat, u_fresh
+
+
+WRAP_TRACE = load_trace("".join(f"{k},{0 if k % 5 == 0 else 10 + k % 7}\n"
+                                for k in range(1, 3001)))
+
+
+def _lazy_and_eager(kind, loss, delay_corr, seed):
+    if kind == "loss":
+        return (LossStream(loss, shared_rng(seed, 1)),
+                EagerLossStream(loss, shared_rng(seed, 1)))
+    delay = DelayModel(kind, mean=60.0, stddev=15.0, correlation=delay_corr,
+                       trace=WRAP_TRACE)
+    spec = PathSpec("a", loss=loss, delay=delay)
+    return PathStream(spec, path_rng(seed, 2)), EagerPathStream(spec, path_rng(seed, 2))
+
+
+def _assert_same_takes(lazy, eager, takes):
+    for k in takes:
+        got, want = lazy.take(k), eager.take(k)
+        got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert len(a) == k
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # the lazy generator waits at the start of the chunk in use
+        assert lazy._rng.bit_generator.state == eager.chunk_start_state
+
+
+STREAM_KINDS = ["loss", *DELAY_KINDS]
+# end exactly on a chunk boundary, cross one, span more than one, take nothing
+BOUNDARY_TAKES = [[CHUNK, 1], [CHUNK - 1, 2], [2 * CHUNK + 7], [0, 5, 0, CHUNK - 5, 0, 3]]
+
+
+@pytest.mark.parametrize("takes", BOUNDARY_TAKES)
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+def test_lazy_columns_equal_whole_chunk_draws_at_boundaries(kind, takes):
+    lazy, eager = _lazy_and_eager(kind, LossModel(0.1, 0.6), 0.9, seed=17)
+    _assert_same_takes(lazy, eager, takes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(STREAM_KINDS),
+       rate=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       loss_corr=st.sampled_from([0.0, 0.3, 0.9]),
+       delay_corr=st.sampled_from([0.0, 0.4, 0.95]),
+       seed=st.integers(0, 2 ** 64 - 1),
+       takes=st.lists(st.sampled_from([0, 1, 2, 7, 999, CHUNK - 1, CHUNK, CHUNK + 1,
+                                       2 * CHUNK + 7]), min_size=1, max_size=4))
+def test_lazy_columns_equal_whole_chunk_draws(kind, rate, loss_corr, delay_corr,
+                                              seed, takes):
+    lazy, eager = _lazy_and_eager(kind, LossModel(rate, loss_corr), delay_corr, seed)
+    _assert_same_takes(lazy, eager, takes)
+
+
+@pytest.mark.parametrize("make_rng", [
+    lambda: np.random.Generator(np.random.Philox(1)),
+    lambda: np.random.Generator(np.random.PCG64DXSM(1)),
+    lambda: np.random.Generator(np.random.MT19937(1)),
+    lambda: np.random.Generator(np.random.SFC64(1)),
+    lambda: np.random.RandomState(1),
+], ids=["philox", "pcg64dxsm", "mt19937", "sfc64", "randomstate"])
+def test_streams_reject_generators_other_than_pcg64(make_rng):
+    # the lazy columns skip unread rows in PCG64 words; any other generator
+    # would silently draw different randomness
+    with pytest.raises(ConfigurationError, match="PCG64"):
+        PathStream(PathSpec("a"), make_rng())
+    with pytest.raises(ConfigurationError, match="PCG64"):
+        LossStream(LossModel(), make_rng())
 
 
 # ---------------------------------------------------------------------------

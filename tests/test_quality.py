@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import DomainError
 from railsim.pathsim import DelayModel, PathSpec
-from railsim.quality import (EModelParams, TcpPathSet, effective_loss, mos,
-                             mos_curve, optimal_playout, path_mos_curve,
+from railsim.quality import (G711, EModelParams, MosPoint, TcpPathSet,
+                             effective_loss, mos, mos_curve, optimal_playout, path_mos_curve,
                              rail_loss_independent, rail_loss_shared,
                              rail_mos_curve, tcp_fact1_check,
                              tcp_throughput_rail, tcp_throughput_single)
@@ -216,6 +218,77 @@ def test_replication_curve_dominates_single_path():
     for i in range(len(deadlines)):
         best_single = max(singles[0][i].score.mos, singles[1][i].score.mos)
         assert rail[i].score.mos >= best_single - 1e-9
+
+
+def _mos_curve_per_deadline(n_sent, delivered_delays_ms, deadlines,
+                            end_system_delay, params=G711):
+    """Oracle: mos_curve with one ``effective_loss`` call and one on-time
+    filter per deadline."""
+    deadlines = list(deadlines)
+    if not deadlines:
+        raise DomainError("deadline range is empty")
+    if end_system_delay < 0:
+        raise DomainError("end_system_delay must be >= 0")
+    delivered = np.asarray(delivered_delays_ms, dtype=np.float64)
+    delivered = delivered[~np.isnan(delivered)]
+    if n_sent < 1:
+        raise DomainError("n_sent must be >= 1")
+    network_loss = 1.0 - delivered.size / n_sent
+    points = []
+    for d in deadlines:
+        eff = (1.0 if delivered.size == 0
+               else effective_loss(network_loss, delivered, d))
+        on_time = delivered[delivered <= d] if delivered.size else delivered
+        if on_time.size:
+            rep = end_system_delay + float(np.mean(np.minimum(on_time, d)))
+        else:
+            rep = end_system_delay + d
+        points.append(MosPoint(
+            deadline=float(d),
+            one_way=end_system_delay + float(d),
+            effective_loss=min(1.0, eff),
+            representative_delay=rep,
+            score=mos(min(1.0, eff), rep, params),
+        ))
+    return points
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+# deadlines and delays share a grid so ties at a deadline are common
+GRID = [0.0, 10.0, 50.0, 80.0, 150.0, 400.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_sent=st.integers(-1, 40),
+    delays=st.lists(st.none() | st.just(math.nan) | st.sampled_from(GRID)
+                    | st.floats(-20.0, 1e4) | st.just(math.inf), max_size=40),
+    deadlines=st.lists(st.sampled_from(GRID) | st.integers(-5, 500)
+                       | st.floats(-5.0, 1e4) | st.just(math.nan)
+                       | st.just(math.inf), max_size=8),
+    end_system_delay=st.sampled_from([0.0, 40.0]) | st.floats(-1.0, 500.0),
+)
+def test_mos_curve_equals_per_deadline_loop(n_sent, delays, deadlines,
+                                            end_system_delay):
+    # Equal points, or the same DomainError.  The oracle's np.minimum(on_time,
+    # d) is a no-op except on signed zeros, which == treats as equal.
+    want = _outcome(_mos_curve_per_deadline, n_sent, delays, deadlines,
+                    end_system_delay)
+    got = _outcome(mos_curve, n_sent, delays, deadlines, end_system_delay)
+    assert got == want
+
+
+def test_mos_curve_all_lost_and_empty_inputs():
+    for delays in ([], [None] * 5, [math.nan] * 5):
+        points = mos_curve(5, delays, [50.0, 150.0], 40.0)
+        assert points == _mos_curve_per_deadline(5, delays, [50.0, 150.0], 40.0)
+        assert all(p.effective_loss == 1.0 for p in points)
 
 
 def test_curve_empty_deadlines_is_error():
