@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pathsim
 from .errors import ConfigurationError, ValidationError
 from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, PathSpec,
-                      PathStream, SharedSegmentSpec, fits_clock, load_trace,
-                      path_rng, shared_rng, validate_delay_model,
-                      validate_loss_model)
+                      SharedSegmentSpec, fits_clock, load_trace, path_rng,
+                      sample_loss, sample_path, shared_rng,
+                      validate_delay_model, validate_loss_model)
 from .railedge import (DEFAULT_DEDUP_WINDOW, PaddingConfig,
                        reorder_hold_schedule, window_miss_duplicates)
 
@@ -210,9 +209,11 @@ def _dedup_pass(arrival_ns: np.ndarray, window: int):
         # no eviction is possible: no copy after the first is forwarded
         dup_t = dup_s = np.empty(0, dtype=np.int64)
     else:
-        p_idx, s_idx = np.nonzero(delivered)
+        # the transpose lists the copies by seq, then path, so a stable
+        # sort by time orders them by time, then seq, then path
+        s_idx, p_idx = np.nonzero(delivered.T)
         t = arrival_ns[p_idx, s_idx]
-        order = np.lexsort((p_idx, s_idx, t))  # by time, then seq, then path
+        order = np.argsort(t, kind="stable")
         t, s_idx = t[order], s_idx[order]
         misses = window_miss_duplicates(s_idx, count, window)
         dup_t, dup_s = t[misses], s_idx[misses]
@@ -230,18 +231,16 @@ def simulate(scenario: Scenario) -> SimResult:
     send_ns = np.arange(n, dtype=np.int64) * dt_ns
     warnings: list[str] = []
 
-    # shared segments: one loss stream per segment actually referenced
+    # shared segments: one loss column per segment actually referenced
     referenced = {p.shared for p in scenario.paths if p.shared is not None}
-    shared_lost: dict[str, np.ndarray] = {}
-    for idx, seg in enumerate(scenario.shared_segments):
-        if seg.id in referenced:
-            stream = pathsim.LossStream(seg.loss, shared_rng(scenario.seed, idx))
-            shared_lost[seg.id] = stream.take(n)
+    shared_lost = {seg.id: sample_loss(seg.loss, shared_rng(scenario.seed, idx), n)
+                   for idx, seg in enumerate(scenario.shared_segments)
+                   if seg.id in referenced}
 
     arrival_ns = np.empty((len(scenario.paths), n), dtype=np.int64)
     lost_copies = 0
     for pidx, spec in enumerate(scenario.paths):
-        lost, delay_ms = PathStream(spec, path_rng(scenario.seed, pidx)).take(n)
+        lost, delay_ms = sample_path(spec, path_rng(scenario.seed, pidx), n)
         if spec.shared is not None:
             lost = lost | shared_lost[spec.shared]
         forced = scenario.forced_losses.get(spec.id)

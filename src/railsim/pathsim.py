@@ -1,13 +1,14 @@
 """Per-path packet outcomes: parametric loss/delay models and recorded traces.
 
-Every path owns an independent RNG stream derived from the scenario seed,
-so a (path spec, seed) pair always reproduces the same outcome sequence
-regardless of how many packets are drawn or whether they are drawn one at
-a time or in bulk.  Randomness is laid out in fixed-size chunks with a
-fixed column layout per chunk, but only the rows handed out are drawn
-(the paretonormal kind's normal column is the one exception, drawn whole
-per chunk); the sequential recurrences (sticky loss, AR(1) delay) run on
-the rows handed out only.
+Every path owns an independent generator derived from the scenario seed.
+``sample_path`` and ``sample_loss`` turn it into a run's loss mask and
+delay column in one call.  Randomness is laid out in fixed-size chunks
+with a fixed column layout per chunk, so packet i's outcome does not
+depend on how many packets a run asks for; only the rows of the run are
+drawn (the paretonormal kind's normal column is the one exception, drawn
+whole per chunk).  Each chunk is reduced to what the sequential
+recurrences (sticky loss, AR(1) delay) read as it is drawn, and each
+recurrence then runs once over the whole run.
 """
 
 from __future__ import annotations
@@ -227,63 +228,51 @@ def load_trace(source: str | IO[str]) -> Trace:
 # scan kernels
 
 
-def sticky_scan(u_fresh, u_repeat, rate, corr, prev):
+def sticky_scan(fresh, hit):
     """First-order sticky Bernoulli process.
 
-    Outcome i repeats outcome i-1 with probability ``corr`` (decided by
-    ``u_repeat[i]``), otherwise it is a fresh draw ``u_fresh[i] < rate``.
-    ``prev`` is the outcome carried over from an earlier chunk (-1 when
-    there is none).  Returns (bool array of outcomes, last outcome).
+    Row i is fresh when ``fresh[i]`` is true (row 0 always is: nothing
+    precedes it), and a fresh row's outcome is ``hit[i]``; any other row
+    repeats outcome i-1.  Returns the bool array of outcomes.
 
-    Outcome i is the fresh draw of the last fresh row at or before i, so
-    no loop is needed: rows with ``u_repeat >= corr`` are fresh (row 0 too
-    when nothing is carried over), a running maximum over their indices
-    finds that row, and rows before the first fresh one repeat ``prev``.
+    Outcome i is the hit of the last fresh row at or before i, so no loop
+    is needed: a running maximum over the fresh rows' indices finds that
+    row.
     """
-    n = len(u_fresh)
-    if n == 0:
-        return np.empty(0, dtype=bool), prev
-    fresh = u_repeat >= corr
-    if prev == -1:
-        fresh[0] = True
-    src = np.where(fresh, np.arange(n), -1)
+    src = np.where(fresh, np.arange(len(fresh)), 0)
     np.maximum.accumulate(src, out=src)
-    out = (u_fresh < rate)[src]
-    out[src < 0] = prev == 1
-    return out, int(out[-1])
+    return hit[src]
 
 
-def ar1_scan(eps, corr, prev, has_prev):
-    """AR(1) scan: x[i] = corr * x[i-1] + sqrt(1 - corr^2) * eps[i].
+def ar1_scan(eps, corr):
+    """AR(1) scan: x[0] = eps[0], x[i] = corr * x[i-1] + sqrt(1 - corr^2) * eps[i].
 
-    The first element is taken verbatim from ``eps`` when ``has_prev``
-    is false, so a chunked scan continues an earlier one exactly.
-    Returns (float64 array, last value).  The correlated case stays a
-    sequential loop: no numpy-only form reproduces its rounding exactly.
+    Returns a float64 array.  The correlated case stays a sequential loop:
+    no numpy-only form reproduces its rounding exactly.  The loop builds a
+    Python list of at most ``CHUNK`` values at a time and copies it into
+    the output, which is faster than one list over a long run.
     """
-    n = len(eps)
-    if n == 0:
-        return np.empty(0, dtype=np.float64), prev
     if corr == 0.0:
         # Value-identical to the scan (adding 0.0 normalises -0.0).
-        out = eps + 0.0
-        return out, float(out[-1])
+        return eps + 0.0
+    n = len(eps)
+    out = np.empty(n, dtype=np.float64)
+    if n == 0:
+        return out
     s = math.sqrt(1.0 - corr * corr)
-    out: list[float] = []
-    x = prev
-    if not has_prev:
-        x = float(eps[0])
-        out.append(x)
-        eps = eps[1:]
-    # numpy's float64 product is the same IEEE product as the scalar one
-    for b in (s * eps).tolist():
-        x = corr * x + b
-        out.append(x)
-    return np.array(out, dtype=np.float64), x
+    x = out[0] = float(eps[0])
+    for lo in range(1, n, CHUNK):
+        block: list[float] = []
+        # numpy's float64 product is the same IEEE product as the scalar one
+        for b in (s * eps[lo:lo + CHUNK]).tolist():
+            x = corr * x + b
+            block.append(x)
+        out[lo:lo + len(block)] = block
+    return out
 
 
 # ---------------------------------------------------------------------------
-# sampling streams
+# sampling
 
 
 # Seeds the construction of column clones only; each clone's state is
@@ -299,107 +288,67 @@ def _clone(state: dict, words: int) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-class _Buffered:
-    """take(n) over chunks with a fixed column layout, drawing only the rows
-    handed out.
+def _chunks(rng: np.random.Generator, layout: str, n: int):
+    """Yield (start, rows) for the chunks of packets [0, n), in order.
 
     Each chunk's randomness is laid out as whole columns of ``CHUNK`` rows
     in a fixed order (``layout``: ``"u"`` a uniform column, ``"n"`` a
     standard-normal one), exactly as if each column were drawn whole from
-    the stream's generator in turn, so packet i sees the same randomness
-    whatever the request sizes.  Only the rows a ``take`` returns are drawn:
-    when a chunk starts, each column gets its own PCG64 clone of the
-    chunk-start state, advanced to where that column begins.  This is
-    exact because ``random()`` takes one 64-bit word per value, and
-    consecutive ``random``/``standard_normal`` calls equal one call and
-    leave the same state.  A normal column followed by another column is
-    drawn whole, because a normal takes a variable number of words and the
-    next column starts where it ends.  The stream's generator moves to the
-    last column's end state when a take crosses into the next chunk; by
-    then every row of the chunk has been drawn.
+    ``rng`` in turn, so packet i sees the same randomness whatever ``n``
+    is.  ``rows`` holds one array per column with the chunk's rows below
+    ``n`` only, the first of them packet ``start``'s.
 
-    The work that turns draws into outcomes (the sequential scans, the
-    clamp, the trace merge) runs on the rows a ``take`` returns; the scans
-    carry their state from one call to the next, so split takes equal one
-    large take.
+    Only those rows are drawn: each column gets its own PCG64 clone of the
+    chunk-start state, advanced to where the column begins.  This is exact
+    because ``random()`` takes one 64-bit word per value, and consecutive
+    ``random``/``standard_normal`` calls equal one call and leave the same
+    state.  A normal column followed by another column is drawn whole,
+    because a normal takes a variable number of words and the next column
+    starts where it ends.  The next chunk starts where the last column of
+    a full chunk ends.  ``rng`` is only read, never advanced.
     """
-
-    def __init__(self, rng: np.random.Generator, layout: str):
-        if not (isinstance(rng, np.random.Generator)
-                and type(rng.bit_generator) is np.random.PCG64):
-            # the skip over unread rows relies on PCG64's one word per value
-            raise ConfigurationError(
-                f"sampling streams need a numpy Generator over PCG64, got {rng!r}")
-        self._rng = rng
-        self._layout = layout
-        # per column: a draw method positioned at the cursor row, or the
-        # whole column when it had to be drawn up front
-        self._cols: list = []
-        self._tail: np.random.Generator | None = None  # the last column's generator
-        self._cursor = CHUNK  # next unfinished row of the current chunk
-        self._chunk_start = -CHUNK  # packet index of the current chunk's row 0
-
-    def _start_chunk(self) -> None:
-        if self._tail is not None:
-            self._rng.bit_generator.state = self._tail.bit_generator.state
-        base, words = self._rng.bit_generator.state, 0
-        self._cols = []
-        for j, kind in enumerate(self._layout):
+    if not (isinstance(rng, np.random.Generator)
+            and type(rng.bit_generator) is np.random.PCG64):
+        # the skip over unread rows relies on PCG64's one word per value
+        raise ConfigurationError(
+            f"path sampling needs a numpy Generator over PCG64, got {rng!r}")
+    state = rng.bit_generator.state
+    for start in range(0, n, CHUNK):
+        k = min(n - start, CHUNK)
+        base, words, rows = state, 0, []
+        for j, kind in enumerate(layout):
             gen = _clone(base, words)
             if kind == "u":
-                self._cols.append(gen.random)
+                rows.append(gen.random(k))
                 words += CHUNK
-            elif j < len(self._layout) - 1:
-                self._cols.append(gen.standard_normal(CHUNK))
+            elif j < len(layout) - 1:
+                rows.append(gen.standard_normal(CHUNK)[:k])
                 base, words = gen.bit_generator.state, 0
             else:
-                self._cols.append(gen.standard_normal)
-        self._tail = gen
-        self._cursor = 0
-        self._chunk_start += CHUNK
-
-    def _rows(self, k: int) -> tuple[np.ndarray, ...]:
-        lo = self._cursor
-        return tuple(col[lo:lo + k] if isinstance(col, np.ndarray) else col(k)
-                     for col in self._cols)
-
-    def _finish(self, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        raise NotImplementedError
-
-    def _take(self, n: int) -> tuple[np.ndarray, ...]:
-        parts: list[tuple[np.ndarray, ...]] = []
-        while True:
-            if self._cursor == CHUNK:
-                self._start_chunk()
-            k = min(n, CHUNK - self._cursor)
-            parts.append(self._finish(self._rows(k)))
-            self._cursor += k
-            n -= k
-            if n == 0:
-                break
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(c) for c in zip(*parts))
+                rows.append(gen.standard_normal(k))
+        state = gen.bit_generator.state
+        yield start, rows
 
 
-class LossStream(_Buffered):
-    """Chunked sampler for one LossModel."""
+def _loss_rows(model: LossModel, u_repeat: np.ndarray, u_fresh: np.ndarray,
+               fresh: np.ndarray, hit: np.ndarray) -> None:
+    """One chunk's loss columns reduced, into ``fresh`` and ``hit``, to the
+    rows that ``sticky_scan`` reads."""
+    np.greater_equal(u_repeat, model.correlation, out=fresh)
+    np.less(u_fresh, model.rate, out=hit)
 
-    def __init__(self, model: LossModel, rng: np.random.Generator):
-        _check(validate_loss_model(model))
-        super().__init__(rng, "uu")  # u_repeat, u_fresh
-        self.model = model
-        self._state = -1
 
-    def _finish(self, rows):
-        u_repeat, u_fresh = rows
-        out, self._state = sticky_scan(
-            u_fresh, u_repeat, self.model.rate, self.model.correlation, self._state)
-        return (out,)
+def sample_loss(model: LossModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Loss outcomes of packets [0, n) as a bool array (True = lost).
 
-    def take(self, n: int) -> np.ndarray:
-        """Next ``n`` loss outcomes as a bool array (True = lost)."""
-        return self._take(n)[0]
+    Each chunk's columns are ``u_repeat`` then ``u_fresh``.
+    """
+    _check(validate_loss_model(model))
+    fresh, hit = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    for lo, (u_repeat, u_fresh) in _chunks(rng, "uu", n):
+        hi = lo + len(u_repeat)
+        _loss_rows(model, u_repeat, u_fresh, fresh[lo:hi], hit[lo:hi])
+    return sticky_scan(fresh, hit)
 
 
 # Per-chunk column layout of each delay kind, after the loss columns
@@ -408,58 +357,44 @@ class LossStream(_Buffered):
 _DELAY_LAYOUT = {"normal": "n", "paretonormal": "unu"}
 
 
-class PathStream(_Buffered):
-    """Chunked sampler producing (lost, delay) columns for one path.
+def _deviates(d: DelayModel, rows: list[np.ndarray]) -> np.ndarray:
+    """One chunk's delay columns reduced to the scaled AR(1) innovations."""
+    if d.kind == "normal":
+        return d.stddev * rows[0]
+    u_mix, z, u_par = rows
+    u_par = 1.0 - u_par  # (0, 1], keeps the tail finite
+    pareto = u_par ** (-1.0 / d.pareto_alpha)
+    pareto_mean = d.pareto_alpha / (d.pareto_alpha - 1.0)
+    return d.stddev * np.where(u_mix < d.pareto_weight, pareto - pareto_mean, z)
 
-    The per-chunk column layout is fixed (loss columns, then delay
-    columns), so outcome i is independent of the total number of packets
-    requested.  Only the path's own loss process is sampled here;
-    shared-segment loss is combined by the caller.
+
+def sample_path(spec: PathSpec, rng: np.random.Generator,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packets [0, n) on one path as (lost bool[n], delay_ms float[n]).
+
+    Each chunk holds the loss columns, then the delay columns of
+    ``_DELAY_LAYOUT``, and is reduced to the rows the scans read as it is
+    drawn; each scan then runs once over the whole run.  The delay column
+    is populated for every packet; entries where ``lost`` is True are
+    ignored downstream.  Only the path's own loss process is sampled
+    here; shared-segment loss is combined by the caller.
     """
-
-    def __init__(self, spec: PathSpec, rng: np.random.Generator):
-        _check(validate_loss_model(spec.loss, f"path {spec.id}: loss"))
-        _check(validate_delay_model(spec.delay, f"path {spec.id}: delay"))
-        super().__init__(rng, "uu" + _DELAY_LAYOUT.get(spec.delay.kind, ""))
-        self.spec = spec
-        self._loss_state = -1
-        self._ar_prev = 0.0
-        self._ar_has = False
-
-    def _delay_rows(self, rows: tuple[np.ndarray, ...]) -> np.ndarray:
-        d = self.spec.delay
-        if d.kind == "constant":
-            return np.full(len(rows[0]), float(d.mean))
-        if d.kind == "normal":
-            eps = d.stddev * rows[2]
-        else:  # paretonormal
-            u_mix, z, u_par = rows[2:]
-            u_par = 1.0 - u_par  # (0, 1], keeps the tail finite
-            pareto = u_par ** (-1.0 / d.pareto_alpha)
-            pareto_mean = d.pareto_alpha / (d.pareto_alpha - 1.0)
-            eps = d.stddev * np.where(u_mix < d.pareto_weight, pareto - pareto_mean, z)
-        x, self._ar_prev = ar1_scan(eps, d.correlation, self._ar_prev, self._ar_has)
-        self._ar_has = self._ar_has or len(eps) > 0
-        return np.maximum(d.mean + x, 0.0)
-
-    def _finish(self, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-        u_repeat, u_fresh = rows[:2]
-        lost, self._loss_state = sticky_scan(
-            u_fresh, u_repeat, self.spec.loss.rate, self.spec.loss.correlation,
-            self._loss_state,
-        )
-        if self.spec.delay.kind == "trace":
-            t_lost, delay = self.spec.delay.trace.replay(
-                self._chunk_start + self._cursor, len(u_repeat))
-            lost = lost | t_lost
-        else:
-            delay = self._delay_rows(rows)
-        return lost, delay
-
-    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next ``n`` packets as (lost bool[n], delay_ms float[n]).
-
-        The delay column is populated for every packet; entries where
-        ``lost`` is True are ignored downstream.
-        """
-        return self._take(n)
+    _check(validate_loss_model(spec.loss, f"path {spec.id}: loss"))
+    _check(validate_delay_model(spec.delay, f"path {spec.id}: delay"))
+    d = spec.delay
+    fresh, hit = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    eps = np.empty(n)
+    for lo, (u_repeat, u_fresh, *delay_rows) in _chunks(
+            rng, "uu" + _DELAY_LAYOUT.get(d.kind, ""), n):
+        hi = lo + len(u_repeat)
+        _loss_rows(spec.loss, u_repeat, u_fresh, fresh[lo:hi], hit[lo:hi])
+        if delay_rows:
+            eps[lo:hi] = _deviates(d, delay_rows)
+    lost = sticky_scan(fresh, hit)
+    if d.kind == "trace":
+        t_lost, delay = d.trace.replay(0, n)
+        return lost | t_lost, delay
+    if d.kind == "constant":
+        return lost, np.full(n, float(d.mean))
+    x = ar1_scan(eps, d.correlation)
+    return lost, np.maximum(d.mean + x, 0.0)

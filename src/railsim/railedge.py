@@ -52,7 +52,7 @@ class PaddingConfig:
 
 
 def reorder_hold_schedule(ready: np.ndarray, timeout_ns: int,
-                          window: int = DEFAULT_DEDUP_WINDOW) -> np.ndarray:
+                          window: int) -> np.ndarray:
     """Reorder-removal release schedule.
 
     ``ready`` is the int64 (n, 2) array of (time_ns, seq) rows of packets

@@ -19,7 +19,8 @@ def test_removed_per_packet_api_is_gone():
 
     gone = {
         railsim.pathsim: ["Outcome", "LOST", "PathState", "SharedSegmentState",
-                          "sample_outcome", "trace_outcome"],
+                          "sample_outcome", "trace_outcome", "PathStream",
+                          "LossStream", "_Buffered"],
         railsim.pathsim.Trace: ["outcome", "replay_window"],
         railsim.railedge: ["Decision", "on_wan_arrival", "RailHeader",
                            "encode_packet", "decode_packet", "replicate",
@@ -31,12 +32,8 @@ def test_removed_per_packet_api_is_gone():
         for name in names:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     assert not hasattr(railsim.pathsim.load_trace("1,5"), "_by_seq")
-    # instance attributes and dataclass fields are not on the class
-    spec = railsim.PathSpec("a")
-    stream = railsim.pathsim.PathStream(spec, railsim.pathsim.path_rng(0, 0))
-    stream.take(1)
-    assert not hasattr(stream, "wrapped")
-    sim = railsim.simulate(railsim.Scenario(paths=[spec],
+    # dataclass fields are not on the class
+    sim = railsim.simulate(railsim.Scenario(paths=[railsim.PathSpec("a")],
                                             traffic=railsim.TrafficSpec(count=2)))
     assert not hasattr(sim, "per_path_outcomes")
     assert len(railsim.__all__) == 44

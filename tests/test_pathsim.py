@@ -6,35 +6,38 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import loop_ar1_scan, loop_sticky_scan
 
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import ConfigurationError, TraceParseError
-from railsim.pathsim import (CHUNK, DELAY_KINDS, DelayModel, LossModel, LossStream,
-                             PathSpec, PathStream, SharedSegmentSpec, Trace,
-                             load_trace, path_rng, shared_rng)
+from railsim.pathsim import (CHUNK, DELAY_KINDS, DelayModel, LossModel, PathSpec,
+                             SharedSegmentSpec, Trace, _loss_rows, load_trace,
+                             path_rng, sample_loss, sample_path, shared_rng)
 
 N = 100_000
 
 
-def _stream(spec, seed=0, idx=0):
-    return PathStream(spec, path_rng(seed, idx))
+def _path(spec, n, seed=0, idx=0):
+    return sample_path(spec, path_rng(seed, idx), n)
 
 
 # ---------------------------------------------------------------------------
 # path outcomes
 
 
-def _one_at_a_time(stream, n):
-    pieces = [stream.take(1) for _ in range(n)]
-    return tuple(np.concatenate(c) for c in zip(*pieces))
+def _one_at_a_time(spec, n, seed=0, idx=0):
+    """Packet i of each column taken from a run of i + 1 packets."""
+    rng = path_rng(seed, idx)
+    lasts = [[col[-1] for col in sample_path(spec, rng, i + 1)] for i in range(n)]
+    return tuple(np.array(c) for c in zip(*lasts))
 
 
 def test_zero_loss_constant_delay_delivers():
     spec = PathSpec("a", delay=DelayModel("constant", mean=100.0))
-    lost, delay = _one_at_a_time(_stream(spec, seed=1), 200)
+    lost, delay = _one_at_a_time(spec, 200, seed=1)
     assert lost.dtype == bool and not lost.any()
     assert np.all(delay == 100.0)
-    batch = _stream(spec, seed=1).take(200)
+    batch = _path(spec, 200, seed=1)
     assert lost.tobytes() == batch[0].tobytes()
     assert delay.tobytes() == batch[1].tobytes()
 
@@ -42,22 +45,20 @@ def test_zero_loss_constant_delay_delivers():
 def test_certain_loss_always_lost():
     spec = PathSpec("a", loss=LossModel(rate=1.0),
                     delay=DelayModel("normal", mean=50.0, stddev=10.0))
-    lost, _ = _one_at_a_time(_stream(spec, seed=1), 200)
+    lost, _ = _one_at_a_time(spec, 200, seed=1)
     assert lost.all()
-    assert _stream(spec, seed=1).take(200)[0].all()
+    assert _path(spec, 200, seed=1)[0].all()
 
 
 def test_measured_loss_rate_matches_bernoulli_mean():
-    stream = LossStream(LossModel(0.1, 0.0), path_rng(12, 0))
-    measured = stream.take(N).mean()
+    measured = sample_loss(LossModel(0.1, 0.0), path_rng(12, 0), N).mean()
     sigma = math.sqrt(0.1 * 0.9 / N)
     assert abs(measured - 0.1) <= 3 * sigma
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_uncorrelated_loss_within_four_sigma(seed):
-    stream = LossStream(LossModel(0.1, 0.0), path_rng(seed, 0))
-    measured = stream.take(N).mean()
+    measured = sample_loss(LossModel(0.1, 0.0), path_rng(seed, 0), N).mean()
     sigma = math.sqrt(0.1 * 0.9 / N)
     assert abs(measured - 0.1) <= 4 * sigma
 
@@ -65,15 +66,14 @@ def test_uncorrelated_loss_within_four_sigma(seed):
 def test_sticky_loss_keeps_stationary_rate():
     # the sticky process repeats outcomes but leaves the long-run rate alone;
     # autocorrelation inflates the variance of the mean by (1+c)/(1-c)
-    stream = LossStream(LossModel(0.2, 0.5), path_rng(21, 0))
-    measured = stream.take(N).mean()
+    measured = sample_loss(LossModel(0.2, 0.5), path_rng(21, 0), N).mean()
     sigma = math.sqrt(0.2 * 0.8 / N) * math.sqrt(1.5 / 0.5)
     assert abs(measured - 0.2) <= 4 * sigma
 
 
 def test_sticky_loss_lengthens_runs():
-    plain = LossStream(LossModel(0.2, 0.0), path_rng(40, 0)).take(N)
-    sticky = LossStream(LossModel(0.2, 0.7), path_rng(40, 1)).take(N)
+    plain = sample_loss(LossModel(0.2, 0.0), path_rng(40, 0), N)
+    sticky = sample_loss(LossModel(0.2, 0.7), path_rng(40, 1), N)
 
     def mean_run(seq):
         runs, cur = [], 0
@@ -113,11 +113,11 @@ def test_same_spec_and_seed_reproduce_byte_identical_streams():
     spec = PathSpec("a", loss=LossModel(0.05, 0.3),
                     delay=DelayModel("paretonormal", mean=80.0, stddev=15.0,
                                      correlation=0.4))
-    l1, d1 = _stream(spec, seed=9).take(5000)
-    l2, d2 = _stream(spec, seed=9).take(5000)
+    l1, d1 = _path(spec, 5000, seed=9)
+    l2, d2 = _path(spec, 5000, seed=9)
     assert l1.tobytes() == l2.tobytes()
     assert d1.tobytes() == d2.tobytes()
-    l3, _ = _stream(spec, seed=10).take(5000)
+    l3, _ = _path(spec, 5000, seed=10)
     assert l3.tobytes() != l1.tobytes()
 
 
@@ -125,8 +125,8 @@ def test_streaming_equals_batch():
     spec = PathSpec("a", loss=LossModel(0.2, 0.5),
                     delay=DelayModel("normal", mean=60.0, stddev=12.0,
                                      correlation=0.3))
-    lost, delay = _stream(spec, seed=4, idx=2).take(200)
-    one_lost, one_delay = _one_at_a_time(_stream(spec, seed=4, idx=2), 200)
+    lost, delay = _path(spec, 200, seed=4, idx=2)
+    one_lost, one_delay = _one_at_a_time(spec, 200, seed=4, idx=2)
     assert one_lost.tobytes() == lost.tobytes()
     assert one_delay.tobytes() == delay.tobytes()
 
@@ -134,144 +134,112 @@ def test_streaming_equals_batch():
 def test_prefix_independent_of_request_size():
     spec = PathSpec("a", loss=LossModel(0.1),
                     delay=DelayModel("normal", mean=50.0, stddev=5.0))
-    l_small, d_small = _stream(spec, seed=5).take(100)
-    l_big, d_big = _stream(spec, seed=5).take(CHUNK + 100)
+    l_small, d_small = _path(spec, 100, seed=5)
+    l_big, d_big = _path(spec, CHUNK + 100, seed=5)
     assert np.array_equal(l_small, l_big[:100])
     assert np.array_equal(d_small, d_big[:100])
-
-
-# piece sizes that start and stop inside a chunk, cross one boundary and
-# cover a whole chunk past it
-SPLIT_PIECES = [1, 999, CHUNK - 1000, 2, CHUNK + 7]
-
-
-def _split_and_whole(make, take):
-    whole = take(make(), sum(SPLIT_PIECES))
-    stream = make()
-    pieces = [take(stream, k) for k in SPLIT_PIECES]
-    split = tuple(np.concatenate(c) for c in zip(*pieces))
-    return split, whole
-
-
-def test_split_takes_equal_one_take_with_carried_scan_state():
-    spec = PathSpec("a", loss=LossModel(0.1, 0.6),
-                    delay=DelayModel("paretonormal", mean=60.0, stddev=15.0,
-                                     correlation=0.9))
-    split, whole = _split_and_whole(lambda: _stream(spec, seed=8, idx=1),
-                                    lambda s, k: s.take(k))
-    for a, b in zip(split, whole):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_split_takes_equal_one_take_for_wrapping_trace():
-    trace = load_trace("".join(f"{k},{0 if k % 5 == 0 else 10 + k % 7}\n"
-                               for k in range(1, 3001)))
-    spec = PathSpec("t", loss=LossModel(0.05, 0.3),
-                    delay=DelayModel("trace", trace=trace))
-    split, whole = _split_and_whole(lambda: _stream(spec, seed=2),
-                                    lambda s, k: s.take(k))
-    assert split[0].tobytes() == whole[0].tobytes()
-    assert split[1].tobytes() == whole[1].tobytes()
-    # the replay stays positional across the chunk boundary
-    t_lost, t_delay = trace.replay(0, sum(SPLIT_PIECES))
-    assert whole[1].tobytes() == t_delay.tobytes()
-    assert np.all(whole[0][t_lost])
-
-
-def test_split_takes_equal_one_take_for_shared_segment():
-    model = LossModel(0.2, 0.7)
-    split, whole = _split_and_whole(lambda: LossStream(model, shared_rng(6, 1)),
-                                    lambda s, k: (s.take(k),))
-    assert split[0].tobytes() == whole[0].tobytes()
-
-
-# ---------------------------------------------------------------------------
-# lazy columns against whole-chunk draws
-
-
-class _EagerDraws:
-    """Oracle: every column of a chunk drawn whole, in order, from the
-    stream's own generator as soon as the chunk starts.  The rows of each
-    take are finished by the stream's own ``_finish``, so only the drawing
-    differs from the lazy stream.  ``chunk_start_state`` is the generator
-    state the current chunk was drawn from."""
-
-    def _take(self, n):
-        parts = []
-        while True:
-            if self._cursor == CHUNK:
-                self.chunk_start_state = self._rng.bit_generator.state
-                self._raw = self._draw()
-                self._cursor = 0
-                self._chunk_start += CHUNK
-            k = min(n, CHUNK - self._cursor)
-            lo = self._cursor
-            parts.append(self._finish(tuple(r[lo:lo + k] for r in self._raw)))
-            self._cursor += k
-            n -= k
-            if n == 0:
-                break
-        return tuple(np.concatenate(c) for c in zip(*parts))
-
-
-class EagerLossStream(_EagerDraws, LossStream):
-    def _draw(self):
-        u_repeat = self._rng.random(CHUNK)
-        u_fresh = self._rng.random(CHUNK)
-        return u_repeat, u_fresh
-
-
-class EagerPathStream(_EagerDraws, PathStream):
-    def _draw(self):
-        u_repeat = self._rng.random(CHUNK)
-        u_fresh = self._rng.random(CHUNK)
-        kind = self.spec.delay.kind
-        if kind == "normal":
-            return u_repeat, u_fresh, self._rng.standard_normal(CHUNK)
-        if kind == "paretonormal":
-            u_mix = self._rng.random(CHUNK)
-            z = self._rng.standard_normal(CHUNK)
-            u_par = self._rng.random(CHUNK)
-            return u_repeat, u_fresh, u_mix, z, u_par
-        return u_repeat, u_fresh
 
 
 WRAP_TRACE = load_trace("".join(f"{k},{0 if k % 5 == 0 else 10 + k % 7}\n"
                                 for k in range(1, 3001)))
 
 
-def _lazy_and_eager(kind, loss, delay_corr, seed):
+def test_trace_replay_stays_positional_across_chunks():
+    spec = PathSpec("t", loss=LossModel(0.05, 0.3),
+                    delay=DelayModel("trace", trace=WRAP_TRACE))
+    n = 2 * CHUNK + 7
+    lost, delay = _path(spec, n, seed=2)
+    # the replay wraps the 3,000-entry trace and crosses two chunk edges
+    t_lost, t_delay = WRAP_TRACE.replay(0, n)
+    assert delay.tobytes() == t_delay.tobytes()
+    assert np.all(lost[t_lost])
+    own = sample_loss(spec.loss, path_rng(2, 0), n)
+    assert lost.tobytes() == (own | t_lost).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# lazy columns against whole-chunk draws
+
+
+def eager_sample(kind, loss, delay, rng, n):
+    """Oracle: every column of each chunk drawn whole, in layout order,
+    straight from ``rng``, then the loop kernels over the whole run.
+    Returns the loss column, plus the delay column for a path kind."""
+    cols = []
+    for _ in range(max(1, -(-n // CHUNK))):
+        chunk = [rng.random(CHUNK), rng.random(CHUNK)]  # u_repeat, u_fresh
+        if kind == "normal":
+            chunk.append(rng.standard_normal(CHUNK))
+        elif kind == "paretonormal":
+            chunk += [rng.random(CHUNK), rng.standard_normal(CHUNK),
+                      rng.random(CHUNK)]  # u_mix, z, u_par
+        cols.append(chunk)
+    u_repeat, u_fresh, *d_cols = (np.concatenate(c)[:n] for c in zip(*cols))
+    lost = loop_sticky_scan(u_repeat >= loss.correlation, u_fresh < loss.rate)
     if kind == "loss":
-        return (LossStream(loss, shared_rng(seed, 1)),
-                EagerLossStream(loss, shared_rng(seed, 1)))
-    delay = DelayModel(kind, mean=60.0, stddev=15.0, correlation=delay_corr,
-                       trace=WRAP_TRACE)
-    spec = PathSpec("a", loss=loss, delay=delay)
-    return PathStream(spec, path_rng(seed, 2)), EagerPathStream(spec, path_rng(seed, 2))
+        return (lost,)
+    if kind == "constant":
+        return lost, np.full(n, delay.mean)
+    if kind == "trace":
+        recorded = [d for _, d in delay.trace.entries]
+        t = [recorded[i % len(recorded)] for i in range(n)]
+        t_lost = np.array([d is None for d in t], dtype=bool)
+        t_delay = np.array([math.nan if d is None else d for d in t])
+        return lost | t_lost, t_delay
+    if kind == "normal":
+        eps = delay.stddev * d_cols[0]
+    else:
+        u_mix, z, u_par = d_cols
+        a = delay.pareto_alpha
+        pareto = (1.0 - u_par) ** (-1.0 / a) - a / (a - 1.0)
+        eps = delay.stddev * np.where(u_mix < delay.pareto_weight, pareto, z)
+    x = loop_ar1_scan(eps, delay.correlation)
+    return lost, np.maximum(delay.mean + x, 0.0)
 
 
-def _assert_same_takes(lazy, eager, takes):
-    for k in takes:
-        got, want = lazy.take(k), eager.take(k)
-        got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+def _delay(kind, delay_corr):
+    """The delay model sampled for ``kind``; None for a bare loss model."""
+    if kind == "loss":
+        return None
+    return DelayModel(kind, mean=60.0, stddev=15.0, correlation=delay_corr,
+                      trace=WRAP_TRACE)
+
+
+def _sample(kind, loss, delay, rng, n):
+    if kind == "loss":
+        return (sample_loss(loss, rng, n),)
+    return sample_path(PathSpec("a", loss=loss, delay=delay), rng, n)
+
+
+def _assert_equals_eager(kind, loss, delay_corr, seed, runs):
+    delay = _delay(kind, delay_corr)
+    for n in runs:
+        rng = shared_rng(seed, 1) if kind == "loss" else path_rng(seed, 2)
+        state = rng.bit_generator.state
+        got = _sample(kind, loss, delay, rng, n)
+        # sampling reads the generator and leaves it where it was
+        assert rng.bit_generator.state == state
+        want = eager_sample(kind, loss, delay, rng, n)
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            assert len(a) == k
+            assert len(a) == n
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        # the lazy generator waits at the start of the chunk in use
-        assert lazy._rng.bit_generator.state == eager.chunk_start_state
 
 
 STREAM_KINDS = ["loss", *DELAY_KINDS]
-# end exactly on a chunk boundary, cross one, span more than one, take nothing
-BOUNDARY_TAKES = [[CHUNK, 1], [CHUNK - 1, 2], [2 * CHUNK + 7], [0, 5, 0, CHUNK - 5, 0, 3]]
+# run lengths that end exactly on a chunk boundary, one row past or short
+# of one, span more than one chunk, and are empty
+BOUNDARY_TAKES = [[CHUNK, CHUNK + 1], [CHUNK - 1, 1], [2 * CHUNK + 7],
+                  [0, 5, 3 * CHUNK]]
 
 
 @pytest.mark.parametrize("takes", BOUNDARY_TAKES)
 @pytest.mark.parametrize("kind", STREAM_KINDS)
 def test_lazy_columns_equal_whole_chunk_draws_at_boundaries(kind, takes):
-    lazy, eager = _lazy_and_eager(kind, LossModel(0.1, 0.6), 0.9, seed=17)
-    _assert_same_takes(lazy, eager, takes)
+    _assert_equals_eager(kind, LossModel(0.1, 0.6), 0.9, 17, takes)
+
+
+RUN_LENGTHS = [0, 1, 2, 7, 999, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,12 +248,39 @@ def test_lazy_columns_equal_whole_chunk_draws_at_boundaries(kind, takes):
        loss_corr=st.sampled_from([0.0, 0.3, 0.9]),
        delay_corr=st.sampled_from([0.0, 0.4, 0.95]),
        seed=st.integers(0, 2 ** 64 - 1),
-       takes=st.lists(st.sampled_from([0, 1, 2, 7, 999, CHUNK - 1, CHUNK, CHUNK + 1,
-                                       2 * CHUNK + 7]), min_size=1, max_size=4))
+       n=st.sampled_from(RUN_LENGTHS))
 def test_lazy_columns_equal_whole_chunk_draws(kind, rate, loss_corr, delay_corr,
-                                              seed, takes):
-    lazy, eager = _lazy_and_eager(kind, LossModel(rate, loss_corr), delay_corr, seed)
-    _assert_same_takes(lazy, eager, takes)
+                                              seed, n):
+    _assert_equals_eager(kind, LossModel(rate, loss_corr), delay_corr, seed, [n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(STREAM_KINDS),
+       loss_corr=st.sampled_from([0.0, 0.3, 0.9]),
+       delay_corr=st.sampled_from([0.0, 0.4, 0.95]),
+       seed=st.integers(0, 2 ** 64 - 1),
+       n=st.sampled_from(RUN_LENGTHS),
+       m=st.sampled_from(RUN_LENGTHS) | st.integers(0, 3 * CHUNK))
+def test_a_run_is_a_prefix_of_every_longer_run(kind, loss_corr, delay_corr,
+                                               seed, n, m):
+    # packet i's outcome does not depend on the run length, also when the
+    # shorter run ends inside, at or just past a chunk boundary
+    m, n = sorted((n, m))
+    loss, delay = LossModel(0.1, loss_corr), _delay(kind, delay_corr)
+    short = _sample(kind, loss, delay, path_rng(seed, 2), m)
+    long = _sample(kind, loss, delay, path_rng(seed, 2), n)
+    for a, b in zip(short, long):
+        assert a.tobytes() == b[:m].tobytes()
+
+
+def test_loss_rows_ties():
+    # a row repeats only when u_repeat is strictly below the correlation,
+    # and a fresh row is lost only when u_fresh is strictly below the rate
+    fresh, hit = np.empty(2, dtype=bool), np.empty(2, dtype=bool)
+    _loss_rows(LossModel(0.5, 0.8), np.array([0.8, 0.79]), np.array([0.5, 0.49]),
+               fresh, hit)
+    assert fresh.tolist() == [True, False]
+    assert hit.tolist() == [False, True]
 
 
 @pytest.mark.parametrize("make_rng", [
@@ -299,9 +294,9 @@ def test_streams_reject_generators_other_than_pcg64(make_rng):
     # the lazy columns skip unread rows in PCG64 words; any other generator
     # would silently draw different randomness
     with pytest.raises(ConfigurationError, match="PCG64"):
-        PathStream(PathSpec("a"), make_rng())
+        sample_path(PathSpec("a"), make_rng(), 1)
     with pytest.raises(ConfigurationError, match="PCG64"):
-        LossStream(LossModel(), make_rng())
+        sample_loss(LossModel(), make_rng(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +304,20 @@ def test_streams_reject_generators_other_than_pcg64(make_rng):
 
 
 def test_constant_delay_exact():
-    _, d = _stream(PathSpec("a", delay=DelayModel("constant", mean=42.5))).take(100)
+    _, d = _path(PathSpec("a", delay=DelayModel("constant", mean=42.5)), 100)
     assert np.all(d == 42.5)
 
 
 def test_paretonormal_mean_within_five_percent():
     spec = PathSpec("a", delay=DelayModel("paretonormal", mean=100.0, stddev=20.0))
-    _, d = _stream(spec, seed=31).take(N)
+    _, d = _path(spec, N, seed=31)
     assert abs(d.mean() - 100.0) <= 5.0
     assert d.max() > 200.0  # the tail actually shows up
 
 
 def test_negative_samples_clamp_to_zero():
     spec = PathSpec("a", delay=DelayModel("paretonormal", mean=5.0, stddev=20.0))
-    _, d = _stream(spec, seed=32).take(N)
+    _, d = _path(spec, N, seed=32)
     assert d.min() == 0.0
     assert np.all(d >= 0.0)
 
@@ -330,7 +325,7 @@ def test_negative_samples_clamp_to_zero():
 def test_ar1_delay_correlation_and_scale():
     spec = PathSpec("a", delay=DelayModel("normal", mean=200.0, stddev=10.0,
                                           correlation=0.6))
-    _, d = _stream(spec, seed=33).take(N)
+    _, d = _path(spec, N, seed=33)
     x = d - d.mean()
     lag1 = float(np.sum(x[:-1] * x[1:]) / np.sum(x * x))
     assert abs(lag1 - 0.6) < 0.02
@@ -339,15 +334,15 @@ def test_ar1_delay_correlation_and_scale():
 
 def test_model_validation():
     with pytest.raises(ConfigurationError, match="rate"):
-        _stream(PathSpec("a", loss=LossModel(rate=1.5)))
+        _path(PathSpec("a", loss=LossModel(rate=1.5)), 1)
     with pytest.raises(ConfigurationError, match="correlation"):
-        _stream(PathSpec("a", loss=LossModel(rate=0.1, correlation=1.0)))
+        _path(PathSpec("a", loss=LossModel(rate=0.1, correlation=1.0)), 1)
     with pytest.raises(ConfigurationError, match="kind"):
-        _stream(PathSpec("a", delay=DelayModel("weird")))
+        _path(PathSpec("a", delay=DelayModel("weird")), 1)
     with pytest.raises(ConfigurationError, match="stddev"):
-        _stream(PathSpec("a", delay=DelayModel("normal", mean=10, stddev=-1)))
+        _path(PathSpec("a", delay=DelayModel("normal", mean=10, stddev=-1)), 1)
     with pytest.raises(ConfigurationError, match="trace"):
-        _stream(PathSpec("a", delay=DelayModel("trace")))
+        _path(PathSpec("a", delay=DelayModel("trace")), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -414,5 +409,5 @@ def test_trace_driven_stream_combines_with_own_loss():
     trace = load_trace("1,10\n2,0\n3,30\n4,40")
     spec = PathSpec("t", loss=LossModel(rate=1.0),
                     delay=DelayModel("trace", trace=trace))
-    lost, _ = _stream(spec).take(4)
+    lost, _ = _path(spec, 4)
     assert lost.all()  # own loss applies on top of the recorded outcomes

@@ -1,15 +1,15 @@
 """The vectorised engine against a plain per-packet reference simulator.
 
 The reference walks the datapath one packet and one copy at a time with
-the scalar primitives: each path's outcome from ``PathStream.take(1)``,
-each shared segment's from ``LossStream.take(1)``, then forced losses and
-nanosecond quantisation, a set-and-deque duplicate filter
-(``DedupState`` below) over the copies in arrival order, the padding rule
-(``padding_release``) and a heap-driven reorder hold
-(``reference_hold_schedule``).  None of these share code with the
-engine's datapath.  ``simulate()`` must agree with the reference exactly,
-ledger columns and per-path accessors alike, with the dedup fast path
-allowed and with the sequential dedup pass forced.
+the scalar primitives: each path's outcome read packet by packet from
+its ``sample_path`` columns, each shared segment's from its
+``sample_loss`` column, then forced losses and nanosecond quantisation,
+a set-and-deque duplicate filter (``DedupState`` below) over the copies
+in arrival order, the padding rule (``padding_release``) and a
+heap-driven reorder hold (``reference_hold_schedule``).  None of these
+share code with the engine's datapath.  ``simulate()`` must agree with
+the reference exactly, ledger columns and per-path accessors alike, with
+the dedup fast path allowed and with the sequential dedup pass forced.
 """
 
 import heapq
@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 from railsim import engine
 from railsim.engine import Counters, Scenario, TrafficSpec, simulate
-from railsim.pathsim import (DelayModel, LossModel, LossStream, PathSpec,
-                             PathStream, SharedSegmentSpec, load_trace,
-                             path_rng, shared_rng)
+from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
+                             load_trace, path_rng, sample_loss, sample_path,
+                             shared_rng)
 from railsim.railedge import (PaddingConfig, reorder_hold_schedule,
                               window_miss_duplicates)
 
@@ -142,24 +142,23 @@ def reference_simulate(s: Scenario) -> Reference:
     n = s.traffic.count
     dt = int(round(s.traffic.interval * NS))
     referenced = {p.shared for p in s.paths}
-    shared = {seg.id: LossStream(seg.loss, shared_rng(s.seed, i))
+    shared = {seg.id: sample_loss(seg.loss, shared_rng(s.seed, i), n)
               for i, seg in enumerate(s.shared_segments) if seg.id in referenced}
-    streams = [PathStream(p, path_rng(s.seed, i)) for i, p in enumerate(s.paths)]
+    columns = [sample_path(p, path_rng(s.seed, i), n) for i, p in enumerate(s.paths)]
     ref = Reference(send_ns=[seq * dt for seq in range(n)],
                     arrival_ns=[[] for _ in s.paths])
 
     copies = []  # (arrival_ns, seq, path index) of every delivered copy
     for seq in range(n):
-        seg_lost = {sid: bool(stream.take(1)[0]) for sid, stream in shared.items()}
-        for pidx, (spec, stream) in enumerate(zip(s.paths, streams)):
-            lost, delay_ms = stream.take(1)
-            lost = (bool(lost[0]) or seq in s.forced_losses.get(spec.id, ())
+        seg_lost = {sid: bool(column[seq]) for sid, column in shared.items()}
+        for pidx, (spec, (lost, delay_ms)) in enumerate(zip(s.paths, columns)):
+            lost = (bool(lost[seq]) or seq in s.forced_losses.get(spec.id, ())
                     or (spec.shared is not None and seg_lost[spec.shared]))
             if lost:
                 ref.counters.lost_copies += 1
                 ref.arrival_ns[pidx].append(None)
                 continue
-            t = ref.send_ns[seq] + int(round(float(delay_ms[0]) * NS))
+            t = ref.send_ns[seq] + int(round(float(delay_ms[seq]) * NS))
             ref.arrival_ns[pidx].append(t)
             copies.append((t, seq, pidx))
 
@@ -325,6 +324,25 @@ def test_hard_runs_reach_every_datapath_event():
     assert ref.counters.window_miss_duplicates > 0
     assert ref.hold_events["timeout"] > 0
     assert ref.hold_events["give_up"] > 0
+    assert_matches_reference(scenario, ref)
+
+
+def test_tied_arrivals_are_deduplicated_in_seq_order():
+    """Path b's copy of seq s lands exactly when path a's copy of s + 1
+    does.  Taken in seq order, each tie meets a one-seq window that still
+    holds s, so nothing is forwarded twice; taken the other way round,
+    every tie would be a window-miss duplicate."""
+    scenario = Scenario(
+        paths=[PathSpec("a", loss=LossModel(0.1),
+                        delay=DelayModel("constant", mean=0.0)),
+               PathSpec("b", loss=LossModel(0.1),
+                        delay=DelayModel("constant", mean=20.0))],
+        traffic=TrafficSpec(interval=20.0, count=500),
+        seed=3,
+        dedup_window=1,
+    )
+    ref = reference_simulate(scenario)
+    assert ref.counters.suppressed > 300
     assert_matches_reference(scenario, ref)
 
 
