@@ -104,16 +104,20 @@ def _records_table(sim: engine.SimResult) -> tuple[list[str], list[list]]:
     return header, columns
 
 
+def _burst_summary(lost_mask) -> dict:
+    b = metrics.burst_stats(lost_mask)
+    return {"lost_in_burst": b.lost_in_burst, "num_bursts": b.num_bursts,
+            "avg_burst": b.avg_burst, "max_burst": b.max_burst}
+
+
 def _stream_summary(n_sent: int, lost_mask, delays) -> dict:
     delays = np.asarray(delays, dtype=float)
-    b = metrics.burst_stats(lost_mask)
     return {
         "loss": float(np.count_nonzero(lost_mask)) / n_sent,
         "delivered": int(n_sent - np.count_nonzero(lost_mask)),
         "mean_delay_ms": float(np.mean(delays)) if delays.size else None,
         "std_delay_ms": float(np.std(delays)) if delays.size else None,
-        "burst": {"lost_in_burst": b.lost_in_burst, "num_bursts": b.num_bursts,
-                  "avg_burst": b.avg_burst, "max_burst": b.max_burst},
+        "burst": _burst_summary(lost_mask),
     }
 
 
@@ -278,14 +282,12 @@ def cmd_trace_analyze(args) -> int:
     trace = load_trace(engine.read_text(path, "trace"))
     lost, delays = trace.replay(0, len(trace))
     delivered = delays[~lost]
-    b = metrics.burst_stats(lost)
     summary = {
         "entries": len(trace),
         "loss": float(np.count_nonzero(lost)) / len(trace),
         "mean_delay_ms": float(np.mean(delivered)) if delivered.size else None,
         "std_delay_ms": float(np.std(delivered)) if delivered.size else None,
-        "burst": {"lost_in_burst": b.lost_in_burst, "num_bursts": b.num_bursts,
-                  "avg_burst": b.avg_burst, "max_burst": b.max_burst},
+        "burst": _burst_summary(lost),
     }
     if delivered.size:
         cdf = metrics.empirical_cdf(delivered)

@@ -151,10 +151,13 @@ def validate_scenario(s: Scenario) -> list[str]:
                         f"int64 ns clock, got {target}")
     elif s.padding.enabled and target < 0:
         problems.append("padding.target_one_way: must be >= 0 when enabled")
-    if s.reorder_removal and s.padding.target_one_way <= 0:
+    if s.reorder_removal and target <= 0:
         problems.append(
             "reorder_removal: requires padding.target_one_way > 0 (hold timeout)"
         )
+    elif s.reorder_removal and fits_clock(target) and ms_to_ns(target) == 0:
+        problems.append(f"reorder_removal: padding.target_one_way {target} ms "
+                        "(hold timeout) rounds to 0 ns")
     if s.dedup_window < 1:
         problems.append(f"dedup_window: must be >= 1, got {s.dedup_window}")
     for pid, seqs in s.forced_losses.items():

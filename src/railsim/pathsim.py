@@ -219,8 +219,6 @@ def load_trace(source: str | IO[str]) -> Trace:
             raise TraceParseError("non-monotone seq", lineno)
         prev_seq = seq
         entries.append((seq, None if delay == 0 else delay))
-    if not entries:
-        raise TraceParseError("empty trace")
     return Trace(entries)
 
 

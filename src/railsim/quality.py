@@ -154,7 +154,7 @@ def mos_curve(n_sent: int, delivered_delays_ms, deadlines: Iterable[float],
     deadlines = list(deadlines)
     if not deadlines:
         raise DomainError("deadline range is empty")
-    if end_system_delay < 0:
+    if not end_system_delay >= 0:  # also rejects NaN
         raise DomainError("end_system_delay must be >= 0")
     delivered = _delivered(delivered_delays_ms)
     if n_sent < 1:
@@ -230,8 +230,8 @@ class TcpPathSet:
         for p in self.paths:
             if not 0.0 < p.loss_rate < 1.0:
                 raise DomainError(f"loss rate must be in (0, 1), got {p.loss_rate}")
-            if p.rtt <= 0:
-                raise DomainError(f"rtt must be > 0, got {p.rtt}")
+            if not 0 < p.rtt < math.inf:  # also rejects NaN
+                raise DomainError(f"rtt must be finite and > 0, got {p.rtt}")
         rtts = [p.rtt for p in self.paths]
         if rtts != sorted(rtts):
             raise DomainError("paths must be sorted by ascending RTT")
@@ -253,8 +253,8 @@ def tcp_throughput_single(p: float, rtt: float) -> float:
     """Long-lived TCP throughput over one path: 1.22 / (RTT * sqrt(p))."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"loss rate must be in (0, 1), got {p}")
-    if rtt <= 0:
-        raise DomainError(f"rtt must be > 0, got {rtt}")
+    if not 0 < rtt < math.inf:  # also rejects NaN
+        raise DomainError(f"rtt must be finite and > 0, got {rtt}")
     return TCP_CONSTANT / ((rtt / 1000.0) * math.sqrt(p))
 
 

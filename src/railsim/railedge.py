@@ -3,8 +3,6 @@ release-time policies (delay padding, optional reorder removal)."""
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,50 +54,63 @@ def reorder_hold_schedule(ready: np.ndarray, timeout_ns: int,
     """Reorder-removal release schedule.
 
     ``ready`` is the int64 (n, 2) array of (time_ns, seq) rows of packets
-    as they become forwardable, sorted by time (ties by seq).  A packet is
-    held until every smaller seq has been released or declared lost, where
-    a missing seq is declared lost once some held packet above it has
-    waited ``timeout_ns``.  At most ``window`` packets are held: one more
-    gives up the oldest gap.  Nothing is ever dropped: a copy arriving
-    after its gap timed out is released immediately (late, possibly out
-    of order).  Returns the int64 (m, 2) array of (release_ns, seq) events
-    in emission order.
+    as they become forwardable, sorted by time (ties by seq), with seqs
+    >= 0.  A packet is held until every smaller seq has been released or
+    declared lost, where a missing seq is declared lost once some held
+    packet above it has waited ``timeout_ns`` (>= 0).  At most ``window``
+    packets are held: one more gives up the oldest gap.  Nothing is ever
+    dropped: a copy arriving after its gap timed out is released
+    immediately (late, possibly out of order).  Returns the int64 (m, 2)
+    array of (release_ns, seq) events in emission order.
     """
+    if timeout_ns < 0:
+        raise ConfigurationError(f"hold timeout must be >= 0 ns, got {timeout_ns}")
     ready = np.asarray(ready, dtype=np.int64).reshape(-1, 2)
+    if len(ready) and ready[:, 1].min() < 0:
+        raise ConfigurationError("hold seqs must be >= 0")
+    ts = ready[:, 0].tolist()
+    ss = ready[:, 1].tolist()
     out_t: list[int] = []
     out_s: list[int] = []
-    buffered: set[int] = set()
-    # the buffered seqs as a min-heap; released seqs never come back
-    # because next_expected only grows
-    held: list[int] = []
-    # ready is time-ordered and the timeout constant, so deadlines come
-    # due in the order they are pushed
-    deadlines: deque[tuple[int, int]] = deque()
+    # held[s] is 1 while seq s is buffered; every buffered seq is above
+    # next_expected, which only grows, so each seq is buffered at most once
+    # and the scans below cover each byte once.  The spare zero byte at
+    # the end stops the consecutive-run scan.
+    held = bytearray(max(ss, default=-1) + 2)
+    n_held = 0
     next_expected = 0
 
     def release_through(top: int, t: int) -> None:
         """Release every buffered seq <= top in seq order at time t, then
         the consecutive run above it."""
-        nonlocal next_expected
-        while held and held[0] <= top:
-            m = heapq.heappop(held)
-            buffered.remove(m)
+        nonlocal next_expected, n_held
+        m = held.find(1, next_expected, top + 1)
+        while m >= 0:
+            held[m] = 0
+            n_held -= 1
             out_t.append(t)
             out_s.append(m)
-        next_expected = top + 1
-        while next_expected in buffered:
-            heapq.heappop(held)
-            buffered.remove(next_expected)
+            m = held.find(1, m + 1, top + 1)
+        m = top + 1
+        while held[m]:
+            held[m] = 0
+            n_held -= 1
             out_t.append(t)
-            out_s.append(next_expected)
-            next_expected += 1
+            out_s.append(m)
+            m += 1
+        next_expected = m
 
-    for t, s in zip(ready[:, 0].tolist(), ready[:, 1].tolist()):
-        while deadlines and deadlines[0][0] < t:
-            dl, d = deadlines.popleft()
-            if d in buffered:
-                release_through(d, dl)
-        if s < next_expected or s in buffered:
+    # Row due's deadline is ts[due] + timeout_ns; rows are time-ordered and
+    # the timeout constant, so deadlines fall due in row order.  A row that
+    # did not buffer its seq finds held[seq] clear by then: its seq was
+    # already released, or an earlier row buffered it and fires first.
+    due = 0
+    for t, s in zip(ts, ss):
+        while ts[due] + timeout_ns < t:
+            if held[ss[due]]:
+                release_through(ss[due], ts[due] + timeout_ns)
+            due += 1
+        if s < next_expected or held[s]:
             # duplicate, or straggler whose gap already timed out
             out_t.append(t)
             out_s.append(s)
@@ -108,13 +119,13 @@ def reorder_hold_schedule(ready: np.ndarray, timeout_ns: int,
             out_s.append(s)
             release_through(s, t)
         else:
-            buffered.add(s)
-            heapq.heappush(held, s)
-            deadlines.append((t + timeout_ns, s))
-            if len(buffered) > window:
+            held[s] = 1
+            n_held += 1
+            if n_held > window:
                 # memory bound: give up on the oldest gap
-                release_through(held[0], t)
-    for dl, d in deadlines:
-        if d in buffered:
-            release_through(d, dl)
+                release_through(held.index(1, next_expected), t)
+    for j in range(due, len(ts)):
+        if held[ss[j]]:
+            release_through(ss[j], ts[j] + timeout_ns)
+    del ts, ss
     return np.array([out_t, out_s], dtype=np.int64).T

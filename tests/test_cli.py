@@ -180,6 +180,8 @@ def test_tcp_model_bad_input(capsys):
     ["tcp-model", "--paths", "abc"],
     ["tcp-model", "--paths", "0.1"],
     ["tcp-model", "--paths", "0.1,x;0.01,100"],
+    ["tcp-model", "--paths", "0.01,nan;0.02,20"],
+    ["tcp-model", "--paths", "0.01,inf;0.02,20"],
     ["mos", "--delay", "nan"],
     ["mos", "--grid", "--losses", "0:inf:0.01"],
     ["mos", "--grid", "--delays", "0,ten"],

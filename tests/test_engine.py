@@ -336,9 +336,13 @@ def test_reorder_removal_requires_hold_timeout():
     ("traffic.interval", 1e10, "overflow"),
     ("padding.target_one_way", math.nan, "target_one_way"),
     ("padding.target_one_way", math.inf, "target_one_way"),
+    ("padding.target_one_way", 1e-7, "rounds to 0 ns"),
 ])
 def test_validation_rejects_non_finite_and_overflowing_values(field, value, match):
-    scenario = two_const_paths(count=1000)
+    # the hold is on with a valid timeout, so target_one_way is checked as
+    # the hold timeout too
+    scenario = two_const_paths(count=1000, reorder_removal=True,
+                               padding=PaddingConfig(target_one_way=100.0))
     set_parameter(scenario, field, value)
     with pytest.raises(ValidationError, match=match):
         simulate(scenario)

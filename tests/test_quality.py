@@ -296,6 +296,13 @@ def test_curve_empty_deadlines_is_error():
         mos_curve(10, [10.0], [], 0.0)
 
 
+def test_curve_rejects_nan_end_system_delay():
+    # NaN used to pass the >= 0 check and fail later in mos() with a
+    # message about one_way_delay
+    with pytest.raises(DomainError, match="end_system_delay"):
+        mos_curve(10, [10.0], [50.0], math.nan)
+
+
 # ---------------------------------------------------------------------------
 # TCP model
 
@@ -311,7 +318,8 @@ def test_quadrupling_loss_halves_throughput():
 
 
 def test_single_path_domain_errors():
-    for p, rtt in ((0.0, 100.0), (1.0, 100.0), (0.01, 0.0), (-0.1, 10.0)):
+    for p, rtt in ((0.0, 100.0), (1.0, 100.0), (0.01, 0.0), (-0.1, 10.0),
+                   (0.01, math.nan), (0.01, math.inf)):
         with pytest.raises(DomainError):
             tcp_throughput_single(p, rtt)
 
@@ -384,6 +392,9 @@ def test_pathset_validation():
         TcpPathSet.of([(0.0, 10.0)])
     with pytest.raises(DomainError):
         TcpPathSet.of([(0.5, -1.0)])
+    for rtt in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="rtt"):
+            TcpPathSet.of([(0.01, 10.0), (0.1, rtt)])
     from railsim.quality import TcpPath
     with pytest.raises(DomainError):
         TcpPathSet((TcpPath(0.1, 100.0), TcpPath(0.1, 10.0)))  # unsorted

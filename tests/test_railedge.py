@@ -105,6 +105,22 @@ def test_hold_times_out_missing_seq():
     assert times[3] == 90 * MS   # unblocked by the same timeout
 
 
+def test_hold_ready_row_goes_before_a_deadline_at_the_same_time():
+    # seq 2's deadline (10 + 40) falls exactly when seq 1 arrives: the
+    # arrival is handled first and releases 1 and 2 in order, rather than
+    # the deadline giving up gap 1 and sending 1 out late
+    released = hold([(0, 0), (10 * MS, 2), (50 * MS, 1)], timeout_ns=40 * MS)
+    assert released == [(0, 0), (50 * MS, 1), (50 * MS, 2)]
+
+
+def test_hold_rejects_negative_timeout_and_seq():
+    # the deadline walk and the seq-indexed held bytes rely on both >= 0
+    with pytest.raises(ConfigurationError, match="timeout"):
+        hold([(0, 0)], timeout_ns=-1)
+    with pytest.raises(ConfigurationError, match="seqs"):
+        hold([(0, -2), (1, 3), (100, 0)], timeout_ns=10)
+
+
 def test_hold_one_deadline_releases_every_lower_held_seq_in_order():
     # seq 1 is missing; 4, 3 and 2 arrive in descending order and wait.
     # The first deadline to fire is 4's, and it releases everything held
