@@ -10,7 +10,8 @@ but reach every datapath branch that keeps state across rows: a sticky
 loss / AR(1) scan that crosses a chunk boundary, the window-miss dedup
 loop feeding the reorder hold, padding with a shared segment, forced
 losses and a trace replay that wraps, and a run whose times pass 2^53 ns,
-where int64 nanoseconds stop being exact float64 values.
+where int64 nanoseconds stop being exact float64 values.  The
+trace-analyze bundle is pinned in both table formats.
 """
 
 import hashlib
@@ -207,6 +208,19 @@ SIMULATE_SHA256 = {
 PADDED_RECORDS_JSON_SHA256 = (
     "7fe6dd0e3b16bbab5affaba04e01535082c208a575b9e8300faa19ff34dae8ac")
 
+# The trace-analyze fixture: gaps in seq, lost entries and delays with
+# more than six decimals.
+ANALYZE_TRACE = (
+    "# seq,delay_ms\n"
+    + "".join(f"{k * 3},{0 if k % 11 == 0 else k * 7919 % 100003 / 997}\n"
+              for k in range(1, 2001))
+    + "6010,123456789.1234567\n6011,0\n6012,1e-9\n")
+
+TRACE_ANALYZE_BUNDLE_SHA256 = {
+    "csv": "e8cb2ebabd5285b34784d793400dcac09c0659aadd5e8428d83a4e3a5c17cc43",
+    "json": "4c9e203ab64f35ca8f1a9086f77614721eaf56a86ea99ae76e2c81709ba0c2e5",
+}
+
 SCENARIOS = {"correlated": CORRELATED, "hold": HOLD, "padded": PADDED, "far": FAR}
 
 
@@ -241,6 +255,16 @@ def test_simulate_output_matches_golden(name, tmp_path):
 def test_simulate_json_records_match_golden(tmp_path):
     out = _simulate("padded", tmp_path, "--format", "json")
     assert _sha256(out / "records.json") == PADDED_RECORDS_JSON_SHA256
+
+
+@pytest.mark.parametrize("fmt", sorted(TRACE_ANALYZE_BUNDLE_SHA256))
+def test_trace_analyze_bundle_matches_golden(fmt, tmp_path):
+    trace = tmp_path / "fixture.trace"
+    trace.write_text(ANALYZE_TRACE)
+    out = tmp_path / "out"
+    assert cli.main(["trace-analyze", "--trace", str(trace), "--out", str(out),
+                     "--format", fmt]) == 0
+    assert bundle_digest(out) == TRACE_ANALYZE_BUNDLE_SHA256[fmt]
 
 
 def test_far_scenario_arrivals_need_exact_integer_division(tmp_path):
