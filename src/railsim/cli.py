@@ -20,7 +20,7 @@ from . import __version__, engine, metrics, quality, suite
 from .engine import load_scenario, run_sweep, simulate
 from .errors import RailSimError
 from .pathsim import load_trace
-from .report import ReportBundle, fmt_ms, fmt_ms_column, fmt_num
+from .report import IntColumn, MsColumn, ReportBundle, fmt_ms, fmt_num
 
 ENV_OUT_DIR = "RAILSIM_OUT"
 
@@ -55,7 +55,10 @@ def _parse_range(spec: str) -> list[float]:
             raise _UsageError("step must be > 0")
         if a > b:
             raise _UsageError(f"range start exceeds stop in {spec!r}")
-        n = int((b - a) / step + 1e-9) + 1
+        count = (b - a) / step
+        if not math.isfinite(count):
+            raise _UsageError(f"range {spec!r} has too many points")
+        n = int(count + 1e-9) + 1
         return [a + k * step for k in range(max(n, 0))]
     return [_float(x, "value list") for x in spec.split(",") if x.strip()]
 
@@ -67,11 +70,19 @@ def _out_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
+def _write(bundle: ReportBundle, out_dir: Path, fmt: str) -> list[Path]:
+    try:
+        return bundle.write(out_dir, fmt=fmt)
+    except OSError as e:
+        raise _UsageError(f"cannot write {e.filename or out_dir}: "
+                          f"{e.strerror or e}") from None
+
+
 def _emit(bundle: ReportBundle, out_dir: Path | None, fmt: str) -> None:
     if out_dir is None:
         print(json.dumps(bundle.summaries, sort_keys=True, indent=2))
         return
-    for path in bundle.write(out_dir, fmt=fmt):
+    for path in _write(bundle, out_dir, fmt):
         print(f"wrote {path}")
 
 
@@ -86,20 +97,19 @@ def _load(args) -> engine.Scenario:
 # report builders
 
 
-def _records_table(sim: engine.SimResult) -> tuple[list[str], list[list]]:
+def _records_table(sim: engine.SimResult) -> tuple[list[str], list]:
     """The per-packet ledger, one column per header name."""
     path_ids = [p.id for p in sim.scenario.paths]
     header = (["seq", "send_ms"]
               + [f"arrival_{pid}_ms" for pid in path_ids]
               + ["rail_delay_ms", "forward_ms", "padding_ms"])
     columns = (
-        [list(range(len(sim.send_ns))),
-         fmt_ms_column(sim.send_ns, int_division=False)]
-        + [fmt_ms_column(row, row == engine.LOST_NS, "LOST")
-           for row in sim.arrival_ns]
-        + [fmt_ms_column(sim.rail_delay_ns, sim.rail_delay_ns < 0, "LOST"),
-           fmt_ms_column(sim.forward_ns, sim.forward_ns < 0, "NEVER"),
-           fmt_ms_column(sim.padding_ns, int_division=False)]
+        [IntColumn(np.arange(len(sim.send_ns))),
+         MsColumn(sim.send_ns, int_division=False)]
+        + [MsColumn(row, row == engine.LOST_NS, "LOST") for row in sim.arrival_ns]
+        + [MsColumn(sim.rail_delay_ns, sim.rail_delay_ns < 0, "LOST"),
+           MsColumn(sim.forward_ns, sim.forward_ns < 0, "NEVER"),
+           MsColumn(sim.padding_ns, int_division=False)]
     )
     return header, columns
 
@@ -308,7 +318,7 @@ def cmd_paper_suite(args) -> int:
     bundle, gates = suite.run_paper_suite()
     out = _out_dir(args)
     if out is not None:
-        bundle.write(out, fmt=args.format)
+        _write(bundle, out, args.format)
     for gate in gates:
         status = "PASS" if gate.passed else "FAIL"
         print(f"[{status}] {gate.name}: {gate.detail}")

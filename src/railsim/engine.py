@@ -348,7 +348,12 @@ def set_parameter(scenario: Scenario, parameter: str, value) -> None:
             f"parameter {parameter!r} does not address a numeric field"
         )
     try:
-        value = int(value) if isinstance(current, int) else float(value)
+        if not isinstance(current, int):
+            value = float(value)
+        elif isinstance(value, float) and not value.is_integer():
+            raise ValueError  # int() would run 20.5 as 20
+        else:
+            value = int(value)
     except (ValueError, OverflowError):
         raise ConfigurationError(
             f"parameter {parameter!r}: {value!r} is not an integer") from None

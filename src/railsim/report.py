@@ -9,15 +9,35 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .engine import NS_PER_MS
 
 
+# Tables are spelled and written this many rows at a time, so writing a
+# table needs memory for one block, not for the whole file.
+BLOCK_ROWS = 65_536
+
+
 def fmt_ms(value) -> str:
     return "" if value is None else f"{value:.6f}"
+
+
+def fmt_num(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.12g}"
+
+
+# ---------------------------------------------------------------------------
+# cells: a block of one column as a uint8 matrix, one row per cell, padded
+# with NUL bytes that the row assembler drops
 
 
 # Below 2^33 ms the float64 nearest ns / NS_PER_MS lies within 2^-21 ms
@@ -34,85 +54,183 @@ def _words(chars: np.ndarray) -> np.ndarray:
 _I = np.arange(10_000)
 _DIGITS = (np.stack([_I // 1000, _I // 100, _I // 10, _I], axis=1) % 10
            + ord("0"))
-_ZEROS4 = _words(_DIGITS)                                           # "0042"
-_SPACES4 = _words(np.where(_I[:, None] < [1000, 100, 10, 0], ord(" "), _DIGITS))
+_ZEROS4 = _words(_DIGITS)                                        # "0042"
+_PAD4 = _words(np.where(_I[:, None] < [1000, 100, 10, 0], 0, _DIGITS))  # "  42"
+_LEAD4 = np.where(_I > 0, _PAD4, 0)                              # "    " for 0
 _DOT3 = _words(np.c_[np.full(1000, ord(".")), _DIGITS[:1000, 1:]])  # ".042"
-_SPACE3 = _words(np.c_[_DIGITS[:1000, 1:], np.full(1000, ord(" "))])  # "042 "
-_BLANK4 = _words(np.full((1, 4), ord(" ")))[0]
+_FRAC3 = _words(np.c_[_DIGITS[:1000, 1:], np.zeros(1000, int)])     # "042 "
 
 
-def _decimal_cells(ns: np.ndarray) -> list[str]:
-    """``ns / NS_PER_MS`` with six decimals, for 0 <= ns < _DECIMAL_NS.
-
-    Each cell is spelled right-aligned in five four-byte words (up to ten
-    integer digits, then ".ddd" and "ddd "); split() drops the padding.
-    """
-    q, r = np.divmod(ns, NS_PER_MS)
-    hi, lo = np.divmod(q, 10 ** 4)
-    top, mid = np.divmod(hi, 10 ** 4)
-    words = np.empty((len(ns), 5), dtype=np.uint32)
-    words[:, 0] = np.where(top > 0, _SPACES4[top], _BLANK4)
-    words[:, 1] = np.where(top > 0, _ZEROS4[mid],
-                           np.where(mid > 0, _SPACES4[mid], _BLANK4))
-    words[:, 2] = np.where(hi > 0, _ZEROS4[lo], _SPACES4[lo])
-    frac_hi, frac_lo = np.divmod(r, 1000)
-    words[:, 3] = _DOT3[frac_hi]
-    words[:, 4] = _SPACE3[frac_lo]
-    return words.tobytes().decode("ascii").split()
+def _digit_words(q: np.ndarray) -> list[np.ndarray]:
+    """0 <= q < 10^12 in decimal, right-aligned in four-byte words (most
+    significant first), as many words as the largest q needs."""
+    top = int(q.max(initial=0))
+    n_words = 1 + (top >= 10 ** 4) + (top >= 10 ** 8)
+    words, above = [], None
+    for k in reversed(range(n_words)):
+        part = q // 10 ** (4 * k) % 10 ** 4
+        table = _PAD4 if k == 0 else _LEAD4
+        words.append(table[part] if above is None
+                     else np.where(above > 0, _ZEROS4[part], table[part]))
+        above = q // 10 ** (4 * k)
+    return words
 
 
-def fmt_ms_column(ns: np.ndarray, missing: np.ndarray | None = None,
-                  word: str = "", int_division: bool = True) -> list[str]:
-    """``ns / NS_PER_MS`` with six decimals, ``word`` where ``missing``.
+def _word_cells(words: list[np.ndarray]) -> np.ndarray:
+    return np.stack(words, axis=1).view(np.uint8)
+
+
+def _text_cells(texts: list[str]) -> np.ndarray:
+    encoded = [t.encode() for t in texts]
+    cells = np.array(encoded, dtype=bytes)
+    cells = cells.view(np.uint8).reshape(len(encoded), cells.itemsize)
+    if np.count_nonzero(cells) != sum(map(len, encoded)):
+        raise ValueError("table cells cannot hold NUL characters")
+    return cells
+
+
+def _quoted(cells: np.ndarray) -> np.ndarray:
+    return np.pad(cells, ((0, 0), (1, 1)), constant_values=ord('"'))
+
+
+@dataclass(frozen=True)
+class IntColumn:
+    """Integers 0 <= v < 10^12 in decimal, numbers in JSON."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        if len(self.values) and not (0 <= self.values.min()
+                                     and self.values.max() < 10 ** 12):
+            raise ValueError("IntColumn values must lie in [0, 10^12)")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def cells(self, rows: slice, fmt: str) -> np.ndarray:
+        return _word_cells(_digit_words(self.values[rows]))
+
+
+@dataclass(frozen=True)
+class MsColumn:
+    """int64 ns as milliseconds with six decimals, ``word`` where
+    ``missing``; strings in JSON.
 
     The quotient is Python's int division, or numpy's float64 division
     when not ``int_division``; the ledger has always printed send and
     padding times the second way, and the two differ beyond 2^53 ns.
+    Cells in [0, 2^33 ms) are spelled from the digits of the int; the
+    few others are printed by Python.
     """
-    if missing is None:
-        missing = np.zeros(len(ns), dtype=bool)
-    big = (ns >= _DECIMAL_NS) & ~missing
-    cells = _decimal_cells(np.where(big | missing, 0, ns))
-    for i in np.flatnonzero(missing).tolist():
-        cells[i] = word
-    at = np.flatnonzero(big)
-    quotients = ([t / NS_PER_MS for t in ns[at].tolist()] if int_division
-                 else (ns[at] / NS_PER_MS).tolist())
-    for i, t in zip(at.tolist(), quotients):
-        cells[i] = f"{t:.6f}"
+
+    ns: np.ndarray
+    missing: np.ndarray | None = None
+    word: str = ""
+    int_division: bool = True
+
+    def __len__(self) -> int:
+        return len(self.ns)
+
+    def cells(self, rows: slice, fmt: str) -> np.ndarray:
+        ns = self.ns[rows]
+        missing = (np.zeros(len(ns), dtype=bool) if self.missing is None
+                   else self.missing[rows])
+        big = ~missing & ((ns < 0) | (ns >= _DECIMAL_NS))
+        q, r = np.divmod(np.where(missing | big, 0, ns), NS_PER_MS)
+        frac_hi, frac_lo = np.divmod(r, 1000)
+        cells = _word_cells(_digit_words(q) + [_DOT3[frac_hi], _FRAC3[frac_lo]])
+        if missing.any():
+            cells = _put(cells, missing, _text_cells([self.word]))
+        if big.any():
+            cells = _put(cells, big, _text_cells(self._printed(ns[big])))
+        return _quoted(cells) if fmt == "json" else cells
+
+    def _printed(self, ns: np.ndarray) -> list[str]:
+        quotients = ([t / NS_PER_MS for t in ns.tolist()] if self.int_division
+                     else (ns / NS_PER_MS).tolist())
+        return [f"{t:.6f}" for t in quotients]
+
+
+def _put(cells: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``cells`` with the rows where ``at`` is true replaced by the rows of
+    ``new`` (or by its one row), widened if ``new`` is wider."""
+    if new.shape[1] > cells.shape[1]:
+        cells = np.pad(cells, ((0, 0), (0, new.shape[1] - cells.shape[1])))
+    cells[at] = np.pad(new, ((0, 0), (0, cells.shape[1] - new.shape[1])))
     return cells
 
 
-def fmt_num(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.12g}"
+def _csv_cell(value) -> str:
+    """A cell as ``csv.writer`` prints it: quoted when it holds the
+    delimiter, the quote character or the line terminator."""
+    text = "" if value is None else str(value)
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_cells(column, rows: slice, fmt: str) -> np.ndarray:
+    """A column is a list of Python values, or an IntColumn or MsColumn."""
+    if isinstance(column, list):
+        return _text_cells([json.dumps(v) for v in column[rows]] if fmt == "json"
+                           else [_csv_cell(v) for v in column[rows]])
+    return column.cells(rows, fmt)
+
+
+def _join_rows(seps: list[str], cells: list[np.ndarray], end: str) -> bytes:
+    """Rows of ``seps[0] cells[0] seps[1] cells[1] ... end``, the cells'
+    NUL padding dropped."""
+    pieces = []
+    for sep, column in zip(seps, cells):
+        pieces += [np.frombuffer(sep.encode(), dtype=np.uint8), column]
+    pieces.append(np.frombuffer(end.encode(), dtype=np.uint8))
+    rows = np.empty((len(cells[0]), sum(p.shape[-1] for p in pieces)),
+                    dtype=np.uint8)
+    at = 0
+    for piece in pieces:
+        rows[:, at:at + piece.shape[-1]] = piece
+        at += piece.shape[-1]
+    return rows[rows != 0].tobytes()
 
 
 class Table(NamedTuple):
-    """A header plus one list of cells per header name."""
+    """A header plus one column per header name."""
 
     header: list[str]
-    columns: list[list]
+    columns: list
 
 
-def _text(column: list) -> list[str]:
-    """A column as CSV cells, printed as ``csv.writer`` prints them."""
-    if set(map(type, column)) <= {str}:
-        return column
-    return ["" if c is None else str(c) for c in column]
+def _table_blocks(table: Table, fmt: str) -> Iterator[bytes]:
+    """The bytes of a CSV or JSON table file, BLOCK_ROWS rows at a time.
 
-
-def _plain(cells: list[str]) -> bool:
-    """True when no cell needs quoting: joining adds exactly one comma per
-    gap between cells, and no quote or line break appears anywhere."""
-    joined = ",".join(cells)
-    return (joined.count(",") == len(cells) - 1
-            and not any(c in joined for c in '"\r\n'))
+    JSON is what ``json.dumps(rows, sort_keys=True, indent=2)`` prints for
+    one dict per row.
+    """
+    header, columns = table
+    n = len(columns[0]) if columns else 0
+    if fmt == "json":
+        keys = {name: j for j, name in enumerate(header)}  # a dict keeps the last
+        order = [keys[k] for k in sorted(keys)]
+        seps = [("  {\n" if i == 0 else ",\n") + f"    {json.dumps(k)}: "
+                for i, k in enumerate(sorted(keys))]
+        end = "\n  },\n"
+        yield b"[\n" if n else b"[]\n"
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(header)
+        yield buf.getvalue().encode()
+        order = range(len(columns))
+        seps, end = [""] + [","] * (len(columns) - 1), "\n"
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, n))
+        cells = [_column_cells(columns[j], rows, fmt) for j in order]
+        if fmt != "json" and len(cells) == 1:
+            # csv.writer quotes the lone empty cell of a one-column row
+            lone = np.pad(cells[0], ((0, 0), (0, max(0, 2 - cells[0].shape[1]))))
+            lone[~lone.any(axis=1), :2] = ord('"')
+            cells = [lone]
+        block = _join_rows(seps, cells, end)
+        yield block[:-2] + b"\n]\n" if fmt == "json" and rows.stop == n else block
 
 
 @dataclass
@@ -131,27 +249,13 @@ class ReportBundle:
         columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in header]
         self.tables[name] = Table(header, columns)
 
-    def add_columns(self, name: str, header: list[str], columns: list[list]) -> None:
-        """Add a table given column by column."""
+    def add_columns(self, name: str, header: list[str], columns: list) -> None:
+        """Add a table given column by column: lists of values, or
+        IntColumn and MsColumn arrays."""
         if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
             raise ValueError(f"table {name!r}: needs {len(header)} columns "
                              "of one length")
         self.tables[name] = Table(list(header), columns)
-
-    def table_csv(self, name: str) -> str:
-        header, columns = self.tables[name]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        cells = [_text(c) for c in columns]
-        # csv.writer quotes the lone empty cell of a one-column row
-        if all(map(_plain, cells)) and not (len(cells) == 1 and "" in cells[0]):
-            rows = list(map(",".join, zip(*cells)))
-            if rows:
-                buf.write("\n".join(rows) + "\n")
-        else:
-            writer.writerows(zip(*cells))
-        return buf.getvalue()
 
     def write(self, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
         """Write manifest.json, summary.json and one file per table."""
@@ -165,13 +269,9 @@ class ReportBundle:
             path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
             written.append(path)
         for name in sorted(self.tables):
-            if fmt == "json":
-                path = out / f"{name}.json"
-                header, columns = self.tables[name]
-                payload = [dict(zip(header, row)) for row in zip(*columns)]
-                path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-            else:
-                path = out / f"{name}.csv"
-                path.write_text(self.table_csv(name))
+            path = out / f"{name}.{'json' if fmt == 'json' else 'csv'}"
+            with path.open("wb") as f:
+                for block in _table_blocks(self.tables[name], fmt):
+                    f.write(block)
             written.append(path)
         return written

@@ -1,17 +1,20 @@
 """CLI verbs, exit codes and report files."""
 
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from railsim import cli, suite
+from railsim import cli, report, suite
 from railsim.engine import (LOST_NS, NS_PER_MS, Counters, Scenario, SimResult,
                             TrafficSpec)
 from railsim.pathsim import PathSpec
-from railsim.report import fmt_ms
+from railsim.report import ReportBundle, fmt_ms
 
 SCENARIO = """
 [scenario]
@@ -185,6 +188,7 @@ def test_tcp_model_bad_input(capsys):
     ["mos", "--delay", "nan"],
     ["mos", "--grid", "--losses", "0:inf:0.01"],
     ["mos", "--grid", "--delays", "0,ten"],
+    ["mos", "--grid", "--losses", "0:1e300:1e-300"],
 ])
 def test_malformed_numbers_are_errors_not_tracebacks(argv, capsys):
     assert run(argv) == 1
@@ -195,6 +199,7 @@ def test_malformed_numbers_are_errors_not_tracebacks(argv, capsys):
     ("paths.0.loss.rate", "x"),
     ("paths.0.loss.rate", "0.1,nan"),
     ("traffic.count", "inf"),
+    ("traffic.count", "10,20.5"),
 ])
 def test_sweep_bad_values_are_errors(scenario_file, parameter, values, capsys):
     assert run(["sweep", "--scenario", scenario_file,
@@ -243,8 +248,9 @@ def _per_cell_rows(sim):
                           st.one_of(NS, st.just(LOST_NS)),
                           st.one_of(NS, st.just(-1)), st.one_of(NS, st.just(-1)),
                           NS),
-                min_size=1, max_size=30))
-def test_records_columns_match_the_per_cell_rule(rows):
+                min_size=1, max_size=30),
+       st.integers(1, 8))
+def test_records_columns_match_the_per_cell_rule(rows, block_rows):
     send, arr_a, arr_b, rail, fwd, pad = (np.array(c, dtype=np.int64)
                                           for c in zip(*rows))
     sim = SimResult(
@@ -253,10 +259,20 @@ def test_records_columns_match_the_per_cell_rule(rows):
         forwarded_order=np.empty(0, dtype=np.int64), counters=Counters(), warnings=[],
         send_ns=send, arrival_ns=np.stack([arr_a, arr_b]), rail_delay_ns=rail,
         forward_ns=fwd, padding_ns=pad)
-    header, columns = cli._records_table(sim)
-    assert header == ["seq", "send_ms", "arrival_a_ms", "arrival_b_ms",
-                      "rail_delay_ms", "forward_ms", "padding_ms"]
-    assert [list(r) for r in zip(*columns)] == _per_cell_rows(sim)
+    bundle = ReportBundle(manifest={})
+    bundle.add_columns("records", *cli._records_table(sim))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(report, "BLOCK_ROWS", block_rows):
+        bundle.write(Path(tmp) / "csv")
+        bundle.write(Path(tmp) / "json", fmt="json")
+        csv_lines = (Path(tmp) / "csv" / "records.csv").read_bytes().split(b"\n")
+        json_rows = json.loads((Path(tmp) / "json" / "records.json").read_bytes())
+    header = ["seq", "send_ms", "arrival_a_ms", "arrival_b_ms",
+              "rail_delay_ms", "forward_ms", "padding_ms"]
+    want = _per_cell_rows(sim)
+    assert csv_lines == ([",".join(header).encode()]
+                         + [",".join(map(str, r)).encode() for r in want] + [b""])
+    assert json_rows == [dict(zip(header, r)) for r in want]
 
 
 def test_trace_analyze(tmp_path, capsys):
@@ -278,6 +294,16 @@ def test_json_format_writes_json_tables(scenario_file, tmp_path):
     assert len(rows) == 60 and rows[0]["seq"] == 0
 
 
+def test_out_naming_a_file_is_an_error(scenario_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run(["simulate", "--scenario", scenario_file, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_out_dir_env_default(scenario_file, tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv(cli.ENV_OUT_DIR, str(target))
@@ -286,8 +312,6 @@ def test_out_dir_env_default(scenario_file, tmp_path, monkeypatch):
 
 
 def test_paper_suite_exit_two_on_failure(monkeypatch, capsys, tmp_path):
-    from railsim.report import ReportBundle
-
     def fake_suite():
         bundle = ReportBundle(manifest={"tool": "railsim"})
         return bundle, [suite.Gate("always-fails", False, "synthetic")]
@@ -300,8 +324,6 @@ def test_paper_suite_exit_two_on_failure(monkeypatch, capsys, tmp_path):
 
 
 def test_paper_suite_exit_zero_and_writes_bundle(monkeypatch, capsys, tmp_path):
-    from railsim.report import ReportBundle
-
     def fake_suite():
         bundle = ReportBundle(manifest={"tool": "railsim"})
         bundle.add_table("demo", ["x"], [[1]])

@@ -102,7 +102,7 @@ def test_rail_delay_is_min_over_delivered_copies():
             assert sim.rail_delay_ns[i] == -1 and sim.forward_ns[i] == -1
 
 
-def test_determinism_byte_identical():
+def test_determinism_byte_identical(tmp_path):
     scenario = Scenario(
         paths=[PathSpec("a", loss=LossModel(0.05, 0.2),
                         delay=DelayModel("paretonormal", mean=70.0, stddev=20.0,
@@ -118,8 +118,10 @@ def test_determinism_byte_identical():
                 "forwarded_order"):
         assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
     from railsim.cli import simulation_bundle
-    assert (simulation_bundle(a).table_csv("records")
-            == simulation_bundle(b).table_csv("records"))
+    simulation_bundle(a).write(tmp_path / "a")
+    simulation_bundle(b).write(tmp_path / "b")
+    assert ((tmp_path / "a" / "records.csv").read_bytes()
+            == (tmp_path / "b" / "records.csv").read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +369,9 @@ def test_sampled_delay_beyond_the_clock_is_an_error():
 
 
 def test_set_parameter_rejects_non_integer_for_integer_field():
-    with pytest.raises(ConfigurationError, match="traffic.count"):
-        set_parameter(two_const_paths(), "traffic.count", math.nan)
+    for value in (math.nan, math.inf, 20.5):
+        with pytest.raises(ConfigurationError, match="is not an integer"):
+            set_parameter(two_const_paths(), "traffic.count", value)
 
 
 # ---------------------------------------------------------------------------

@@ -4,38 +4,57 @@ and the row-by-row JSON layout."""
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from railsim.report import ReportBundle
+from railsim import report
+from railsim.report import IntColumn, ReportBundle
+
 
 @st.composite
 def row_tables(draw):
-    """Tables whose text cells hold at most one kind of character that
-    csv.writer quotes, so each kind also turns up alone."""
+    """Tables of up to four blocks of ``block_rows`` rows.  At most two
+    text cells hold one kind of character that csv.writer quotes, so a
+    quoted cell often sits in one block and not in the others."""
     special = draw(st.sampled_from([",", '"', "\r", "\n", " "]))
     cells = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
-                      st.sampled_from(["", "a", special, f"a{special}b"]))
+                      st.sampled_from(["", "a", "\u00e9"]))
     width = draw(st.integers(1, 4))
     header = draw(st.lists(st.text(alphabet="h,", min_size=1, max_size=3),
                            min_size=width, max_size=width, unique=True))
+    block_rows = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width),
-                         max_size=6))
-    return header, rows
+                         max_size=4 * block_rows))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.integers(0, len(rows) - 1))
+        col = draw(st.integers(0, width - 1))
+        rows[row][col] = draw(st.sampled_from([special, f"a{special}b"]))
+    return header, rows, block_rows
 
 
 @given(row_tables())
 def test_table_files_match_the_row_writers(table):
-    header, rows = table
+    header, rows, block_rows = table
     bundle = ReportBundle(manifest={})
     bundle.add_table("t", header, rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([["" if c is None else c for c in row] for row in rows])
-    assert bundle.table_csv("t") == buf.getvalue()
+    want_json = json.dumps([dict(zip(header, row)) for row in rows],
+                           sort_keys=True, indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(report, "BLOCK_ROWS", block_rows):
+        bundle.write(Path(tmp) / "csv")
+        bundle.write(Path(tmp) / "json", fmt="json")
+        assert (Path(tmp) / "csv" / "t.csv").read_bytes() == buf.getvalue().encode()
+        assert (Path(tmp) / "json" / "t.json").read_bytes() == want_json.encode()
 
 
 def test_json_tables_keep_cell_types(tmp_path):
@@ -54,3 +73,12 @@ def test_tables_reject_ragged_input():
         bundle.add_columns("t", ["a", "b"], [[1, 2], [3]])
     with pytest.raises(ValueError):
         bundle.add_columns("t", ["a", "b"], [[1, 2]])
+    with pytest.raises(ValueError):
+        IntColumn(np.array([3, -1]))
+
+
+def test_tables_reject_nul_cells(tmp_path):
+    bundle = ReportBundle(manifest={})
+    bundle.add_table("t", ["a"], [["x\0"]])
+    with pytest.raises(ValueError):
+        bundle.write(tmp_path)
