@@ -51,14 +51,15 @@ def _words(chars: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32).ravel()
 
 
+# Digit words; the comments show NUL bytes as "_".
 _I = np.arange(10_000)
 _DIGITS = (np.stack([_I // 1000, _I // 100, _I // 10, _I], axis=1) % 10
            + ord("0"))
 _ZEROS4 = _words(_DIGITS)                                        # "0042"
-_PAD4 = _words(np.where(_I[:, None] < [1000, 100, 10, 0], 0, _DIGITS))  # "  42"
-_LEAD4 = np.where(_I > 0, _PAD4, 0)                              # "    " for 0
+_PAD4 = _words(np.where(_I[:, None] < [1000, 100, 10, 0], 0, _DIGITS))  # "__42"
+_LEAD4 = np.where(_I > 0, _PAD4, 0)                              # "____" for 0
 _DOT3 = _words(np.c_[np.full(1000, ord(".")), _DIGITS[:1000, 1:]])  # ".042"
-_FRAC3 = _words(np.c_[_DIGITS[:1000, 1:], np.zeros(1000, int)])     # "042 "
+_FRAC3 = _words(np.c_[_DIGITS[:1000, 1:], np.zeros(1000, int)])     # "042_"
 
 
 def _digit_words(q: np.ndarray) -> list[np.ndarray]:
@@ -66,13 +67,17 @@ def _digit_words(q: np.ndarray) -> list[np.ndarray]:
     significant first), as many words as the largest q needs."""
     top = int(q.max(initial=0))
     n_words = 1 + (top >= 10 ** 4) + (top >= 10 ** 8)
+    # numpy's // by a constant is fast, % and divmod are not
     words, above = [], None
     for k in reversed(range(n_words)):
-        part = q // 10 ** (4 * k) % 10 ** 4
+        digits = q // 10 ** (4 * k) if k else q
         table = _PAD4 if k == 0 else _LEAD4
-        words.append(table[part] if above is None
-                     else np.where(above > 0, _ZEROS4[part], table[part]))
-        above = q // 10 ** (4 * k)
+        if above is None:
+            words.append(table[digits])
+        else:
+            part = digits - above * 10 ** 4
+            words.append(np.where(above > 0, _ZEROS4[part], table[part]))
+        above = digits
     return words
 
 
@@ -136,8 +141,11 @@ class MsColumn:
         missing = (np.zeros(len(ns), dtype=bool) if self.missing is None
                    else self.missing[rows])
         big = ~missing & ((ns < 0) | (ns >= _DECIMAL_NS))
-        q, r = np.divmod(np.where(missing | big, 0, ns), NS_PER_MS)
-        frac_hi, frac_lo = np.divmod(r, 1000)
+        decimal = np.where(missing | big, 0, ns)
+        q = decimal // NS_PER_MS
+        r = decimal - q * NS_PER_MS
+        frac_hi = r // 1000
+        frac_lo = r - frac_hi * 1000
         cells = _word_cells(_digit_words(q) + [_DOT3[frac_hi], _FRAC3[frac_lo]])
         if missing.any():
             cells = _put(cells, missing, _text_cells([self.word]))
@@ -156,7 +164,8 @@ def _put(cells: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
     ``new`` (or by its one row), widened if ``new`` is wider."""
     if new.shape[1] > cells.shape[1]:
         cells = np.pad(cells, ((0, 0), (0, new.shape[1] - cells.shape[1])))
-    cells[at] = np.pad(new, ((0, 0), (0, cells.shape[1] - new.shape[1])))
+    new = np.pad(new, ((0, 0), (0, cells.shape[1] - new.shape[1])))
+    cells[np.flatnonzero(at)] = new
     return cells
 
 
@@ -180,17 +189,17 @@ def _column_cells(column, rows: slice, fmt: str) -> np.ndarray:
 def _join_rows(seps: list[str], cells: list[np.ndarray], end: str) -> bytes:
     """Rows of ``seps[0] cells[0] seps[1] cells[1] ... end``, the cells'
     NUL padding dropped."""
-    pieces = []
+    template, starts = bytearray(), []
     for sep, column in zip(seps, cells):
-        pieces += [np.frombuffer(sep.encode(), dtype=np.uint8), column]
-    pieces.append(np.frombuffer(end.encode(), dtype=np.uint8))
-    rows = np.empty((len(cells[0]), sum(p.shape[-1] for p in pieces)),
-                    dtype=np.uint8)
-    at = 0
-    for piece in pieces:
-        rows[:, at:at + piece.shape[-1]] = piece
-        at += piece.shape[-1]
-    return rows[rows != 0].tobytes()
+        template += sep.encode()
+        starts.append(len(template))
+        template += bytes(column.shape[1])
+    template += end.encode()
+    rows = np.empty((len(cells[0]), len(template)), dtype=np.uint8)
+    rows[:] = np.frombuffer(template, dtype=np.uint8)
+    for at, column in zip(starts, cells):
+        rows[:, at:at + column.shape[1]] = column
+    return rows.tobytes().translate(None, b"\0")
 
 
 class Table(NamedTuple):
