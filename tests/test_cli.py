@@ -216,11 +216,14 @@ def test_reversed_range_is_an_error(losses, tmp_path, capsys):
 
 
 # int64 ns over the engine's clock range, weighted towards small values,
-# towards 2^33 ms, where cells stop being spelled from digits, and towards
-# 2^53 ns, where float64 stops holding every integer
+# towards powers of ten ms, where cells gain a digit, towards 2^33 ms,
+# where cells stop being spelled from digits, and towards 2^53 ns, where
+# float64 stops holding every integer
 DIGITS_LIMIT = 2 ** 33 * NS_PER_MS
 NS = st.one_of(st.integers(0, 2 ** 60 - 1),
                st.integers(0, 10 ** 7),
+               st.builds(lambda k, d: 10 ** k * NS_PER_MS + d,
+                         st.integers(0, 9), st.integers(0, 2 * NS_PER_MS)),
                st.integers(DIGITS_LIMIT - 2 ** 12, DIGITS_LIMIT + 2 ** 12),
                st.integers(2 ** 53 - 2 ** 12, 2 ** 53 + 2 ** 12),
                st.integers(2 ** 53, 2 ** 55))

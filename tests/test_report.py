@@ -27,7 +27,7 @@ def row_tables(draw):
                       st.sampled_from(["", "a", "\u00e9"]))
     width = draw(st.integers(1, 4))
     header = draw(st.lists(st.text(alphabet="h,", min_size=1, max_size=3),
-                           min_size=width, max_size=width, unique=True))
+                           min_size=width, max_size=width))
     block_rows = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width),
                          max_size=4 * block_rows))
@@ -55,6 +55,21 @@ def test_table_files_match_the_row_writers(table):
         bundle.write(Path(tmp) / "json", fmt="json")
         assert (Path(tmp) / "csv" / "t.csv").read_bytes() == buf.getvalue().encode()
         assert (Path(tmp) / "json" / "t.json").read_bytes() == want_json.encode()
+
+
+@given(st.lists(st.one_of(st.integers(0, 10 ** 12 - 1),
+                          st.sampled_from([0, 9999, 10 ** 4, 10 ** 8 - 1, 10 ** 8])),
+                min_size=1, max_size=8))
+def test_int_columns_print_as_python_ints(values):
+    bundle = ReportBundle(manifest={})
+    bundle.add_columns("t", ["v"], [IntColumn(np.array(values))])
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle.write(Path(tmp) / "csv")
+        bundle.write(Path(tmp) / "json", fmt="json")
+        assert (Path(tmp) / "csv" / "t.csv").read_text().split() == (
+            ["v"] + [str(v) for v in values])
+        assert json.loads((Path(tmp) / "json" / "t.json").read_text()) == [
+            {"v": v} for v in values]
 
 
 def test_json_tables_keep_cell_types(tmp_path):
