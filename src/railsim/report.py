@@ -94,10 +94,6 @@ def _text_cells(texts: list[str]) -> np.ndarray:
     return cells
 
 
-def _quoted(cells: np.ndarray) -> np.ndarray:
-    return np.pad(cells, ((0, 0), (1, 1)), constant_values=ord('"'))
-
-
 @dataclass(frozen=True)
 class IntColumn:
     """Integers 0 <= v < 10^12 in decimal, numbers in JSON."""
@@ -151,7 +147,9 @@ class MsColumn:
             cells = _put(cells, missing, _text_cells([self.word]))
         if big.any():
             cells = _put(cells, big, _text_cells(self._printed(ns[big])))
-        return _quoted(cells) if fmt == "json" else cells
+        if fmt == "json":
+            return np.pad(cells, ((0, 0), (1, 1)), constant_values=ord('"'))
+        return cells
 
     def _printed(self, ns: np.ndarray) -> list[str]:
         quotients = ([t / NS_PER_MS for t in ns.tolist()] if self.int_division
