@@ -23,6 +23,7 @@ from .pathsim import load_trace
 from .report import IntColumn, MsColumn, ReportBundle, fmt_ms, fmt_num
 
 ENV_OUT_DIR = "RAILSIM_OUT"
+MAX_RANGE_POINTS = 1_000_000  # points an 'a:b:step' range may expand to
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,10 +56,11 @@ def _parse_range(spec: str) -> list[float]:
             raise _UsageError("step must be > 0")
         if a > b:
             raise _UsageError(f"range start exceeds stop in {spec!r}")
-        count = (b - a) / step
-        if not math.isfinite(count):
-            raise _UsageError(f"range {spec!r} has too many points")
-        n = int(count + 1e-9) + 1
+        count = (b - a) / step + 1e-9
+        if not count < MAX_RANGE_POINTS:  # int(count) + 1 points; also inf
+            raise _UsageError(f"range {spec!r} has more than "
+                              f"{MAX_RANGE_POINTS} points")
+        n = int(count) + 1
         return [a + k * step for k in range(max(n, 0))]
     return [_float(x, "value list") for x in spec.split(",") if x.strip()]
 

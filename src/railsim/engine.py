@@ -12,6 +12,7 @@ import configparser
 import copy
 import hashlib
 import json
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -68,6 +69,10 @@ class Counters:
     suppressed: int = 0
     lost_copies: int = 0
     window_miss_duplicates: int = 0
+    # reorder hold: deadlines that released something, and arrivals that
+    # overflowed the hold and gave up its oldest gap (not in summary.json)
+    hold_timeouts: int = 0
+    hold_give_ups: int = 0
 
 
 @dataclass
@@ -287,10 +292,12 @@ def simulate(scenario: Scenario) -> SimResult:
     order = np.lexsort((seqs, t))
     t, seqs = t[order], seqs[order]
 
+    hold_events = Counter()
     if scenario.reorder_removal:
         timeout_ns = ms_to_ns(scenario.padding.target_one_way)
         released = reorder_hold_schedule(np.column_stack((t, seqs)), timeout_ns,
-                                         window=scenario.dedup_window)
+                                         window=scenario.dedup_window,
+                                         events=hold_events)
         t, seqs = released[:, 0], released[:, 1]
 
     forward_ns = np.full(n, LOST_NS, dtype=np.int64)
@@ -302,6 +309,8 @@ def simulate(scenario: Scenario) -> SimResult:
         suppressed=suppressed,
         lost_copies=lost_copies,
         window_miss_duplicates=len(dup_s),
+        hold_timeouts=hold_events["timeout"],
+        hold_give_ups=hold_events["give_up"],
     )
     return SimResult(
         scenario=scenario,

@@ -3,6 +3,7 @@ release-time policies (delay padding, optional reorder removal)."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,19 @@ class PaddingConfig:
     target_one_way: float = 0.0  # ms; also the reorder-removal hold timeout
 
 
-def reorder_hold_schedule(ready: np.ndarray, timeout_ns: int,
-                          window: int) -> np.ndarray:
+def _early_count(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """For each seq s, how many seqs <= s are among the first ``p[s] + 1``
+    first arrivals.  ``x`` lists the seqs in first-arrival order and ``p``
+    (one probe per seq) is nondecreasing, so seq ``x[q]`` counts from
+    ``s = x[q]`` and from the first s whose probe reaches ``q`` on."""
+    reached = np.cumsum(np.bincount(p, minlength=len(x)))  # [q]: probes <= q
+    start = x.copy()
+    np.maximum(start[1:], reached[:len(x) - 1], out=start[1:])
+    return np.cumsum(np.bincount(start, minlength=len(p) + 1)[:len(p)])
+
+
+def reorder_hold_schedule(ready: np.ndarray, timeout_ns: int, window: int,
+                          events: Counter | None = None) -> np.ndarray:
     """Reorder-removal release schedule.
 
     ``ready`` is the int64 (n, 2) array of (time_ns, seq) rows of packets
@@ -58,74 +70,112 @@ def reorder_hold_schedule(ready: np.ndarray, timeout_ns: int,
     >= 0.  A packet is held until every smaller seq has been released or
     declared lost, where a missing seq is declared lost once some held
     packet above it has waited ``timeout_ns`` (>= 0).  At most ``window``
-    packets are held: one more gives up the oldest gap.  Nothing is ever
-    dropped: a copy arriving after its gap timed out is released
-    immediately (late, possibly out of order).  Returns the int64 (m, 2)
-    array of (release_ns, seq) events in emission order.
+    (>= 1) packets are held: one more gives up the oldest gap.  Nothing
+    is ever dropped: a copy arriving after its gap timed out is released
+    immediately (late, possibly out of order).  Returns the int64 (n, 2)
+    array of (release_ns, seq) events in emission order.  ``events``, when
+    given, counts the deadlines that released something (``timeout``) and
+    the arrivals of held seqs that did (``give_up``, the memory bound).
+
+    The hold's only state is its frontier, the next expected seq, and it
+    is computed in closed form.  Events are the rows and the deadlines of
+    each seq's first row, ranked by time, a row before a deadline at the
+    same time and deadlines in row order.  The frontier passes seq s at
+    the event ``P(s) = max over j <= s of min(a(j), S(j), G(j))``: the
+    rank of j's first row, the first deadline of a seq >= j, and the
+    arrival of the ``window + 1``-th seq above j.  A first copy goes out
+    at ``max(a(s), P(s - 1))``, any later row at its own event, and
+    events emit in seq order.
     """
     if timeout_ns < 0:
         raise ConfigurationError(f"hold timeout must be >= 0 ns, got {timeout_ns}")
+    if window < 1:
+        raise ConfigurationError(f"hold window must be >= 1, got {window}")
     ready = np.asarray(ready, dtype=np.int64).reshape(-1, 2)
-    if len(ready) and ready[:, 1].min() < 0:
+    n = len(ready)
+    if n == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    ts, seqs = ready[:, 0], ready[:, 1]
+    if seqs.min() < 0:
         raise ConfigurationError("hold seqs must be >= 0")
-    ts = ready[:, 0].tolist()
-    ss = ready[:, 1].tolist()
-    out_t: list[int] = []
-    out_s: list[int] = []
-    # held[s] is 1 while seq s is buffered; every buffered seq is above
-    # next_expected, which only grows, so each seq is buffered at most once
-    # and the scans below cover each byte once.  The spare zero byte at
-    # the end stops the consecutive-run scan.
-    held = bytearray(max(ss, default=-1) + 2)
-    n_held = 0
-    next_expected = 0
+    if np.any(ts[1:] < ts[:-1]):
+        raise ConfigurationError("hold rows must be sorted by time")
+    if int(ts[-1]) + int(timeout_ns) >= 2**63:
+        raise ConfigurationError("a hold deadline overflows the int64 ns clock")
 
-    def release_through(top: int, t: int) -> None:
-        """Release every buffered seq <= top in seq order at time t, then
-        the consecutive run above it."""
-        nonlocal next_expected, n_held
-        m = held.find(1, next_expected, top + 1)
-        while m >= 0:
-            held[m] = 0
-            n_held -= 1
-            out_t.append(t)
-            out_s.append(m)
-            m = held.find(1, m + 1, top + 1)
-        m = top + 1
-        while held[m]:
-            held[m] = 0
-            n_held -= 1
-            out_t.append(t)
-            out_s.append(m)
-            m += 1
-        next_expected = m
+    # seq domain: each run of absent seqs acts as one seq, so sparse seqs
+    # are first collapsed onto slots
+    ss = seqs
+    if int(ss.max()) >= 2 * n:
+        present, ss = np.unique(ss, return_inverse=True)
+        ss = (np.arange(len(present)) + np.cumsum(np.diff(present, prepend=-1) > 1))[ss]
+    M = int(ss.max()) + 1
+    first_row = np.full(M, n, dtype=np.int64)
+    np.minimum.at(first_row, ss, np.arange(n, dtype=np.int64))
+    arrived = first_row < n
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first_row[arrived]] = True
+    firsts = np.flatnonzero(is_first)
+    m = len(firsts)
+    x = ss[firsts]                       # seqs in first-arrival order
 
-    # Row due's deadline is ts[due] + timeout_ns; rows are time-ordered and
-    # the timeout constant, so deadlines fall due in row order.  A row that
-    # did not buffer its seq finds held[seq] clear by then: its seq was
-    # already released, or an earlier row buffered it and fires first.
-    due = 0
-    for t, s in zip(ts, ss):
-        while ts[due] + timeout_ns < t:
-            if held[ss[due]]:
-                release_through(ss[due], ts[due] + timeout_ns)
-            due += 1
-        if s < next_expected or held[s]:
-            # duplicate, or straggler whose gap already timed out
-            out_t.append(t)
-            out_s.append(s)
-        elif s == next_expected:
-            out_t.append(t)
-            out_s.append(s)
-            release_through(s, t)
-        else:
-            held[s] = 1
-            n_held += 1
-            if n_held > window:
-                # memory bound: give up on the oldest gap
-                release_through(held.index(1, next_expected), t)
-    for j in range(due, len(ts)):
-        if held[ss[j]]:
-            release_through(ss[j], ts[j] + timeout_ns)
-    del ts, ss
-    return np.array([out_t, out_s], dtype=np.int64).T
+    # rank the events: rows, then the first rows' deadlines
+    times = np.concatenate([ts, ts[firsts] + timeout_ns])
+    order = np.argsort(times, kind="stable")
+    rank = np.empty(n + m, dtype=np.int64)
+    rank[order] = np.arange(n + m, dtype=np.int64)
+    row_rank, deadline_rank = rank[:n], rank[n:]
+    never = n + m
+    a_first = np.append(row_rank[firsts], never)  # by arrival position
+    a = np.full(M, never, dtype=np.int64)
+    a[x] = a_first[:m]
+    S = np.full(M, never, dtype=np.int64)
+    S[x] = deadline_rank
+    S = np.minimum.accumulate(S[::-1])[::-1]
+    T = np.minimum(a, S)
+
+    # G by its position in first-arrival order, the smallest q at which
+    # q - (seqs <= s among the first q + 1 arrivals) >= window, or m for
+    # none.  Each probe round evaluates one nondecreasing probe for every
+    # s; a probe bounds the answer from both sides, and the answers are
+    # nondecreasing in s, so the bounds propagate.  Two probes just below
+    # the upper bound settle most seqs, then bisection.  Stop once every
+    # open seq's lower bound lies at or past min(a, S).
+    lo = np.full(M, min(window, m), dtype=np.int64)
+    hi = np.minimum(np.cumsum(arrived) + window, m)
+    rounds = 0
+    while True:
+        open_ = np.flatnonzero(lo < hi)
+        if not np.any(a_first[lo[open_]] < T[open_]):
+            break
+        p = np.maximum(hi - 1, lo) if rounds < 2 else (lo + hi) >> 1
+        rounds += 1
+        need = _early_count(x, p) + window
+        passed = p >= need
+        bound = np.clip(need, lo, hi)
+        hi = np.where(passed, bound, hi)
+        lo = np.where(passed, lo, bound)
+        np.maximum.accumulate(lo, out=lo)
+        hi = np.minimum.accumulate(hi[::-1])[::-1]
+    P = np.maximum.accumulate(np.minimum(T, a_first[lo]))
+    after = np.empty(M, dtype=np.int64)  # P(s - 1)
+    after[0] = -1
+    after[1:] = P[:-1]
+
+    # held first copies leave at P(s - 1) in seq order; every other row at
+    # its own event, ahead of held seqs released by the same event
+    held = np.flatnonzero(arrived & (after >= a))
+    direct = np.ones(n, dtype=bool)
+    direct[first_row[held]] = False
+    direct = np.flatnonzero(direct)
+    at = np.concatenate([row_rank[direct], after[held]])
+    emit = np.argsort(at, kind="stable")
+    released = np.empty((n, 2), dtype=np.int64)
+    released[:, 0] = times[order[at[emit]]]
+    released[:, 1] = seqs[np.concatenate([direct, first_row[held]])[emit]]
+    if events is not None:
+        fired = np.zeros(n + m, dtype=bool)
+        fired[after[held]] = True
+        events["timeout"] += int(np.count_nonzero(fired[deadline_rank]))
+        events["give_up"] += int(np.count_nonzero(fired[a[held]]))
+    return released

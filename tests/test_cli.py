@@ -207,6 +207,16 @@ def test_sweep_bad_values_are_errors(scenario_file, parameter, values, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_range_point_cap_is_checked_before_expanding(monkeypatch, capsys):
+    # 1e12 points would be terabytes as a list: the count is refused first
+    assert run(["mos", "--grid", "--losses", "0:1e12:1", "--delays", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.setattr(cli, "MAX_RANGE_POINTS", 10)
+    assert run(["mos", "--grid", "--losses", "0:1:0.1", "--delays", "0"]) == 1
+    assert "more than 10 points" in capsys.readouterr().err
+    assert run(["mos", "--grid", "--losses", "0:0.9:0.1", "--delays", "0"]) == 0
+
+
 @pytest.mark.parametrize("losses", ["1:0:1", "10:1:5"])
 def test_reversed_range_is_an_error(losses, tmp_path, capsys):
     out = tmp_path / "grid"

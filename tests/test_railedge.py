@@ -114,11 +114,23 @@ def test_hold_ready_row_goes_before_a_deadline_at_the_same_time():
 
 
 def test_hold_rejects_negative_timeout_and_seq():
-    # the deadline walk and the seq-indexed held bytes rely on both >= 0
+    # the event ranks and the seq-indexed scans rely on both >= 0, on a
+    # window of at least one packet, on time-sorted rows and on every
+    # deadline fitting the int64 ns clock
     with pytest.raises(ConfigurationError, match="timeout"):
         hold([(0, 0)], timeout_ns=-1)
     with pytest.raises(ConfigurationError, match="seqs"):
         hold([(0, -2), (1, 3), (100, 0)], timeout_ns=10)
+    for window in (0, -3):
+        with pytest.raises(ConfigurationError, match="window"):
+            hold([(0, 0), (1, 2)], timeout_ns=10, window=window)
+    with pytest.raises(ConfigurationError, match="sorted"):
+        hold([(5, 0), (1, 2)], timeout_ns=10)
+    with pytest.raises(ConfigurationError, match="overflows"):
+        hold([(0, 0), (2**63 - 10, 1)], timeout_ns=100)
+    # the last deadline that fits is accepted, and fires
+    assert hold([(0, 1), (2**63 - 101, 3)], timeout_ns=100) == [
+        (100, 1), (2**63 - 1, 3)]
 
 
 def test_hold_one_deadline_releases_every_lower_held_seq_in_order():

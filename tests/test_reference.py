@@ -8,8 +8,16 @@ a set-and-deque duplicate filter (``DedupState`` below) over the copies
 in arrival order, the padding rule (``padding_release``) and a
 heap-driven reorder hold (``reference_hold_schedule``).  None of these
 share code with the engine's datapath.  ``simulate()`` must agree with
-the reference exactly, ledger columns and per-path accessors alike, with
-the dedup fast path allowed and with the sequential dedup pass forced.
+the reference exactly, ledger columns, counters and per-path accessors
+alike, with the dedup fast path allowed and with the sequential dedup
+pass forced.
+
+The engine's reorder hold is a closed form over prefix scans, so it is
+also checked on its own against two walks over the rows: the heap-driven
+reference and ``loop_hold_schedule``, a row loop over one seq-indexed
+``bytearray`` of held seqs.  Both count the same hold events as the
+closed form: deadlines that released something and give-ups at the
+memory bound.
 """
 
 import heapq
@@ -21,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsim import engine
+from railsim import engine, railedge
 from railsim.engine import Counters, Scenario, TrafficSpec, simulate
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
                              load_trace, path_rng, sample_loss, sample_path,
@@ -116,6 +124,68 @@ def reference_hold_schedule(ready, timeout_ns, window, events=None):
     return released
 
 
+def loop_hold_schedule(ready, timeout_ns, window):
+    """The same schedule as a walk over the rows with one seq-indexed
+    ``bytearray`` of held seqs: the deadlines are read from the rows
+    themselves (time plus the constant timeout, so they fall due in row
+    order), and releases scan the bytes upward from the next expected
+    seq.  Returns the (release_ns, seq) events in emission order."""
+    ts = [t for t, _ in ready]
+    ss = [s for _, s in ready]
+    released = []
+    # held[s] is 1 while seq s is buffered; every buffered seq is above
+    # next_expected, which only grows, so each seq is buffered at most once
+    # and the scans below cover each byte once.  The spare zero byte at
+    # the end stops the consecutive-run scan.
+    held = bytearray(max(ss, default=-1) + 2)
+    n_held = 0
+    next_expected = 0
+
+    def release_through(top, t):
+        """Release every buffered seq <= top in seq order at time t, then
+        the consecutive run above it."""
+        nonlocal next_expected, n_held
+        m = held.find(1, next_expected, top + 1)
+        while m >= 0:
+            held[m] = 0
+            n_held -= 1
+            released.append((t, m))
+            m = held.find(1, m + 1, top + 1)
+        m = top + 1
+        while held[m]:
+            held[m] = 0
+            n_held -= 1
+            released.append((t, m))
+            m += 1
+        next_expected = m
+
+    # A row that did not buffer its seq finds held[seq] clear by its
+    # deadline: its seq was already released, or an earlier row buffered
+    # it and fires first.
+    due = 0
+    for t, s in zip(ts, ss):
+        while ts[due] + timeout_ns < t:
+            if held[ss[due]]:
+                release_through(ss[due], ts[due] + timeout_ns)
+            due += 1
+        if s < next_expected or held[s]:
+            # duplicate, or straggler whose gap already timed out
+            released.append((t, s))
+        elif s == next_expected:
+            released.append((t, s))
+            release_through(s, t)
+        else:
+            held[s] = 1
+            n_held += 1
+            if n_held > window:
+                # memory bound: give up on the oldest gap
+                release_through(held.index(1, next_expected), t)
+    for j in range(due, len(ts)):
+        if held[ss[j]]:
+            release_through(ss[j], ts[j] + timeout_ns)
+    return released
+
+
 def padding_release(arrival_ns: int, rail_delay_ns: int, target_ns: int | None) -> int:
     """Release time of a first copy that arrived with one-way delay
     ``rail_delay_ns``: below the padding target it waits out the
@@ -200,6 +270,8 @@ def reference_simulate(s: Scenario) -> Reference:
     ref.forwarded_order = [seq for _, seq in released]
     ref.counters.forwarded = len(released)
     ref.counters.window_miss_duplicates = len(dups)
+    ref.counters.hold_timeouts = ref.hold_events["timeout"]
+    ref.counters.hold_give_ups = ref.hold_events["give_up"]
     return ref
 
 
@@ -385,12 +457,62 @@ def ready_streams(draw):
     return sorted(zip(t.tolist(), seqs.tolist()))
 
 
+def assert_hold_matches_both_oracles(ready, timeout, window):
+    events = Counter()
+    got = reorder_hold_schedule(np.array(ready, dtype=np.int64).reshape(-1, 2),
+                                timeout, window, events)
+    assert got.dtype == np.int64 and got.shape == (len(ready), 2)
+    got = [tuple(r) for r in got.tolist()]
+    want_events = Counter()
+    assert got == reference_hold_schedule(ready, timeout, window, want_events)
+    assert got == loop_hold_schedule(ready, timeout, window)
+    assert events == want_events
+
+
 @settings(max_examples=300, deadline=None)
 @given(ready=ready_streams(), timeout=st.integers(0, 80),
        window=st.integers(1, 8) | st.integers(1, 300))
 def test_hold_matches_the_heap_reference(ready, timeout, window):
-    got = reorder_hold_schedule(np.array(ready, dtype=np.int64).reshape(-1, 2),
-                                timeout, window)
-    assert got.dtype == np.int64 and got.shape == (len(ready), 2)
-    assert [tuple(r) for r in got.tolist()] == reference_hold_schedule(
-        ready, timeout, window)
+    assert_hold_matches_both_oracles(ready, timeout, window)
+
+
+@st.composite
+def tied_ready_streams(draw):
+    """Ready rows on a coarse time grid, so rows tie with each other and
+    with deadlines (every timeout is a multiple of the grid too); seqs may
+    be sparse, with long runs of absent seqs."""
+    n = draw(st.integers(0, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seqs = np.repeat(np.arange(n), rng.choice([0, 1, 1, 2, 3], size=n))
+    t = seqs + rng.integers(0, draw(st.sampled_from([1, 8, 40])), size=seqs.size)
+    t -= t % draw(st.sampled_from([1, 4, 10]))
+    seqs = seqs * draw(st.sampled_from([1, 1, 3, 1000])) + draw(st.sampled_from([0, 5000]))
+    return sorted(zip(t.tolist(), seqs.tolist()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ready=tied_ready_streams(), timeout=st.sampled_from([0, 1, 4, 10, 40]),
+       window=st.integers(1, 4) | st.integers(1, 100))
+def test_hold_matches_both_oracles_on_tied_streams(ready, timeout, window):
+    assert_hold_matches_both_oracles(ready, timeout, window)
+
+
+@pytest.mark.parametrize("timeout, window", [(0, 1), (100, 64), (10**12, 4096)])
+@pytest.mark.parametrize("shape", ["reversed", "permuted", "block-reversed"])
+def test_hold_adversarial_orders_match_the_loop(monkeypatch, shape, timeout, window):
+    """Seqs far out of arrival order are the search's worst case: it must
+    still be exact and settle in a logarithmic number of probe rounds."""
+    n = 20_000
+    t = np.arange(n, dtype=np.int64)
+    seqs = {"reversed": t[::-1],
+            "permuted": np.random.default_rng(11).permutation(n),
+            "block-reversed": t.reshape(-1, 500)[:, ::-1].reshape(-1)}[shape]
+    rounds = []
+    probe = railedge._early_count
+    monkeypatch.setattr(railedge, "_early_count",
+                        lambda x, p: rounds.append(1) or probe(x, p))
+    ready = np.column_stack((t, seqs))
+    got = reorder_hold_schedule(ready, timeout, window)
+    assert [tuple(r) for r in got.tolist()] == loop_hold_schedule(
+        ready.tolist(), timeout, window)
+    assert len(rounds) <= int(np.ceil(np.log2(n))) + 3
