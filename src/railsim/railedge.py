@@ -84,8 +84,8 @@ def reorder_hold_schedule(ready: np.ndarray, timeout_ns: int, window: int,
     the event ``P(s) = max over j <= s of min(a(j), S(j), G(j))``: the
     rank of j's first row, the first deadline of a seq >= j, and the
     arrival of the ``window + 1``-th seq above j.  A first copy goes out
-    at ``max(a(s), P(s - 1))``, any later row at its own event, and
-    events emit in seq order.
+    at ``max(a(s), P(s - 1))`` and any later row at its own event; what
+    one event releases goes out in seq order.
     """
     if timeout_ns < 0:
         raise ConfigurationError(f"hold timeout must be >= 0 ns, got {timeout_ns}")
