@@ -478,8 +478,8 @@ def test_hold_matches_the_heap_reference(ready, timeout, window):
 
 @st.composite
 def tied_ready_streams(draw):
-    """Ready rows on a coarse time grid, so rows tie with each other and
-    with deadlines (every timeout is a multiple of the grid too); seqs may
+    """Ready rows on a coarse time grid, so rows tie with each other and,
+    at timeouts that are multiples of the grid, with deadlines; seqs may
     be sparse, with long runs of absent seqs."""
     n = draw(st.integers(0, 120))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
