@@ -53,12 +53,53 @@ class PaddingConfig:
 def _early_count(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """For each seq s, how many seqs <= s are among the first ``p[s] + 1``
     first arrivals.  ``x`` lists the seqs in first-arrival order and ``p``
-    (one probe per seq) is nondecreasing, so seq ``x[q]`` counts from
-    ``s = x[q]`` and from the first s whose probe reaches ``q`` on."""
+    (one probe per seq) is nondecreasing, so seq ``x[q]`` counts for every
+    s at or above both ``x[q]`` and the first s whose probe reaches ``q``."""
     reached = np.cumsum(np.bincount(p, minlength=len(x)))  # [q]: probes <= q
     start = x.copy()
     np.maximum(start[1:], reached[:len(x) - 1], out=start[1:])
     return np.cumsum(np.bincount(start, minlength=len(p) + 1)[:len(p)])
+
+
+def _frontier_passes(x: np.ndarray, a: np.ndarray, a_first: np.ndarray,
+                     deadline_rank: np.ndarray, window: int) -> np.ndarray:
+    """P(s), the event at which the hold's frontier passes seq s.
+
+    ``x`` lists the seqs in first-arrival order, ``a_first`` the event
+    rank of each first arrival (then one past the last event, for none),
+    ``a`` the same rank by seq and ``deadline_rank`` that of each first
+    arrival's deadline.
+    """
+    never = a_first[-1]
+    m, M = len(x), len(a)
+    S = np.full(M, never, dtype=np.int64)
+    S[x] = deadline_rank
+    T = np.minimum(a, np.minimum.accumulate(S[::-1])[::-1])
+
+    # G by its position in first-arrival order, the smallest q at which
+    # q - (seqs <= s among the first q + 1 arrivals) >= window, or m for
+    # none.  Each probe round evaluates one nondecreasing probe for every
+    # s; a probe bounds the answer from both sides, and the answers are
+    # nondecreasing in s, so the bounds propagate.  Two probes just below
+    # the upper bound settle most seqs, then bisection.  Stop once every
+    # open seq's lower bound lies at or past min(a, S).
+    lo = np.full(M, min(window, m), dtype=np.int64)
+    hi = np.minimum(np.cumsum(a < never) + window, m)
+    rounds = 0
+    while True:
+        open_ = np.flatnonzero(lo < hi)
+        if not np.any(a_first[lo[open_]] < T[open_]):
+            break
+        p = np.maximum(hi - 1, lo) if rounds < 2 else (lo + hi) >> 1
+        rounds += 1
+        need = _early_count(x, p) + window
+        passed = p >= need
+        bound = np.clip(need, lo, hi)
+        hi = np.where(passed, bound, hi)
+        lo = np.where(passed, lo, bound)
+        np.maximum.accumulate(lo, out=lo)
+        hi = np.minimum.accumulate(hi[::-1])[::-1]
+    return np.maximum.accumulate(np.minimum(T, a_first[lo]))
 
 
 def reorder_hold_schedule(ready: np.ndarray, timeout_ns: int, window: int,
@@ -119,7 +160,8 @@ def reorder_hold_schedule(ready: np.ndarray, timeout_ns: int, window: int,
     m = len(firsts)
     x = ss[firsts]                       # seqs in first-arrival order
 
-    # rank the events: rows, then the first rows' deadlines
+    # rank the events by time; the stable sort puts a row before a deadline
+    # at the same time and keeps the deadlines in row order
     times = np.concatenate([ts, ts[firsts] + timeout_ns])
     order = np.argsort(times, kind="stable")
     rank = np.empty(n + m, dtype=np.int64)
@@ -129,38 +171,8 @@ def reorder_hold_schedule(ready: np.ndarray, timeout_ns: int, window: int,
     a_first = np.append(row_rank[firsts], never)  # by arrival position
     a = np.full(M, never, dtype=np.int64)
     a[x] = a_first[:m]
-    S = np.full(M, never, dtype=np.int64)
-    S[x] = deadline_rank
-    S = np.minimum.accumulate(S[::-1])[::-1]
-    T = np.minimum(a, S)
-
-    # G by its position in first-arrival order, the smallest q at which
-    # q - (seqs <= s among the first q + 1 arrivals) >= window, or m for
-    # none.  Each probe round evaluates one nondecreasing probe for every
-    # s; a probe bounds the answer from both sides, and the answers are
-    # nondecreasing in s, so the bounds propagate.  Two probes just below
-    # the upper bound settle most seqs, then bisection.  Stop once every
-    # open seq's lower bound lies at or past min(a, S).
-    lo = np.full(M, min(window, m), dtype=np.int64)
-    hi = np.minimum(np.cumsum(arrived) + window, m)
-    rounds = 0
-    while True:
-        open_ = np.flatnonzero(lo < hi)
-        if not np.any(a_first[lo[open_]] < T[open_]):
-            break
-        p = np.maximum(hi - 1, lo) if rounds < 2 else (lo + hi) >> 1
-        rounds += 1
-        need = _early_count(x, p) + window
-        passed = p >= need
-        bound = np.clip(need, lo, hi)
-        hi = np.where(passed, bound, hi)
-        lo = np.where(passed, lo, bound)
-        np.maximum.accumulate(lo, out=lo)
-        hi = np.minimum.accumulate(hi[::-1])[::-1]
-    P = np.maximum.accumulate(np.minimum(T, a_first[lo]))
-    after = np.empty(M, dtype=np.int64)  # P(s - 1)
-    after[0] = -1
-    after[1:] = P[:-1]
+    P = _frontier_passes(x, a, a_first, deadline_rank, window)
+    after = np.concatenate(([-1], P[:-1]))  # P(s - 1)
 
     # held first copies leave at P(s - 1) in seq order; every other row at
     # its own event, ahead of held seqs released by the same event
