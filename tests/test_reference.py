@@ -509,8 +509,12 @@ def test_hold_adversarial_orders_match_the_loop(monkeypatch, shape, timeout, win
             "block-reversed": t.reshape(-1, 500)[:, ::-1].reshape(-1)}[shape]
     rounds = []
     probe = railedge._early_count
-    monkeypatch.setattr(railedge, "_early_count",
-                        lambda x, p: rounds.append(1) or probe(x, p))
+
+    def counted_probe(x, p):
+        rounds.append(p)
+        return probe(x, p)
+
+    monkeypatch.setattr(railedge, "_early_count", counted_probe)
     ready = np.column_stack((t, seqs))
     got = reorder_hold_schedule(ready, timeout, window)
     assert [tuple(r) for r in got.tolist()] == loop_hold_schedule(
