@@ -73,6 +73,10 @@ class Counters:
     # overflowed the hold and gave up its oldest gap (not in summary.json)
     hold_timeouts: int = 0
     hold_give_ups: int = 0
+    # delay padding: first forwards held back, and their total hold in ns
+    # (not in summary.json)
+    padded: int = 0
+    padding_ns: int = 0
 
 
 @dataclass
@@ -228,6 +232,12 @@ def _dedup_pass(arrival_ns: np.ndarray, window: int):
     return first_ns, delivered_total - n_first - len(dup_t), dup_t, dup_s
 
 
+def _exact_sum(a: np.ndarray) -> int:
+    """Sum of a non-negative int64 array as a Python int.  Summed whole, a
+    long run of large paddings could wrap int64; each 32-bit half cannot."""
+    return (int((a >> 32).sum()) << 32) + int((a & 0xFFFFFFFF).sum())
+
+
 def simulate(scenario: Scenario) -> SimResult:
     """Run one scenario and return the complete per-packet ledger."""
     problems = validate_scenario(scenario)
@@ -311,6 +321,8 @@ def simulate(scenario: Scenario) -> SimResult:
         window_miss_duplicates=len(dup_s),
         hold_timeouts=hold_events["timeout"],
         hold_give_ups=hold_events["give_up"],
+        padded=int(np.count_nonzero(padding_ns)),
+        padding_ns=_exact_sum(padding_ns),
     )
     return SimResult(
         scenario=scenario,

@@ -8,7 +8,9 @@ depend on how many packets a run asks for; only the rows of the run are
 drawn (the paretonormal kind's normal column is the one exception, drawn
 whole per chunk).  Each chunk is reduced to what the sequential
 recurrences (sticky loss, AR(1) delay) read as it is drawn, and each
-recurrence then runs once over the whole run.
+recurrence then runs once over the whole run: sticky loss as a running
+maximum, the AR(1) delay filter as a verified lockstep of row blocks that
+equals the one-row-at-a-time loop bit for bit (see ``ar1_scan``).
 """
 
 from __future__ import annotations
@@ -242,13 +244,75 @@ def sticky_scan(fresh, hit):
     return hit[src]
 
 
+# The AR(1) scan's lockstep: with fewer blocks than this the loop is as
+# fast (each lockstep step costs about as much as 15 loop rows, and there
+# are up to two steps per block row); a block has at least this many rows,
+# and a repair re-runs the loop this many rows at a time.
+_MIN_BLOCKS = 32
+_MIN_BLOCK_ROWS = 128
+
+
+def _ar1_loop(x, corr, b, out):
+    """Run ``x = corr * x + b[i]`` over ``b`` from the float ``x``, writing
+    each value into ``out`` (as long as ``b``), and return the last value.
+
+    Python floats, a list of at most ``CHUNK`` of them at a time: faster
+    than numpy scalars, and than one list over a long run."""
+    for lo in range(0, len(b), CHUNK):
+        block: list[float] = []
+        for v in b[lo:lo + CHUNK].tolist():
+            x = corr * x + v
+            block.append(x)
+        out[lo:lo + len(block)] = block
+    return x
+
+
+def _ar1_repair(out, b, lo, hi, corr):
+    """Make rows [lo, hi) of ``out`` exact, given an exact row lo - 1.
+
+    Re-runs the loop from row lo - 1, ``_MIN_BLOCK_ROWS`` rows at a time,
+    until a recomputed row equals the stored one bit for bit: the stored
+    rows from there on follow from it and are right.  Returns False when
+    no row merged, so row hi - 1 has changed.
+    """
+    x = float(out[lo - 1])
+    for p in range(lo, hi, _MIN_BLOCK_ROWS):
+        q = min(p + _MIN_BLOCK_ROWS, hi)
+        fresh = np.empty(q - p)
+        x = _ar1_loop(x, corr, b[p:q], fresh)
+        same = np.flatnonzero(fresh.view(np.int64) == out[p:q].view(np.int64))
+        if len(same):
+            out[p:p + same[0]] = fresh[:same[0]]
+            return True
+        out[p:q] = fresh
+    return False
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def ar1_scan(eps, corr):
     """AR(1) scan: x[0] = eps[0], x[i] = corr * x[i-1] + sqrt(1 - corr^2) * eps[i].
 
-    Returns a float64 array.  The correlated case stays a sequential loop:
-    no numpy-only form reproduces its rounding exactly.  The loop builds a
-    Python list of at most ``CHUNK`` values at a time and copies it into
-    the output, which is faster than one list over a long run.
+    Returns a float64 array equal, bit for bit, to the loop that computes
+    ``corr * x + b`` one row at a time (``b`` the scaled innovation).  No
+    closed form reproduces that rounding, but the recurrence contracts:
+    after ``w = ceil(45 / -ln |corr|)`` rows a start error has shrunk below
+    2**-64 of itself, so a run from a wrong start almost always reaches the
+    exact bits.  Rows 1.. are split into blocks of ``m = max(w, 128)`` rows
+    and every block runs at once, one row index at a time, with the loop's
+    two correctly rounded operations as numpy calls (no fused multiply-add):
+
+    - block 0 starts from x[0], block k from a guess: the recurrence run
+      from 0.0 over the last ``w`` rows of block k - 1, also in lockstep;
+    - each guess is compared, bit for bit on an int64 view, with the value
+      block k - 1 ended on.  By induction every block whose guess matched
+      is exact;
+    - the other blocks are repaired in order by ``_ar1_repair``.  A block
+      that does not merge has changed its last value, so the next block
+      is repaired too.
+
+    Runs of fewer than ``_MIN_BLOCKS`` blocks, and the rows after the last
+    block, use the loop.  Overflow goes to inf without a warning, as in
+    the loop.
     """
     if corr == 0.0:
         # Value-identical to the scan (adding 0.0 normalises -0.0).
@@ -257,15 +321,39 @@ def ar1_scan(eps, corr):
     out = np.empty(n, dtype=np.float64)
     if n == 0:
         return out
-    s = math.sqrt(1.0 - corr * corr)
-    x = out[0] = float(eps[0])
-    for lo in range(1, n, CHUNK):
-        block: list[float] = []
-        # numpy's float64 product is the same IEEE product as the scalar one
-        for b in (s * eps[lo:lo + CHUNK]).tolist():
-            x = corr * x + b
-            block.append(x)
-        out[lo:lo + len(block)] = block
+    out[0] = eps[0]
+    w = math.ceil(45 / -math.log(abs(corr))) if abs(corr) < 1.0 else n
+    m = max(w, _MIN_BLOCK_ROWS)
+    k = (n - 1) // m
+    # numpy's float64 product is the same IEEE product as the scalar one
+    b = math.sqrt(1.0 - corr * corr) * eps
+    if k < _MIN_BLOCKS:
+        _ar1_loop(float(out[0]), corr, b[1:], out[1:])
+        return out
+    hi = 1 + k * m
+    rows, steps = out[1:hi].reshape(k, m), b[1:hi].reshape(k, m)
+    c = np.array(corr, dtype=np.float64)  # a 0-d operand makes the cheapest call
+    start = np.zeros(k)
+    start[0] = out[0]
+    guess = start[1:]
+    for step in steps[:-1, m - w:].T:
+        np.multiply(guess, c, guess)
+        np.add(guess, step, guess)
+    x = start
+    for row, step in zip(rows.T, steps.T):
+        np.multiply(x, c, row)
+        np.add(row, step, row)
+        x = row
+    miss = guess.view(np.int64) != rows[:-1, -1].view(np.int64)
+    exact = 1  # blocks below this one are exact
+    for blk in (np.flatnonzero(miss) + 1).tolist():
+        if blk < exact:
+            continue
+        while blk < k and not _ar1_repair(out, b, 1 + blk * m, 1 + (blk + 1) * m,
+                                          corr):
+            blk += 1
+        exact = blk + 1
+    _ar1_loop(float(out[hi - 1]), corr, b[hi:], out[hi:])
     return out
 
 
@@ -355,6 +443,10 @@ def sample_loss(model: LossModel, rng: np.random.Generator, n: int) -> np.ndarra
 _DELAY_LAYOUT = {"normal": "n", "paretonormal": "unu"}
 
 
+# A stddev near the float limit overflows to inf here; the engine's clock
+# check turns any non-finite delay into a ConfigurationError, so numpy need
+# not also warn on stderr.
+@np.errstate(over="ignore")
 def _deviates(d: DelayModel, rows: list[np.ndarray]) -> np.ndarray:
     """One chunk's delay columns reduced to the scaled AR(1) innovations."""
     if d.kind == "normal":

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -122,6 +123,22 @@ def test_non_utf8_trace_is_an_error(tmp_path, capsys):
     scenario = _trace_scenario(tmp_path, trace.name)
     assert run(["simulate", "--scenario", scenario, "--out", tmp_path / "o"]) == 1
     assert capsys.readouterr().err.startswith("error: cannot read trace file")
+
+
+@pytest.mark.parametrize("stddev", ["1.7e308", "6e307"])
+def test_overflowing_delays_print_only_the_error_line(tmp_path, capfd, stddev):
+    # the AR(1) scan runs in lockstep here (20000 rows at corr 0.9); inf and
+    # NaN delays must reach the clock check without a numpy warning
+    path = tmp_path / "huge.scenario"
+    path.write_text("[traffic]\ncount = 20000\ninterval = 20\n\n[paths.0]\n"
+                    "id = a\ndelay = normal\nmean = 10\n"
+                    f"stddev = {stddev}\ndelay_correlation = 0.9\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["simulate", "--scenario", path, "--out", tmp_path / "out"]) == 1
+    assert caught == []
+    assert capfd.readouterr().err == (
+        "error: path a: a sampled delay overflows the int64 ns clock\n")
 
 
 def test_usage_error_exit_code_is_one(capsys):

@@ -149,6 +149,14 @@ def test_padding_release_is_max_of_delay_and_target():
     assert padded.size > 0 and float(np.std(padded)) == 0.0
 
 
+def test_padding_total_does_not_wrap_int64():
+    # 16 paddings just under the clock limit sum past 2**63
+    pads = np.full(16, engine.CLOCK_LIMIT_NS - 1, dtype=np.int64)
+    assert engine._exact_sum(pads) == 16 * (engine.CLOCK_LIMIT_NS - 1)
+    assert engine._exact_sum(np.arange(1000, dtype=np.int64)) == 499500
+    assert engine._exact_sum(np.empty(0, dtype=np.int64)) == 0
+
+
 def test_padding_never_drops_and_reduces_spread():
     plain = simulate(Scenario(
         paths=[PathSpec("a", delay=DelayModel("normal", mean=100.0, stddev=20.0)),

@@ -1,7 +1,9 @@
 """The scan kernels: hand cases, the numpy sticky-loss pass against a
-plain sequential loop and the list-based AR(1) scan against an array
-loop, bit for bit, on short runs and on runs longer than one list
-block."""
+plain sequential loop, and the AR(1) scan against an array loop, bit for
+bit.  The AR(1) cases reach both of its paths: the plain loop on short
+runs, and the verified lockstep on long ones, including inputs that make
+a block's guess miss (a spike just before a warm-up window, inf and NaN
+rows, signed zeros) so that the repair and its chain of re-checks run."""
 
 import math
 
@@ -126,3 +128,118 @@ def test_ar1_scan_equals_the_loop_bit_for_bit(corr, n, scale, seed):
     got = pathsim.ar1_scan(eps, corr)
     assert got.dtype == np.float64
     assert got.tobytes() == loop_ar1_scan(eps, corr).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    corr=(st.sampled_from([0.3, 0.6, 0.9, 0.95, 0.999999])
+          | st.floats(0.0, 1.0, exclude_max=True)),
+    n=st.integers(0, 20000),
+    scale=st.sampled_from([1.0, 1e-3, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_long_ar1_scans_equal_the_loop_bit_for_bit(corr, n, scale, seed):
+    # long enough for the lockstep at corr up to about 0.9
+    eps = np.random.default_rng(seed).standard_normal(n) * scale
+    got = pathsim.ar1_scan(eps, corr)
+    assert got.dtype == np.float64
+    assert got.tobytes() == loop_ar1_scan(eps, corr).tobytes()
+
+
+@pytest.fixture
+def repairs(monkeypatch):
+    """(first row, merged) of every block ``ar1_scan`` repairs, in order."""
+    calls = []
+    real = pathsim._ar1_repair
+
+    def spy(out, b, lo, hi, corr):
+        merged = real(out, b, lo, hi, corr)
+        calls.append((lo, merged))
+        return merged
+
+    monkeypatch.setattr(pathsim, "_ar1_repair", spy)
+    return calls
+
+
+# corr 0.6: each guess warms up over w = 89 rows, blocks have m = 128 rows
+# (block k holds rows 1 + k*m ..), and 40 blocks plus a 30-row tail run in
+# lockstep.
+CORR, W, M, BLOCKS = 0.6, 89, 128, 40
+
+
+def _lockstep_eps(seed=11):
+    return np.random.default_rng(seed).standard_normal(1 + BLOCKS * M + 30)
+
+
+def _before_window(k):
+    """The row just before the warm-up window that guesses block k + 1."""
+    return 1 + k * M + (M - W) - 1
+
+
+def test_the_lockstep_geometry_is_pinned():
+    assert math.ceil(45 / -math.log(CORR)) == W and max(W, 128) == M
+    assert BLOCKS >= pathsim._MIN_BLOCKS
+
+
+def test_a_plain_run_needs_no_repair(repairs):
+    eps = _lockstep_eps()
+    assert pathsim.ar1_scan(eps, CORR).tobytes() == loop_ar1_scan(eps, CORR).tobytes()
+    assert repairs == []
+
+
+def test_a_small_spike_is_repaired_within_its_block(repairs):
+    eps = _lockstep_eps()
+    eps[_before_window(10)] = 1e6
+    assert pathsim.ar1_scan(eps, CORR).tobytes() == loop_ar1_scan(eps, CORR).tobytes()
+    assert repairs == [(1 + 11 * M, True)]
+
+
+def test_a_huge_spike_is_repaired_across_blocks(repairs):
+    # its trace outlasts block 11, so blocks 12.. are re-checked until one
+    # merges
+    eps = _lockstep_eps()
+    eps[_before_window(10)] = 1e200
+    assert pathsim.ar1_scan(eps, CORR).tobytes() == loop_ar1_scan(eps, CORR).tobytes()
+    firsts = [lo for lo, _ in repairs]
+    assert firsts == list(range(1 + 11 * M, 1 + (11 + len(repairs)) * M, M))
+    assert len(repairs) > 2
+    assert [merged for _, merged in repairs] == [False] * (len(repairs) - 1) + [True]
+
+
+@pytest.mark.parametrize("rows", [{0: math.inf}, {0: math.nan}, {0: -math.inf},
+                                  {0: math.inf, 200: -math.inf}],
+                         ids=["inf", "nan", "-inf", "inf-then-minus-inf"])
+def test_non_finite_rows_chain_repairs_to_the_end(rows, repairs):
+    # from the bad row on the run is inf or NaN, which no guess from 0.0
+    # reaches: no block merges, so every later block is repaired in turn
+    eps = _lockstep_eps()
+    for offset, value in rows.items():
+        eps[_before_window(10) + offset] = value
+    got = pathsim.ar1_scan(eps, CORR)
+    assert got.tobytes() == loop_ar1_scan(eps, CORR).tobytes()
+    assert not np.isfinite(got[-1])
+    assert repairs == [(1 + k * M, False) for k in range(11, BLOCKS)]
+
+
+@pytest.mark.parametrize("lead, zero", [(-5.0, -0.0), (-5.0, 0.0), (5.0, -0.0),
+                                        (5.0, 0.0)])
+def test_signed_zero_runs_are_exact(lead, zero):
+    # a run of zeros long enough for the value before it to underflow (at
+    # corr 0.6 it would stop at the smallest subnormal): only a negative
+    # value over -0.0 rows ends on -0.0, which a guess of +0.0 equals as a
+    # float but not bit for bit
+    corr = 0.4  # w = 50, so still 128-row blocks
+    eps = _lockstep_eps()
+    eps[499] = lead
+    eps[500:3000] = zero
+    want = loop_ar1_scan(eps, corr)
+    assert want[2999] == 0.0
+    assert np.signbit(want[2999]) == (lead < 0 and np.signbit(zero))
+    assert pathsim.ar1_scan(eps, corr).tobytes() == want.tobytes()
+
+
+def test_an_all_negative_zero_run_is_repaired(repairs):
+    eps = np.full(1 + BLOCKS * M + 30, -0.0)
+    got = pathsim.ar1_scan(eps, CORR)
+    assert got.tobytes() == loop_ar1_scan(eps, CORR).tobytes()
+    assert np.signbit(got).all() and repairs

@@ -255,6 +255,9 @@ def reference_simulate(s: Scenario) -> Reference:
         release = padding_release(t, rail, pad_target)
         ref.rail_delay_ns.append(rail)
         ref.padding_ns.append(release - t)
+        if release > t:
+            ref.counters.padded += 1
+            ref.counters.padding_ns += release - t
         ready.append((release, seq))
     ready.sort()
     if s.reorder_removal:
@@ -396,6 +399,25 @@ def test_hard_runs_reach_every_datapath_event():
     assert ref.counters.window_miss_duplicates > 0
     assert ref.hold_events["timeout"] > 0
     assert ref.hold_events["give_up"] > 0
+    assert_matches_reference(scenario, ref)
+
+
+def test_padded_runs_count_held_packets():
+    """Delays straddle the padding target, so some first forwards are held
+    and some go straight out; the counters equal the oracle's."""
+    scenario = Scenario(
+        paths=[PathSpec("a", loss=LossModel(0.2),
+                        delay=DelayModel("normal", mean=40.0, stddev=20.0,
+                                         correlation=0.6)),
+               PathSpec("b", delay=DelayModel("paretonormal", mean=45.0, stddev=10.0))],
+        traffic=TrafficSpec(interval=20.0, count=1500),
+        padding=PaddingConfig(enabled=True, target_one_way=50.0),
+        seed=4,
+    )
+    ref = reference_simulate(scenario)
+    held = [p for p in ref.padding_ns if p > 0]
+    assert 0 < ref.counters.padded == len(held) < scenario.traffic.count
+    assert ref.counters.padding_ns == sum(held)
     assert_matches_reference(scenario, ref)
 
 
