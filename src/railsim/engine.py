@@ -233,9 +233,12 @@ def _dedup_pass(arrival_ns: np.ndarray, window: int):
 
 
 def _exact_sum(a: np.ndarray) -> int:
-    """Sum of a non-negative int64 array as a Python int.  Summed whole, a
-    long run of large paddings could wrap int64; each 32-bit half cannot."""
-    return (int((a >> 32).sum()) << 32) + int((a & 0xFFFFFFFF).sum())
+    """Sum of a non-negative int64 array as a Python int: numpy's where no
+    int64 sum of its length can wrap, else Python's (a long run of paddings
+    near the clock limit)."""
+    if len(a) == 0 or int(a.max()) <= np.iinfo(np.int64).max // len(a):
+        return int(a.sum())
+    return sum(a.tolist())
 
 
 def simulate(scenario: Scenario) -> SimResult:
