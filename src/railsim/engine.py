@@ -232,11 +232,11 @@ def _dedup_pass(arrival_ns: np.ndarray, window: int):
     return first_ns, delivered_total - n_first - len(dup_t), dup_t, dup_s
 
 
-def _exact_sum(a: np.ndarray) -> int:
-    """Sum of a non-negative int64 array as a Python int: numpy's where no
-    int64 sum of its length can wrap, else Python's (a long run of paddings
-    near the clock limit)."""
-    if len(a) == 0 or int(a.max()) <= np.iinfo(np.int64).max // len(a):
+def _exact_sum(a: np.ndarray, most: int) -> int:
+    """Sum of an int64 array whose elements lie in [0, most], as a Python
+    int: numpy's where its int64 sum cannot wrap, else Python's (a long run
+    of paddings near the clock limit)."""
+    if most * len(a) <= np.iinfo(np.int64).max:
         return int(a.sum())
     return sum(a.tolist())
 
@@ -291,8 +291,11 @@ def simulate(scenario: Scenario) -> SimResult:
     if scenario.padding.enabled:
         target_ns = ms_to_ns(scenario.padding.target_one_way)
         padding_ns = np.where(ever, np.maximum(target_ns - rail_delay_ns, 0), 0)
+        padded = int(np.count_nonzero(padding_ns))
+        padding_total = _exact_sum(padding_ns, target_ns)
     else:
         padding_ns = np.zeros(n, dtype=np.int64)
+        padded = padding_total = 0
     release_ns = np.where(ever, first_ns + padding_ns, -1)
 
     # release order: first forwards plus window-miss duplicates, by time
@@ -324,8 +327,8 @@ def simulate(scenario: Scenario) -> SimResult:
         window_miss_duplicates=len(dup_s),
         hold_timeouts=hold_events["timeout"],
         hold_give_ups=hold_events["give_up"],
-        padded=int(np.count_nonzero(padding_ns)),
-        padding_ns=_exact_sum(padding_ns),
+        padded=padded,
+        padding_ns=padding_total,
     )
     return SimResult(
         scenario=scenario,

@@ -151,10 +151,16 @@ def test_padding_release_is_max_of_delay_and_target():
 
 def test_padding_total_does_not_wrap_int64():
     # 16 paddings just under the clock limit sum past 2**63
-    pads = np.full(16, engine.CLOCK_LIMIT_NS - 1, dtype=np.int64)
-    assert engine._exact_sum(pads) == 16 * (engine.CLOCK_LIMIT_NS - 1)
-    assert engine._exact_sum(np.arange(1000, dtype=np.int64)) == 499500
-    assert engine._exact_sum(np.empty(0, dtype=np.int64)) == 0
+    limit = engine.CLOCK_LIMIT_NS
+    pads = np.full(16, limit - 1, dtype=np.int64)
+    assert engine._exact_sum(pads, limit) == 16 * (limit - 1)
+    assert engine._exact_sum(np.arange(1000, dtype=np.int64), 999) == 499500
+    assert engine._exact_sum(np.empty(0, dtype=np.int64), limit) == 0
+    # and through simulate: every packet is held for almost the whole target
+    sim = simulate(two_const_paths(0.0, 0.0, count=16, padding=PaddingConfig(
+        enabled=True, target_one_way=(limit - 1) / engine.NS_PER_MS - 1.0)))
+    assert sim.counters.padded == 16
+    assert sim.counters.padding_ns == int(sim.padding_ns.astype(object).sum()) > 2**63
 
 
 def test_padding_never_drops_and_reduces_spread():
