@@ -547,3 +547,17 @@ def test_scenario_hash_is_stable_and_sensitive():
     b = engine.scenario_sha256(two_const_paths())
     c = engine.scenario_sha256(two_const_paths(d1=31.0))
     assert a == b != c
+
+
+def test_scenario_hash_sees_every_trace_entry():
+    # numpy prints arrays of more than 1,000 elements with "...", so a
+    # hash of a printed array would miss a change this far in
+    lines = [f"{k},{10 + k % 7}" for k in range(1, 2001)]
+    other = lines[:1500] + ["1501,99"] + lines[1501:]
+
+    def digest(text):
+        trace = load_trace("\n".join(text))
+        return engine.scenario_sha256(Scenario(
+            paths=[PathSpec("t", delay=DelayModel("trace", trace=trace))]))
+
+    assert digest(lines) == digest(lines) != digest(other)

@@ -10,8 +10,10 @@ but reach every datapath branch that keeps state across rows: a sticky
 loss / AR(1) scan that crosses a chunk boundary, the window-miss dedup
 loop feeding the reorder hold, padding with a shared segment, forced
 losses and a trace replay that wraps, and a run whose times pass 2^53 ns,
-where int64 nanoseconds stop being exact float64 values.  The
-trace-analyze bundle is pinned in both table formats.
+where int64 nanoseconds stop being exact float64 values.  The padded
+scenario's manifest is pinned too: it carries the scenario hash, which
+covers the trace the scenario replays.  The trace-analyze bundle is
+pinned in both table formats.
 """
 
 import hashlib
@@ -208,6 +210,9 @@ SIMULATE_SHA256 = {
 PADDED_RECORDS_JSON_SHA256 = (
     "7fe6dd0e3b16bbab5affaba04e01535082c208a575b9e8300faa19ff34dae8ac")
 
+PADDED_MANIFEST_SHA256 = (
+    "b0e05594fe2e769930b8afa46cdb55187c835b45b7dc4bef3d705ec286b0a0e6")
+
 # The trace-analyze fixture: gaps in seq, lost entries and delays with
 # more than six decimals.
 ANALYZE_TRACE = (
@@ -255,6 +260,11 @@ def test_simulate_output_matches_golden(name, tmp_path):
 def test_simulate_json_records_match_golden(tmp_path):
     out = _simulate("padded", tmp_path, "--format", "json")
     assert _sha256(out / "records.json") == PADDED_RECORDS_JSON_SHA256
+
+
+def test_simulate_manifest_matches_golden(tmp_path):
+    out = _simulate("padded", tmp_path)
+    assert _sha256(out / "manifest.json") == PADDED_MANIFEST_SHA256
 
 
 @pytest.mark.parametrize("fmt", sorted(TRACE_ANALYZE_BUNDLE_SHA256))
