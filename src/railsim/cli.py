@@ -292,8 +292,8 @@ def cmd_trace_analyze(args) -> int:
     if not path.exists():
         raise _UsageError(f"trace not found: {path}")
     trace = load_trace(engine.read_text(path, "trace"))
-    lost, delays = trace.replay(0, len(trace))
-    delivered = delays[~lost]
+    lost = np.isnan(trace.delay_ms)
+    delivered = trace.delay_ms[~lost]
     summary = {
         "entries": len(trace),
         "loss": float(np.count_nonzero(lost)) / len(trace),
@@ -308,9 +308,10 @@ def cmd_trace_analyze(args) -> int:
         }
     bundle = ReportBundle(manifest={"tool": "railsim", "version": __version__,
                                     "trace": path.name})
-    bundle.add_table("trace_entries", ["seq", "delay_ms", "lost"],
-                     [[seq, "" if d is None else fmt_ms(d), fmt_num(d is None)]
-                      for seq, d in trace.entries])
+    bundle.add_columns("trace_entries", ["seq", "delay_ms", "lost"], [
+        trace.seq.tolist(),
+        [fmt_ms(None if math.isnan(d) else d) for d in trace.delay_ms.tolist()],
+        [fmt_num(gone) for gone in lost.tolist()]])
     bundle.summaries = summary
     _emit(bundle, _out_dir(args), args.format)
     return 0

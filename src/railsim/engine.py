@@ -12,6 +12,7 @@ import configparser
 import copy
 import hashlib
 import json
+import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, PathSpec,
-                      SharedSegmentSpec, fits_clock, load_trace, path_rng,
+                      SharedSegmentSpec, Trace, fits_clock, load_trace, path_rng,
                       sample_loss, sample_path, shared_rng,
                       validate_delay_model, validate_loss_model)
 from .railedge import (DEFAULT_DEDUP_WINDOW, PaddingConfig,
@@ -404,8 +405,17 @@ def run_sweep(base: Scenario, parameter: str,
 # scenario files
 
 
+def _hashed(value):
+    """A trace as its ``[seq, delay or null]`` entries (a printed array
+    elides the middle of a long one), anything else as ``str``."""
+    if isinstance(value, Trace):
+        return {"entries": [[s, None if math.isnan(d) else d] for s, d
+                            in zip(value.seq.tolist(), value.delay_ms.tolist())]}
+    return str(value)
+
+
 def scenario_sha256(scenario: Scenario) -> str:
-    blob = json.dumps(asdict(scenario), sort_keys=True, default=str)
+    blob = json.dumps(asdict(scenario), sort_keys=True, default=_hashed)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

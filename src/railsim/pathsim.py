@@ -160,35 +160,24 @@ def _check(problems: list[str]) -> None:
 # recorded traces
 
 
-@dataclass
 class Trace:
-    """Recorded per-packet one-way delays; delay None marks a lost packet."""
+    """Recorded one-way delays: int64 ``seq``, float64 ``delay_ms`` (NaN: lost)."""
 
-    entries: list[tuple[int, float | None]]
-
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, seq, delay_ms):
+        self.seq = np.asarray(seq, dtype=np.int64)
+        self.delay_ms = np.asarray(delay_ms, dtype=np.float64)
+        if self.seq.ndim != 1 or self.seq.shape != self.delay_ms.shape:
+            raise TraceParseError("seq and delay_ms must be 1-D columns of one length")
+        if not len(self.seq):
             raise TraceParseError("empty trace")
-        for seq, d in self.entries:
-            # also rejects NaN: every comparison with it is false
-            if d is not None and not 0 <= d < math.inf:
-                raise TraceParseError(
-                    f"seq {seq}: delay must be finite and >= 0, got {d}")
-        self._delay_ms = np.array(
-            [math.nan if d is None else d for _, d in self.entries], dtype=np.float64
-        )
-        self._lost = np.isnan(self._delay_ms)
+        bad = np.isinf(self.delay_ms) | (self.delay_ms < 0)  # NaN passes
+        if bad.any():
+            i = np.argmax(bad)
+            raise TraceParseError(f"seq {self.seq[i]}: delay must be finite "
+                                  f"and >= 0, got {self.delay_ms[i]}")
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def replay(self, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Positional replay of packets [start, start+n), wrapping around.
-
-        Returns (lost bool[n], delay_ms float[n]).
-        """
-        idx = (start + np.arange(n, dtype=np.int64)) % len(self.entries)
-        return self._lost[idx], self._delay_ms[idx]
+        return len(self.seq)
 
 
 def load_trace(source: str | IO[str]) -> Trace:
@@ -196,11 +185,10 @@ def load_trace(source: str | IO[str]) -> Trace:
 
     ``#`` starts a comment, blank lines are skipped, delay 0 marks a lost
     packet, delays must be finite and >= 0, sequence numbers must be
-    strictly increasing.
+    strictly increasing int64 values.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
-    entries: list[tuple[int, float | None]] = []
-    prev_seq = None
+    seqs, delays = [], []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -217,11 +205,13 @@ def load_trace(source: str | IO[str]) -> Trace:
             raise TraceParseError(f"non-finite delay {delay}", lineno)
         if delay < 0:
             raise TraceParseError(f"negative delay {delay}", lineno)
-        if prev_seq is not None and seq <= prev_seq:
+        if not -2 ** 63 <= seq < 2 ** 63:
+            raise TraceParseError(f"seq {seq} outside the int64 range", lineno)
+        if seqs and seq <= seqs[-1]:
             raise TraceParseError("non-monotone seq", lineno)
-        prev_seq = seq
-        entries.append((seq, None if delay == 0 else delay))
-    return Trace(entries)
+        seqs.append(seq)
+        delays.append(math.nan if delay == 0 else delay)
+    return Trace(seqs, delays)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +472,9 @@ def sample_path(spec: PathSpec, rng: np.random.Generator,
             eps[lo:hi] = _deviates(d, delay_rows)
     lost = sticky_scan(fresh, hit)
     if d.kind == "trace":
-        t_lost, delay = d.trace.replay(0, n)
-        return lost | t_lost, delay
+        # positional replay, wrapping around
+        delay = d.trace.delay_ms[np.arange(n) % len(d.trace)]
+        return lost | np.isnan(delay), delay
     if d.kind == "constant":
         return lost, np.full(n, float(d.mean))
     x = ar1_scan(eps, d.correlation)

@@ -125,6 +125,18 @@ def test_non_utf8_trace_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read trace file")
 
 
+def test_trace_seq_outside_int64_is_an_error(tmp_path, capsys):
+    trace = tmp_path / "huge.trace"
+    trace.write_text("1,10\n99999999999999999999999,5\n")
+    want = ("error: seq 99999999999999999999999 outside the int64 range "
+            "at line 2\n")
+    assert run(["trace-analyze", "--trace", trace, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == want
+    scenario = _trace_scenario(tmp_path, trace.name)
+    assert run(["simulate", "--scenario", scenario, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == want
+
+
 @pytest.mark.parametrize("stddev", ["1.7e308", "6e307"])
 def test_overflowing_delays_print_only_the_error_line(tmp_path, capfd, stddev):
     # the AR(1) scan runs in lockstep here (20000 rows at corr 0.9); inf and

@@ -21,7 +21,7 @@ def test_removed_per_packet_api_is_gone():
         railsim.pathsim: ["Outcome", "LOST", "PathState", "SharedSegmentState",
                           "sample_outcome", "trace_outcome", "PathStream",
                           "LossStream", "_Buffered"],
-        railsim.pathsim.Trace: ["outcome", "replay_window"],
+        railsim.pathsim.Trace: ["outcome", "replay_window", "replay", "entries"],
         railsim.railedge: ["Decision", "on_wan_arrival", "RailHeader",
                            "encode_packet", "decode_packet", "replicate",
                            "HEADER_SIZE", "padding_release", "DedupState"],
@@ -31,7 +31,9 @@ def test_removed_per_packet_api_is_gone():
     for owner, names in gone.items():
         for name in names:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
-    assert not hasattr(railsim.pathsim.load_trace("1,5"), "_by_seq")
+    trace = railsim.pathsim.load_trace("1,5")
+    assert not hasattr(trace, "_by_seq")
+    assert sorted(vars(trace)) == ["delay_ms", "seq"]  # no tuple list, no copies
     # dataclass fields are not on the class
     sim = railsim.simulate(railsim.Scenario(paths=[railsim.PathSpec("a")],
                                             traffic=railsim.TrafficSpec(count=2)))

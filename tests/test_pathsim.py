@@ -150,7 +150,8 @@ def test_trace_replay_stays_positional_across_chunks():
     n = 2 * CHUNK + 7
     lost, delay = _path(spec, n, seed=2)
     # the replay wraps the 3,000-entry trace and crosses two chunk edges
-    t_lost, t_delay = WRAP_TRACE.replay(0, n)
+    t_delay = np.resize(WRAP_TRACE.delay_ms, n)
+    t_lost = np.isnan(t_delay)
     assert delay.tobytes() == t_delay.tobytes()
     assert np.all(lost[t_lost])
     own = sample_loss(spec.loss, path_rng(2, 0), n)
@@ -181,11 +182,9 @@ def eager_sample(kind, loss, delay, rng, n):
     if kind == "constant":
         return lost, np.full(n, delay.mean)
     if kind == "trace":
-        recorded = [d for _, d in delay.trace.entries]
-        t = [recorded[i % len(recorded)] for i in range(n)]
-        t_lost = np.array([d is None for d in t], dtype=bool)
-        t_delay = np.array([math.nan if d is None else d for d in t])
-        return lost | t_lost, t_delay
+        recorded = delay.trace.delay_ms.tolist()
+        t_delay = np.array([recorded[i % len(recorded)] for i in range(n)])
+        return lost | np.isnan(t_delay), t_delay
     if kind == "normal":
         eps = delay.stddev * d_cols[0]
     else:
@@ -349,18 +348,37 @@ def test_model_validation():
 # traces
 
 
+def _columns(trace):
+    assert trace.seq.dtype == np.int64 and trace.delay_ms.dtype == np.float64
+    return trace.seq.tolist(), trace.delay_ms.tolist()
+
+
 def test_load_trace_maps_zero_delay_to_lost():
-    trace = load_trace("1,52.3\n2,0\n3,54.1")
-    assert trace.entries == [(1, 52.3), (2, None), (3, 54.1)]
+    seq, delay = _columns(load_trace("1,52.3\n2,0\n3,54.1"))
+    assert seq == [1, 2, 3]
+    assert delay[0] == 52.3 and math.isnan(delay[1]) and delay[2] == 54.1
 
 
 def test_load_trace_single_lost_packet():
-    assert load_trace("1,0").entries == [(1, None)]
+    seq, delay = _columns(load_trace("1,0"))
+    assert seq == [1] and math.isnan(delay[0])
 
 
 def test_load_trace_comments_and_blanks():
     text = "# probe run\n\n1,10.5  # first\n2,11.0\n"
-    assert load_trace(text).entries == [(1, 10.5), (2, 11.0)]
+    assert _columns(load_trace(text)) == ([1, 2], [10.5, 11.0])
+
+
+@pytest.mark.parametrize("seq", [2 ** 63, -2 ** 63 - 1, 10 ** 22])
+def test_load_trace_rejects_seq_outside_int64(seq):
+    with pytest.raises(TraceParseError, match=f"seq {seq} outside the int64 "
+                                              "range at line 2"):
+        load_trace(f"-5,10\n{seq},11")
+
+
+def test_load_trace_keeps_the_int64_extremes():
+    seq, _ = _columns(load_trace(f"{-2 ** 63},10\n{2 ** 63 - 1},11"))
+    assert seq == [-2 ** 63, 2 ** 63 - 1]
 
 
 def test_load_trace_non_monotone_reports_line():
@@ -390,17 +408,34 @@ def test_load_trace_rejects_non_finite_delay(delay):
         load_trace(f"1,10\n2,{delay}\n3,30")
 
 
-@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf, -5.0])
+@pytest.mark.parametrize("delay", [math.inf, -math.inf, -5.0])
 def test_trace_rejects_non_finite_or_negative_delay(delay):
-    # a NaN entry would be a silently lost packet, a negative one would
-    # arrive before it was sent
+    # an infinite delay never arrives, a negative one would arrive before
+    # it was sent
     with pytest.raises(TraceParseError, match="seq 2: delay must be finite"):
-        Trace([(1, 10.0), (2, delay), (3, None)])
+        Trace([1, 2, 3], [10.0, delay, math.nan])
+
+
+def test_trace_nan_delay_is_a_lost_entry():
+    trace = Trace([1, 2], [10.0, math.nan])
+    lost, _ = _path(PathSpec("t", delay=DelayModel("trace", trace=trace)), 2)
+    assert lost.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("seq, delay", [
+    ([1, 2, 3], [10.0, 20.0]),
+    ([1, 2], [10.0, 20.0, 30.0]),
+    ([[1, 2]], [[10.0, 20.0]]),
+    (1, 10.0),
+])
+def test_trace_columns_must_be_1d_of_one_length(seq, delay):
+    with pytest.raises(TraceParseError, match="1-D columns of one length"):
+        Trace(seq, delay)
 
 
 def test_trace_replay_wraps():
     trace = load_trace("1,10\n2,0\n3,30")
-    lost, delay = trace.replay(0, 7)
+    lost, delay = _path(PathSpec("t", delay=DelayModel("trace", trace=trace)), 7)
     assert lost.tolist() == [False, True, False, False, True, False, False]
     assert delay[0] == 10 and delay[2] == 30 and delay[3] == 10
 
