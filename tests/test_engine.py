@@ -13,7 +13,7 @@ from railsim.errors import ConfigurationError, ValidationError
 from railsim.metrics import reorder_stats
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
                              load_trace)
-from railsim.railedge import PaddingConfig
+from railsim.railedge import PaddingConfig, window_miss_duplicates
 
 
 def two_const_paths(d1=30.0, d2=50.0, count=10, **kw):
@@ -264,28 +264,42 @@ def test_window_miss_duplicates_are_forwarded_and_counted():
     assert c.forwarded + c.suppressed + c.lost_copies == 20
 
 
-@pytest.mark.parametrize("scenario", [
-    Scenario(
+@pytest.mark.parametrize("scenario,loops", [
+    (Scenario(
         paths=[PathSpec("a", loss=LossModel(0.1),
                         delay=DelayModel("paretonormal", mean=60.0, stddev=30.0)),
                PathSpec("b", loss=LossModel(0.1),
                         delay=DelayModel("normal", mean=90.0, stddev=40.0))],
         traffic=TrafficSpec(interval=5.0, count=3000),
         seed=55,
-    ),
+    ), False),
     # constant delays whose difference is a multiple of dt: arrivals of
     # different seqs tie at the same nanosecond, stressing the tie margin
-    Scenario(
+    (Scenario(
         paths=[PathSpec("a", loss=LossModel(0.2),
                         delay=DelayModel("constant", mean=10.0)),
                PathSpec("b", delay=DelayModel("constant", mean=50.0))],
         traffic=TrafficSpec(interval=20.0, count=200),
         dedup_window=8,
         seed=56,
-    ),
-], ids=["jitter", "constant-ties"])
-def test_dedup_fast_path_matches_state_machine(monkeypatch, scenario):
+    ), False),
+    # 49 first arrivals fall between the two copies of each seq, fewer
+    # than the window holds
+    (two_const_paths(10.0, 1000.0, count=3000, dedup_window=64), False),
+    # 49 first arrivals between the copies overflow a 16-seq window
+    (two_const_paths(0.0, 1000.0, count=500, dedup_window=16), True),
+], ids=["jitter", "constant-ties", "far-constant", "window-fills"])
+def test_dedup_fast_path_matches_state_machine(monkeypatch, scenario, loops):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return window_miss_duplicates(*args)
+
+    monkeypatch.setattr(engine, "window_miss_duplicates", spy)
     fast = simulate(scenario)
+    assert bool(calls) == loops
+    assert (fast.counters.window_miss_duplicates > 0) == loops
     monkeypatch.setattr(engine, "_FORCE_DEDUP_LOOP", True)
     slow = simulate(scenario)
     assert np.array_equal(fast.forwarded_order, slow.forwarded_order)

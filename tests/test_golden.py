@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from railsim import cli, suite
+from railsim import cli, engine, suite
 from railsim.engine import NS_PER_MS, load_scenario, simulate
 from railsim.pathsim import CHUNK
 
@@ -293,8 +293,14 @@ def test_far_scenario_arrivals_need_exact_integer_division(tmp_path):
                for i in delivered)
 
 
-def test_paper_suite_bundle_matches_golden(tmp_path):
+def test_paper_suite_bundle_matches_golden(tmp_path, monkeypatch):
+    """The bundle is pinned, and every suite run proves that its dedup
+    window cannot evict, so none pays for the sequential dedup pass."""
+    loops = []
+    monkeypatch.setattr(engine, "window_miss_duplicates",
+                        lambda *args: loops.append(args))
     bundle, gates = suite.run_paper_suite()
+    assert loops == []
     assert all(g.passed for g in gates)
     bundle.write(tmp_path)
     assert bundle_digest(tmp_path) == PAPER_SUITE_SHA256
