@@ -183,54 +183,45 @@ def validate_scenario(s: Scenario) -> list[str]:
 # simulation
 
 
-def _dedup_pass(arrival_ns: np.ndarray, window: int):
-    """First-forward bookkeeping over all delivered copies.
+def _dedup_pass(arrival_ns: np.ndarray, rail_delay_ns: np.ndarray,
+                copy_max_ns: int, dt_ns: int, duplicates: int, window: int):
+    """Window-miss duplicates among the delivered copies.
 
-    arrival_ns is (n_paths, count) with LOST_NS marking lost copies.
-    Returns (first_ns int64[count] with -1 when never forwarded,
-    suppressed count, window-miss duplicate times and seqs as int64
-    arrays).  The first copy of a seq is always forwarded, so only the
-    duplicates need the sequential window pass.
+    arrival_ns is (n_paths, count) with LOST_NS marking lost copies,
+    rail_delay_ns the first arrival's delay (-1 when none arrived),
+    copy_max_ns the largest delivered copy delay and duplicates the number
+    of delivered copies that are not their seq's first.  Returns the
+    window-miss duplicate times and seqs as int64 arrays.  The first copy
+    of a seq is always forwarded, so only the duplicates need the
+    sequential window pass.
     """
-    n_paths, count = arrival_ns.shape
-    delivered = arrival_ns < LOST_NS
-    delivered_total = int(np.count_nonzero(delivered))
-    first_raw = arrival_ns.min(axis=0)  # LOST_NS when no copy delivered
-    first_ns = np.where(first_raw == LOST_NS, -1, first_raw)
-    n_first = int(np.count_nonzero(first_ns >= 0))
-
-    use_fast = window >= count
+    count = arrival_ns.shape[1]
+    use_fast = duplicates == 0 or window >= count
     if not use_fast:
-        # Eviction needs more than `window` first-forwards between two
-        # copies of one seq; count the first arrivals inside each seq's
-        # (first, last] copy interval and take the fast path only when the
-        # window provably cannot fill up.  Arrivals tied exactly at the
-        # interval start are not counted, and at most one per other path
-        # can tie there, hence the n_paths margin.
-        n_dlv = np.count_nonzero(delivered, axis=0)
-        multi = n_dlv >= 2
-        if not np.any(multi):
-            use_fast = True
-        else:
-            last = np.where(delivered, arrival_ns, np.int64(-1)).max(axis=0)
-            ff = np.sort(first_raw[n_dlv >= 1])
-            between = (np.searchsorted(ff, last[multi], side="right")
-                       - np.searchsorted(ff, first_raw[multi], side="right"))
-            use_fast = bool(between.max() <= window - n_paths)
+        # Before the first eviction only first arrivals are forwarded, and a
+        # later copy of seq s is a window miss once `window` of them came
+        # after s's first, all at times in [first_s, last_s].  With r the
+        # rail delays and c the copy delays, such a seq q has (q - s) * dt_ns
+        # in [r_s - r_q, c - r_q], inside [r_min - r_max, c_max - r_min]:
+        # an interval of `span` ns that holds at most span // dt_ns seqs
+        # other than s, ties at either end included.  (The fastest copy of
+        # all is its seq's first, so r_min is also the least copy delay.)
+        ever = rail_delay_ns >= 0
+        r_min = int(rail_delay_ns.min(where=ever, initial=copy_max_ns))
+        span = copy_max_ns + int(rail_delay_ns.max()) - 2 * r_min
+        use_fast = span // dt_ns < window
 
     if use_fast and not _FORCE_DEDUP_LOOP:
         # no eviction is possible: no copy after the first is forwarded
-        dup_t = dup_s = np.empty(0, dtype=np.int64)
-    else:
-        # the transpose lists the copies by seq, then path, so a stable
-        # sort by time orders them by time, then seq, then path
-        s_idx, p_idx = np.nonzero(delivered.T)
-        t = arrival_ns[p_idx, s_idx]
-        order = np.argsort(t, kind="stable")
-        t, s_idx = t[order], s_idx[order]
-        misses = window_miss_duplicates(s_idx, count, window)
-        dup_t, dup_s = t[misses], s_idx[misses]
-    return first_ns, delivered_total - n_first - len(dup_t), dup_t, dup_s
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # the transpose lists the copies by seq, then path, so a stable sort
+    # by time orders them by time, then seq, then path
+    s_idx, p_idx = np.nonzero((arrival_ns < LOST_NS).T)
+    t = arrival_ns[p_idx, s_idx]
+    order = np.argsort(t, kind="stable")
+    t, s_idx = t[order], s_idx[order]
+    misses = window_miss_duplicates(s_idx, count, window)
+    return t[misses], s_idx[misses]
 
 
 def _exact_sum(a: np.ndarray, most: int) -> int:
@@ -260,7 +251,7 @@ def simulate(scenario: Scenario) -> SimResult:
                    if seg.id in referenced}
 
     arrival_ns = np.empty((len(scenario.paths), n), dtype=np.int64)
-    lost_copies = 0
+    lost_copies = copy_max_ns = 0
     for pidx, spec in enumerate(scenario.paths):
         lost, delay_ms = sample_path(spec, path_rng(scenario.seed, pidx), n)
         if spec.shared is not None:
@@ -280,13 +271,16 @@ def simulate(scenario: Scenario) -> SimResult:
             raise ConfigurationError(
                 f"path {spec.id}: a sampled delay overflows the int64 ns clock")
         delay_ns = np.rint(delay_ms * NS_PER_MS).astype(np.int64)
+        copy_max_ns = max(copy_max_ns, int(delay_ns.max()))
         arrival_ns[pidx] = np.where(lost, LOST_NS, send_ns + delay_ns)
         lost_copies += int(np.count_nonzero(lost))
 
-    first_ns, suppressed, dup_t, dup_s = _dedup_pass(arrival_ns, scenario.dedup_window)
-
-    ever = first_ns >= 0
+    first_ns = arrival_ns.min(axis=0)  # LOST_NS when no copy delivered
+    ever = first_ns < LOST_NS
     rail_delay_ns = np.where(ever, first_ns - send_ns, -1)
+    duplicates = arrival_ns.size - lost_copies - int(np.count_nonzero(ever))
+    dup_t, dup_s = _dedup_pass(arrival_ns, rail_delay_ns, copy_max_ns, dt_ns,
+                               duplicates, scenario.dedup_window)
 
     # padding (applies to first forwards; duplicates pass through as-is)
     if scenario.padding.enabled:
@@ -323,7 +317,7 @@ def simulate(scenario: Scenario) -> SimResult:
 
     counters = Counters(
         forwarded=len(seqs),
-        suppressed=suppressed,
+        suppressed=duplicates - len(dup_s),
         lost_copies=lost_copies,
         window_miss_duplicates=len(dup_s),
         hold_timeouts=hold_events["timeout"],

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railsim import engine
 from railsim.engine import (Scenario, TrafficSpec, load_scenario,
@@ -274,7 +276,8 @@ def test_window_miss_duplicates_are_forwarded_and_counted():
         seed=55,
     ), False),
     # constant delays whose difference is a multiple of dt: arrivals of
-    # different seqs tie at the same nanosecond, stressing the tie margin
+    # different seqs tie at the same nanosecond, at the ends of the
+    # interval the no-eviction bound counts
     (Scenario(
         paths=[PathSpec("a", loss=LossModel(0.2),
                         delay=DelayModel("constant", mean=10.0)),
@@ -290,13 +293,7 @@ def test_window_miss_duplicates_are_forwarded_and_counted():
     (two_const_paths(0.0, 1000.0, count=500, dedup_window=16), True),
 ], ids=["jitter", "constant-ties", "far-constant", "window-fills"])
 def test_dedup_fast_path_matches_state_machine(monkeypatch, scenario, loops):
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return window_miss_duplicates(*args)
-
-    monkeypatch.setattr(engine, "window_miss_duplicates", spy)
+    calls = _spy_loop(monkeypatch)
     fast = simulate(scenario)
     assert bool(calls) == loops
     assert (fast.counters.window_miss_duplicates > 0) == loops
@@ -305,6 +302,89 @@ def test_dedup_fast_path_matches_state_machine(monkeypatch, scenario, loops):
     assert np.array_equal(fast.forwarded_order, slow.forwarded_order)
     assert fast.counters == slow.counters
     assert np.array_equal(fast.rail_delay_ns, slow.rail_delay_ns)
+    assert np.array_equal(fast.forward_ns, slow.forward_ns)
+
+
+def _spy_loop(monkeypatch):
+    """Record each call of the sequential dedup pass."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return window_miss_duplicates(*args)
+
+    monkeypatch.setattr(engine, "window_miss_duplicates", spy)
+    return calls
+
+
+@st.composite
+def arrival_matrices(draw):
+    """Send times, 2- or 3-path copy arrivals (LOST_NS where lost) and a
+    window, often within a few seqs of the least the no-eviction bound
+    accepts.  Each path adds a jitter to its own base delay; integer
+    delays a few spacings wide make many arrivals tie, and with no jitter
+    and no loss the bound is exact."""
+    n = draw(st.integers(60, 200) | st.integers(2, 60))
+    dt = draw(st.sampled_from([1, 3, 10, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = dt * draw(st.sampled_from([0, 1, 4, 20])) + draw(st.integers(0, 2 * dt))
+    jitter = draw(st.sampled_from([0, 0, 0, 1, dt, top]))
+    shape = (draw(st.sampled_from([2, 3])), n)
+    send = np.arange(n, dtype=np.int64) * dt
+    lost = rng.random(shape) < draw(st.sampled_from([0.0, 0.0, 0.2, 0.6]))
+    delay = (rng.integers(0, top + 1, size=(shape[0], 1))
+             + rng.integers(0, jitter + 1, size=shape))
+    delay[lost] = 0
+    arrival = np.where(lost, engine.LOST_NS, send + delay)
+    first = arrival.min(axis=0)
+    rail = np.where(first < engine.LOST_NS, first - send, -1)
+    span = int(delay.max()) + int(rail.max()) - 2 * int(rail[rail >= 0].min(initial=0))
+    least = span // dt + 1
+    window = draw(st.integers(max(1, least - 2), least + 2) | st.integers(1, least + 2))
+    return send, arrival, dt, window
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=arrival_matrices())
+def test_no_eviction_bound_is_sound(case):
+    """Whenever the dedup pass skips the sequential window pass, that
+    pass over the copies in arrival order finds no window miss."""
+    send, arrival, dt, window = case
+    delivered = arrival < engine.LOST_NS
+    first = arrival.min(axis=0)
+    ever = first < engine.LOST_NS
+    rail = np.where(ever, first - send, -1)
+    copy_max = int(np.where(delivered, arrival - send, 0).max())
+    duplicates = int(delivered.sum() - ever.sum())
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_loop(mp)
+        dup_t, dup_s = engine._dedup_pass(arrival, rail, copy_max, dt,
+                                          duplicates, window)
+    p_idx, s_idx = np.nonzero(delivered)
+    order = np.lexsort((p_idx, s_idx, arrival[p_idx, s_idx]))
+    misses = window_miss_duplicates(s_idx[order], arrival.shape[1], window)
+    if not calls:
+        assert len(misses) == 0
+    assert dup_s.tolist() == s_idx[order][misses].tolist()
+    assert dup_t.tolist() == arrival[p_idx, s_idx][order][misses].tolist()
+
+
+@pytest.mark.parametrize("window,loops", [(10, False), (9, True)])
+def test_no_eviction_bound_is_tight_at_its_boundary(monkeypatch, window, loops):
+    """Copies 200 ms - 1 ns apart at 20 ms spacing: nine first arrivals
+    fall between the two copies of each seq, and span // dt_ns is 9.  A
+    10-seq window takes the fast path; a 9-seq window runs the pass, which
+    evicts."""
+    scenario = two_const_paths(0.0, 199.999999, count=100, dedup_window=window)
+    calls = _spy_loop(monkeypatch)
+    fast = simulate(scenario)
+    assert np.all(fast.arrival_ns[1] - fast.send_ns == 199_999_999)
+    assert bool(calls) == loops
+    assert (fast.counters.window_miss_duplicates > 0) == loops
+    monkeypatch.setattr(engine, "_FORCE_DEDUP_LOOP", True)
+    slow = simulate(scenario)
+    assert np.array_equal(fast.forwarded_order, slow.forwarded_order)
+    assert fast.counters == slow.counters
     assert np.array_equal(fast.forward_ns, slow.forward_ns)
 
 
