@@ -311,9 +311,12 @@ def simulate(scenario: Scenario) -> SimResult:
                                          events=hold_events)
         t, seqs = released[:, 0], released[:, 1]
 
-    forward_ns = np.full(n, LOST_NS, dtype=np.int64)
-    np.minimum.at(forward_ns, seqs, t)
-    forward_ns[forward_ns == LOST_NS] = -1
+    if len(dup_s) or scenario.reorder_removal:
+        forward_ns = np.full(n, LOST_NS, dtype=np.int64)
+        np.minimum.at(forward_ns, seqs, t)
+        forward_ns[forward_ns == LOST_NS] = -1
+    else:
+        forward_ns = release_ns  # each seq released once, at release_ns
 
     counters = Counters(
         forwarded=len(seqs),
