@@ -78,6 +78,12 @@ class Counters:
     # (not in summary.json)
     padded: int = 0
     padding_ns: int = 0
+    # lost copies by cause beyond the path's own loss: dropped by the
+    # path's shared segment only, and forced lost with no other loss; and
+    # how often trace replays wrapped (not in summary.json)
+    shared_losses: int = 0
+    forced_losses: int = 0
+    trace_wraps: int = 0
 
 
 @dataclass
@@ -251,15 +257,21 @@ def simulate(scenario: Scenario) -> SimResult:
                    if seg.id in referenced}
 
     arrival_ns = np.empty((len(scenario.paths), n), dtype=np.int64)
-    lost_copies = copy_max_ns = 0
+    own_losses = shared_losses = forced_losses = trace_wraps = copy_max_ns = 0
     for pidx, spec in enumerate(scenario.paths):
         lost, delay_ms = sample_path(spec, path_rng(scenario.seed, pidx), n)
+        n_own = int(np.count_nonzero(lost))
+        own_losses += n_own
         if spec.shared is not None:
             lost = lost | shared_lost[spec.shared]
+            shared_losses += int(np.count_nonzero(lost)) - n_own
         forced = scenario.forced_losses.get(spec.id)
         if forced:
-            lost[np.asarray(forced, dtype=np.int64)] = True
+            forced = np.unique(np.asarray(forced, dtype=np.int64))
+            forced_losses += int(np.count_nonzero(~lost[forced]))
+            lost[forced] = True
         if spec.delay.kind == "trace" and n > len(spec.delay.trace):
+            trace_wraps += (n - 1) // len(spec.delay.trace)
             warnings.append(
                 f"path {spec.id}: trace shorter than the run "
                 f"({len(spec.delay.trace)} entries), replay wrapped around"
@@ -273,7 +285,7 @@ def simulate(scenario: Scenario) -> SimResult:
         delay_ns = np.rint(delay_ms * NS_PER_MS).astype(np.int64)
         copy_max_ns = max(copy_max_ns, int(delay_ns.max()))
         arrival_ns[pidx] = np.where(lost, LOST_NS, send_ns + delay_ns)
-        lost_copies += int(np.count_nonzero(lost))
+    lost_copies = own_losses + shared_losses + forced_losses
 
     first_ns = arrival_ns.min(axis=0)  # LOST_NS when no copy delivered
     ever = first_ns < LOST_NS
@@ -327,6 +339,9 @@ def simulate(scenario: Scenario) -> SimResult:
         hold_give_ups=hold_events["give_up"],
         padded=padded,
         padding_ns=padding_total,
+        shared_losses=shared_losses,
+        forced_losses=forced_losses,
+        trace_wraps=trace_wraps,
     )
     return SimResult(
         scenario=scenario,

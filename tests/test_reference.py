@@ -217,15 +217,22 @@ def reference_simulate(s: Scenario) -> Reference:
     columns = [sample_path(p, path_rng(s.seed, i), n) for i, p in enumerate(s.paths)]
     ref = Reference(send_ns=[seq * dt for seq in range(n)],
                     arrival_ns=[[] for _ in s.paths])
+    for p in s.paths:  # a replay wraps at each seq past its trace's end
+        if p.delay.kind == "trace":
+            ref.counters.trace_wraps += sum(seq % len(p.delay.trace) == 0
+                                            for seq in range(1, n))
 
     copies = []  # (arrival_ns, seq, path index) of every delivered copy
     for seq in range(n):
         seg_lost = {sid: bool(column[seq]) for sid, column in shared.items()}
         for pidx, (spec, (lost, delay_ms)) in enumerate(zip(s.paths, columns)):
-            lost = (bool(lost[seq]) or seq in s.forced_losses.get(spec.id, ())
-                    or (spec.shared is not None and seg_lost[spec.shared]))
-            if lost:
+            own = bool(lost[seq])
+            on_segment = spec.shared is not None and seg_lost[spec.shared]
+            forced = seq in s.forced_losses.get(spec.id, ())
+            if own or on_segment or forced:
                 ref.counters.lost_copies += 1
+                ref.counters.shared_losses += on_segment and not own
+                ref.counters.forced_losses += forced and not (own or on_segment)
                 ref.arrival_ns[pidx].append(None)
                 continue
             t = ref.send_ns[seq] + int(round(float(delay_ms[seq]) * NS))
@@ -416,6 +423,31 @@ def test_padded_runs_count_held_packets():
     )
     ref = reference_simulate(scenario)
     assert 0 < ref.counters.padded < scenario.traffic.count
+    assert_matches_reference(scenario, ref)
+
+
+@pytest.mark.parametrize("count", [80, 81])
+def test_loss_causes_and_trace_wraps_are_counted(count):
+    """Own, shared-segment and forced losses add up to the lost copies;
+    forced seqs include one the path lost anyway and one listed twice.
+    The 40-entry trace replays twice in 80 packets and three times in 81."""
+    scenario = Scenario(
+        paths=[PathSpec("a", loss=LossModel(0.3), shared="core",
+                        delay=DelayModel("constant", mean=5.0)),
+               PathSpec("t", shared="core", delay=DelayModel("trace", trace=TRACE))],
+        shared_segments=[SharedSegmentSpec("core", LossModel(0.3))],
+        traffic=TrafficSpec(interval=1.0, count=count),
+        seed=9,
+        forced_losses={"a": (1, 2, 3, 4, 5, 6, 7, 8), "t": (10, 10, 20)},
+    )
+    ref = reference_simulate(scenario)
+    own = sum(int(np.count_nonzero(sample_path(p, path_rng(scenario.seed, i), count)[0]))
+              for i, p in enumerate(scenario.paths))
+    c = ref.counters
+    assert own > 0 and c.shared_losses > 0 and c.forced_losses > 0
+    assert c.forced_losses < 8 + 2  # some forced copies were lost anyway
+    assert c.lost_copies == own + c.shared_losses + c.forced_losses
+    assert c.trace_wraps == (count - 1) // 40
     assert_matches_reference(scenario, ref)
 
 
