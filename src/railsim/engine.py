@@ -257,12 +257,11 @@ def simulate(scenario: Scenario) -> SimResult:
                    if seg.id in referenced}
 
     arrival_ns = np.empty((len(scenario.paths), n), dtype=np.int64)
-    own_losses = shared_losses = forced_losses = trace_wraps = copy_max_ns = 0
+    lost_copies = shared_losses = forced_losses = trace_wraps = copy_max_ns = 0
     for pidx, spec in enumerate(scenario.paths):
         lost, delay_ms = sample_path(spec, path_rng(scenario.seed, pidx), n)
-        n_own = int(np.count_nonzero(lost))
-        own_losses += n_own
         if spec.shared is not None:
+            n_own = int(np.count_nonzero(lost))
             lost = lost | shared_lost[spec.shared]
             shared_losses += int(np.count_nonzero(lost)) - n_own
         forced = scenario.forced_losses.get(spec.id)
@@ -285,7 +284,7 @@ def simulate(scenario: Scenario) -> SimResult:
         delay_ns = np.rint(delay_ms * NS_PER_MS).astype(np.int64)
         copy_max_ns = max(copy_max_ns, int(delay_ns.max()))
         arrival_ns[pidx] = np.where(lost, LOST_NS, send_ns + delay_ns)
-    lost_copies = own_losses + shared_losses + forced_losses
+        lost_copies += int(np.count_nonzero(lost))
 
     first_ns = arrival_ns.min(axis=0)  # LOST_NS when no copy delivered
     ever = first_ns < LOST_NS
