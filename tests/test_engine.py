@@ -291,7 +291,13 @@ def test_window_miss_duplicates_are_forwarded_and_counted():
     (two_const_paths(10.0, 1000.0, count=3000, dedup_window=64), False),
     # 49 first arrivals between the copies overflow a 16-seq window
     (two_const_paths(0.0, 1000.0, count=500, dedup_window=16), True),
-], ids=["jitter", "constant-ties", "far-constant", "window-fills"])
+    # the bound's edge: copies 200 ms - 1 ns apart at 20 ms spacing, so
+    # span // dt_ns is 9 and nine first arrivals fall between them; a
+    # 10-seq window takes the fast path, a 9-seq window loops and evicts
+    (two_const_paths(0.0, 199.999999, count=100, dedup_window=10), False),
+    (two_const_paths(0.0, 199.999999, count=100, dedup_window=9), True),
+], ids=["jitter", "constant-ties", "far-constant", "window-fills",
+        "edge-fast", "edge-loops"])
 def test_dedup_fast_path_matches_state_machine(monkeypatch, scenario, loops):
     calls = _spy_loop(monkeypatch)
     fast = simulate(scenario)
@@ -367,25 +373,6 @@ def test_no_eviction_bound_is_sound(case):
         assert len(misses) == 0
     assert dup_s.tolist() == s_idx[order][misses].tolist()
     assert dup_t.tolist() == arrival[p_idx, s_idx][order][misses].tolist()
-
-
-@pytest.mark.parametrize("window,loops", [(10, False), (9, True)])
-def test_no_eviction_bound_is_tight_at_its_boundary(monkeypatch, window, loops):
-    """Copies 200 ms - 1 ns apart at 20 ms spacing: nine first arrivals
-    fall between the two copies of each seq, and span // dt_ns is 9.  A
-    10-seq window takes the fast path; a 9-seq window runs the pass, which
-    evicts."""
-    scenario = two_const_paths(0.0, 199.999999, count=100, dedup_window=window)
-    calls = _spy_loop(monkeypatch)
-    fast = simulate(scenario)
-    assert np.all(fast.arrival_ns[1] - fast.send_ns == 199_999_999)
-    assert bool(calls) == loops
-    assert (fast.counters.window_miss_duplicates > 0) == loops
-    monkeypatch.setattr(engine, "_FORCE_DEDUP_LOOP", True)
-    slow = simulate(scenario)
-    assert np.array_equal(fast.forwarded_order, slow.forwarded_order)
-    assert fast.counters == slow.counters
-    assert np.array_equal(fast.forward_ns, slow.forward_ns)
 
 
 # ---------------------------------------------------------------------------
