@@ -19,12 +19,11 @@ from .metrics import (BurstStats, DelayCdf, ReorderStats, burst_stats,
                       downtime_combine, empirical_cdf, rail_cdf, reorder_stats)
 from .pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
                       Trace, load_trace)
-from .quality import (G711, EModelParams, MosPoint, QualityScore, TcpPath,
-                      TcpPathSet, TcpPrediction, effective_loss, mos,
-                      mos_curve, optimal_playout, path_mos_curve,
-                      rail_loss_independent, rail_loss_shared, rail_mos_curve,
-                      tcp_fact1_check, tcp_throughput_rail,
-                      tcp_throughput_single)
+from .quality import (MosPoint, QualityScore, TcpPath, TcpPathSet,
+                      TcpPrediction, effective_loss, mos, mos_curve,
+                      optimal_playout, path_mos_curve, rail_loss_independent,
+                      rail_loss_shared, rail_mos_curve, tcp_fact1_check,
+                      tcp_throughput_rail, tcp_throughput_single)
 from .railedge import PaddingConfig
 
 __all__ = [
@@ -41,11 +40,10 @@ __all__ = [
     "DelayModel", "LossModel", "PathSpec", "SharedSegmentSpec", "Trace",
     "load_trace",
     # quality
-    "G711", "EModelParams", "MosPoint", "QualityScore", "TcpPath", "TcpPathSet",
-    "TcpPrediction", "effective_loss", "mos", "mos_curve", "optimal_playout",
-    "path_mos_curve", "rail_loss_independent", "rail_loss_shared",
-    "rail_mos_curve", "tcp_fact1_check", "tcp_throughput_rail",
-    "tcp_throughput_single",
+    "MosPoint", "QualityScore", "TcpPath", "TcpPathSet", "TcpPrediction",
+    "effective_loss", "mos", "mos_curve", "optimal_playout", "path_mos_curve",
+    "rail_loss_independent", "rail_loss_shared", "rail_mos_curve",
+    "tcp_fact1_check", "tcp_throughput_rail", "tcp_throughput_single",
     # railedge
     "PaddingConfig",
 ]

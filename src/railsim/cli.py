@@ -404,6 +404,10 @@ def main(argv=None) -> int:
     except RailSimError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # validation has no packet cap: a run can outgrow RAM
+        print(f"error: out of memory: {str(e) or 'allocation failed'}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

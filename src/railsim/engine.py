@@ -31,10 +31,6 @@ from .railedge import (DEFAULT_DEDUP_WINDOW, PaddingConfig,
 NS_PER_MS = 1_000_000
 LOST_NS = np.iinfo(np.int64).max  # arrival_ns of a lost copy
 
-# test hook: force the sequential dedup pass even when the window is
-# larger than the run (both code paths must agree exactly)
-_FORCE_DEDUP_LOOP = False
-
 
 def ms_to_ns(ms: float) -> int:
     return int(round(ms * NS_PER_MS))
@@ -217,7 +213,7 @@ def _dedup_pass(arrival_ns: np.ndarray, rail_delay_ns: np.ndarray,
         span = copy_max_ns + int(rail_delay_ns.max()) - 2 * r_min
         use_fast = span // dt_ns < window
 
-    if use_fast and not _FORCE_DEDUP_LOOP:
+    if use_fast:
         # no eviction is possible: no copy after the first is forwarded
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     # the transpose lists the copies by seq, then path, so a stable sort

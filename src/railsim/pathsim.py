@@ -15,10 +15,8 @@ equals the one-row-at-a-time loop bit for bit (see ``ar1_scan``).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
-from typing import IO
 
 import numpy as np
 
@@ -180,16 +178,15 @@ class Trace:
         return len(self.seq)
 
 
-def load_trace(source: str | IO[str]) -> Trace:
-    """Parse a trace: one ``seq,delay_ms`` pair per line.
+def load_trace(text: str) -> Trace:
+    """Parse the text of a trace: one ``seq,delay_ms`` pair per line.
 
     ``#`` starts a comment, blank lines are skipped, delay 0 marks a lost
     packet, delays must be finite and >= 0, sequence numbers must be
     strictly increasing int64 values.
     """
-    stream = io.StringIO(source) if isinstance(source, str) else source
     seqs, delays = [], []
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

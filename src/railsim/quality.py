@@ -2,11 +2,10 @@
 
 Voice quality uses the additive R-factor model: a base rating is reduced
 by an equipment/loss impairment and a delay impairment, then mapped to a
-1..5 MOS scale.  The loss impairment uses the standard G.711 constants by
-default; every constant lives in :class:`EModelParams` so other codec
-tables can be dropped in.  TCP throughput uses the inverse-square-root
-loss law, extended to a replicated path set via the product of loss rates
-and the expected RTT of the first successful copy.
+1..5 MOS scale, with the standard G.711 codec constants.  TCP throughput
+uses the inverse-square-root loss law, extended to a replicated path set
+via the product of loss rates and the expected RTT of the first
+successful copy.
 """
 
 from __future__ import annotations
@@ -21,18 +20,13 @@ from .errors import DomainError
 
 TCP_CONSTANT = 1.22  # packets-per-RTT rule-of-thumb coefficient
 
-
-@dataclass
-class EModelParams:
-    r_base: float = 93.2
-    codec_ie: float = 0.0        # G.711 equipment impairment
-    codec_bpl: float = 4.3       # G.711 packet-loss robustness
-    delay_knee: float = 177.3    # ms; extra slope beyond this one-way delay
-    delay_slope_low: float = 0.024   # R units per ms
-    delay_slope_high: float = 0.11   # R units per ms past the knee
-
-
-G711 = EModelParams()
+# E-model constants (G.711)
+R_BASE = 93.2
+CODEC_IE = 0.0           # equipment impairment
+CODEC_BPL = 4.3          # packet-loss robustness
+DELAY_KNEE = 177.3       # ms; extra slope beyond this one-way delay
+DELAY_SLOPE_LOW = 0.024  # R units per ms
+DELAY_SLOPE_HIGH = 0.11  # R units per ms past the knee
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,25 +103,28 @@ def effective_loss(network_loss: float,
                      delivered.size)
 
 
-def mos(loss: float, one_way_delay: float, params: EModelParams = G711) -> QualityScore:
+def _check_delay(value: float, name: str) -> None:
+    if not 0 <= value < math.inf:  # also rejects NaN
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+
+
+def mos(loss: float, one_way_delay: float) -> QualityScore:
     """R-factor and MOS for a (loss, one-way delay) operating point.
 
-    R = r_base - Ie_eff(loss) - Id(delay), clamped to [0, 100], then
-    mapped through the standard cubic to MOS in [1, 4.5].
+    R = R_BASE - Ie_eff(loss) - Id(delay), floored at 0, then mapped
+    through the standard cubic to MOS, floored at 1.  Both impairments
+    are >= 0, so R <= R_BASE = 93.2 and MOS <= 4.41.
     """
     _check_prob(loss, "loss")
-    if not one_way_delay >= 0:  # also rejects NaN
-        raise DomainError(f"one_way_delay must be >= 0, got {one_way_delay}")
+    _check_delay(one_way_delay, "one_way_delay")
     loss_pct = 100.0 * loss
-    ie_eff = params.codec_ie + (95.0 - params.codec_ie) * loss_pct / (
-        loss_pct + params.codec_bpl
+    ie_eff = CODEC_IE + (95.0 - CODEC_IE) * loss_pct / (loss_pct + CODEC_BPL)
+    id_delay = DELAY_SLOPE_LOW * one_way_delay + DELAY_SLOPE_HIGH * max(
+        0.0, one_way_delay - DELAY_KNEE
     )
-    id_delay = params.delay_slope_low * one_way_delay + params.delay_slope_high * max(
-        0.0, one_way_delay - params.delay_knee
-    )
-    r = min(100.0, max(0.0, params.r_base - ie_eff - id_delay))
+    r = max(0.0, R_BASE - ie_eff - id_delay)
     raw = 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r)
-    return QualityScore(r_factor=r, mos=min(4.5, max(1.0, raw)))
+    return QualityScore(r_factor=r, mos=max(1.0, raw))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +141,7 @@ class MosPoint:
 
 
 def mos_curve(n_sent: int, delivered_delays_ms, deadlines: Iterable[float],
-              end_system_delay: float, params: EModelParams = G711) -> list[MosPoint]:
+              end_system_delay: float) -> list[MosPoint]:
     """MOS across a range of playout deadlines for one delivery stream.
 
     Loss combines network loss with late arrivals; the delay fed to the
@@ -154,17 +151,20 @@ def mos_curve(n_sent: int, delivered_delays_ms, deadlines: Iterable[float],
     deadlines = list(deadlines)
     if not deadlines:
         raise DomainError("deadline range is empty")
-    if not end_system_delay >= 0:  # also rejects NaN
-        raise DomainError("end_system_delay must be >= 0")
+    _check_delay(end_system_delay, "end_system_delay")
+    for d in deadlines:
+        _check_delay(d, "deadline")
+        _check_delay(end_system_delay + d, "end_system_delay + deadline")
     delivered = _delivered(delivered_delays_ms)
     if n_sent < 1:
         raise DomainError("n_sent must be >= 1")
     network_loss = 1.0 - delivered.size / n_sent
+    if delivered.size:
+        _check_prob(network_loss, "network_loss")
     ranked = np.sort(delivered)  # one sort serves every deadline's late count
     points = []
     for d in deadlines:
         if delivered.size:
-            _check_loss_args(network_loss, d)
             n_late = delivered.size - int(np.searchsorted(ranked, d, "right"))
             eff = _app_loss(network_loss, n_late, delivered.size)
             # arrival order, not sorted: np.mean's pairwise sum depends on it
@@ -180,7 +180,7 @@ def mos_curve(n_sent: int, delivered_delays_ms, deadlines: Iterable[float],
             one_way=end_system_delay + float(d),
             effective_loss=min(1.0, eff),
             representative_delay=rep,
-            score=mos(min(1.0, eff), rep, params),
+            score=mos(min(1.0, eff), rep),
         ))
     return points
 
@@ -193,19 +193,18 @@ def optimal_playout(points: Sequence[MosPoint]) -> float:
     return best.deadline
 
 
-def rail_mos_curve(sim, deadlines, end_system_delay: float,
-                   params: EModelParams = G711) -> list[MosPoint]:
+def rail_mos_curve(sim, deadlines, end_system_delay: float) -> list[MosPoint]:
     """Curve for the replicated stream as released to the LAN."""
     return mos_curve(sim.scenario.traffic.count, sim.forwarded_delays_ms(),
-                     deadlines, end_system_delay, params)
+                     deadlines, end_system_delay)
 
 
-def path_mos_curve(sim, path_index: int, deadlines, end_system_delay: float,
-                   params: EModelParams = G711) -> list[MosPoint]:
+def path_mos_curve(sim, path_index: int, deadlines,
+                   end_system_delay: float) -> list[MosPoint]:
     """Curve a single path would have produced on its own, computed from
     the same per-path outcome stream as the replicated run."""
     return mos_curve(sim.scenario.traffic.count, sim.path_delays_ms(path_index),
-                     deadlines, end_system_delay, params)
+                     deadlines, end_system_delay)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,9 @@ def _frontier_passes(x: np.ndarray, a: np.ndarray, a_first: np.ndarray,
     """
     never = a_first[-1]
     m, M = len(x), len(a)
+    # any window >= m gives lo == hi == m below; the clamp keeps a window
+    # past the int64 range out of numpy
+    window = min(window, m)
     S = np.full(M, never, dtype=np.int64)
     S[x] = deadline_rank
     T = np.minimum(a, np.minimum.accumulate(S[::-1])[::-1])
@@ -83,7 +86,7 @@ def _frontier_passes(x: np.ndarray, a: np.ndarray, a_first: np.ndarray,
     # nondecreasing in s, so the bounds propagate.  Two probes just below
     # the upper bound settle most seqs, then bisection.  Stop once every
     # open seq's lower bound lies at or past min(a, S).
-    lo = np.full(M, min(window, m), dtype=np.int64)
+    lo = np.full(M, window, dtype=np.int64)
     hi = np.minimum(np.cumsum(a < never) + window, m)
     rounds = 0
     while True:

@@ -38,6 +38,11 @@ BURST_RATES = (0.1, 0.2, 0.3, 0.4, 0.5)
 BURST_CORRELATIONS = (0.0, 0.2, 0.4, 0.6, 0.8)
 MOS_DEADLINES = tuple(range(50, 401, 10))
 END_SYSTEM_DELAY = 40.0
+TWO_PATH_INTERVAL = 20.0  # ms between packets in two_path_scenario runs
+BURST_GRID_COUNT = 1000
+PADDING_MEAN1 = 100.0
+PADDING_STDDEV1 = 20.0
+PADDING_QUANTILE = 0.95
 
 
 @dataclass
@@ -50,15 +55,14 @@ class Gate:
 def two_path_scenario(delay1: DelayModel, delay2: DelayModel, *,
                       rate1: float = 0.0, rate2: float = 0.0,
                       corr1: float = 0.0, corr2: float = 0.0,
-                      count: int = 3000, interval: float = 20.0,
-                      seed: int = 0, label: str = "",
+                      count: int = 3000, seed: int = 0, label: str = "",
                       padding: PaddingConfig | None = None) -> Scenario:
     return Scenario(
         paths=[
             PathSpec(id="p0", loss=LossModel(rate1, corr1), delay=delay1),
             PathSpec(id="p1", loss=LossModel(rate2, corr2), delay=delay2),
         ],
-        traffic=TrafficSpec(interval=interval, count=count),
+        traffic=TrafficSpec(interval=TWO_PATH_INTERVAL, count=count),
         padding=padding or PaddingConfig(),
         seed=seed,
         label=label,
@@ -81,13 +85,13 @@ class LossSweepPoint:
     count: int
 
 
-def loss_sweep(count: int = 100_000, seed: int = SEED_LOSS_SWEEP) -> list[LossSweepPoint]:
+def loss_sweep(count: int = 100_000) -> list[LossSweepPoint]:
     """Uniform loss at the same rate on two independent paths."""
     points = []
     for k, rate in enumerate(LOSS_SWEEP_RATES):
         sim = simulate(two_path_scenario(
             DelayModel("constant", mean=50.0), DelayModel("constant", mean=50.0),
-            rate1=rate, rate2=rate, count=count, seed=seed + k,
+            rate1=rate, rate2=rate, count=count, seed=SEED_LOSS_SWEEP + k,
             label=f"loss-sweep p={rate}",
         ))
         singles = tuple(float(np.count_nonzero(sim.path_lost(i))) / count
@@ -122,14 +126,14 @@ class BurstCell:
     rail: object
 
 
-def burst_grid(count: int = 1000, seed: int = SEED_BURST_GRID) -> list[BurstCell]:
+def burst_grid() -> list[BurstCell]:
     cells = []
     for i, rate in enumerate(BURST_RATES):
         for j, corr in enumerate(BURST_CORRELATIONS):
             sim = simulate(two_path_scenario(
                 DelayModel("constant", mean=50.0), DelayModel("constant", mean=50.0),
                 rate1=rate, rate2=rate, corr1=corr, corr2=corr,
-                count=count, seed=seed + 100 * i + j,
+                count=BURST_GRID_COUNT, seed=SEED_BURST_GRID + 100 * i + j,
                 label=f"burst rate={rate} corr={corr}",
             ))
             single = burst_stats(sim.path_lost(0))
@@ -162,20 +166,19 @@ def _random_delay_model(rng: np.random.Generator) -> DelayModel:
     )
 
 
-def cdf_dominance_runs(n_runs: int = 50, count: int = 2000,
-                       seed: int = SEED_CDF_RUNS) -> list[tuple[int, float]]:
+def cdf_dominance_runs(n_runs: int = 50, count: int = 2000) -> list[tuple[int, float]]:
     """Max violation of the two-path delay-CDF composition bound per run.
 
     For every sample point t the survival of the first-copy delay can be
     at most the smaller per-path survival; violations are reported as
     max(survival_rail - min(survival_1, survival_2)) over all t.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED_CDF_RUNS)
     results = []
     for run in range(n_runs):
         sim = simulate(two_path_scenario(
             _random_delay_model(rng), _random_delay_model(rng),
-            count=count, seed=seed + 1000 + run, label=f"cdf-run {run}",
+            count=count, seed=SEED_CDF_RUNS + 1000 + run, label=f"cdf-run {run}",
         ))
         d1 = sim.path_delays_ms(0)
         d2 = sim.path_delays_ms(1)
@@ -198,8 +201,7 @@ def cdf_dominance_gate(results) -> Gate:
                 f"max survival excess {worst:.3g} over {len(results)} runs")
 
 
-def ordering_runs(n_runs: int = 100, count: int = 500,
-                  seed: int = SEED_ORDER_RUNS) -> list[tuple[bool, bool]]:
+def ordering_runs(n_runs: int = 100, count: int = 500) -> list[tuple[bool, bool]]:
     """Lossless two-path runs: (per-path streams in send order, forwarded
     stream sorted).  Replication alone must never create reordering."""
     results = []
@@ -207,7 +209,7 @@ def ordering_runs(n_runs: int = 100, count: int = 500,
         sim = simulate(two_path_scenario(
             DelayModel("normal", mean=50.0, stddev=3.0),
             DelayModel("normal", mean=70.0, stddev=3.0),
-            count=count, seed=seed + run, label=f"ordering run {run}",
+            count=count, seed=SEED_ORDER_RUNS + run, label=f"ordering run {run}",
         ))
         in_order = sim.path_in_send_order(0) and sim.path_in_send_order(1)
         sorted_fwd = bool(np.all(np.diff(sim.forwarded_order) >= 0))
@@ -278,21 +280,19 @@ class PaddingResult:
     delivered_with: int
 
 
-def padding_check(mean1: float = 100.0, mean2: float = 50.0,
-                  stddev1: float = 20.0, stddev2: float = 20.0,
-                  count: int = 6000, seed: int = SEED_PADDING,
-                  quantile: float = 0.95, label: str = "padding") -> PaddingResult:
+def padding_check(mean2: float = 50.0, stddev2: float = 20.0,
+                  count: int = 6000, label: str = "padding") -> PaddingResult:
     """Same seed with and without padding at the 95th-percentile target."""
     base = two_path_scenario(
-        DelayModel("normal", mean=mean1, stddev=stddev1),
+        DelayModel("normal", mean=PADDING_MEAN1, stddev=PADDING_STDDEV1),
         DelayModel("normal", mean=mean2, stddev=stddev2),
-        count=count, seed=seed, label=label,
+        count=count, seed=SEED_PADDING, label=label,
     )
     plain = simulate(base)
-    target = DelayCdf(plain.rail_delays_ms()).quantile(quantile)
+    target = DelayCdf(plain.rail_delays_ms()).quantile(PADDING_QUANTILE)
     padded_scenario = two_path_scenario(
         base.paths[0].delay, base.paths[1].delay,
-        count=count, seed=seed, label=label + " padded",
+        count=count, seed=SEED_PADDING, label=label + " padded",
         padding=PaddingConfig(enabled=True, target_one_way=target),
     )
     padded = simulate(padded_scenario)
@@ -322,22 +322,20 @@ class MosRun:
     mos_paths: list[list[float]]
 
 
-def mos_dominance_runs(n_runs: int = 20, count: int = 3000,
-                       seed: int = SEED_MOS_RUNS,
-                       end_system_delay: float = END_SYSTEM_DELAY) -> list[MosRun]:
-    rng = np.random.default_rng(seed)
+def mos_dominance_runs(n_runs: int = 20, count: int = 3000) -> list[MosRun]:
+    rng = np.random.default_rng(SEED_MOS_RUNS)
     runs = []
     for k in range(n_runs):
         sim = simulate(two_path_scenario(
             _random_delay_model(rng), _random_delay_model(rng),
             rate1=float(rng.uniform(0.0, 0.03)), rate2=float(rng.uniform(0.0, 0.03)),
-            count=count, seed=seed + 500 + k, label=f"mos run {k}",
+            count=count, seed=SEED_MOS_RUNS + 500 + k, label=f"mos run {k}",
         ))
         rail = [p.score.mos for p in
-                rail_mos_curve(sim, MOS_DEADLINES, end_system_delay)]
+                rail_mos_curve(sim, MOS_DEADLINES, END_SYSTEM_DELAY)]
         paths = [
             [p.score.mos for p in
-             path_mos_curve(sim, i, MOS_DEADLINES, end_system_delay)]
+             path_mos_curve(sim, i, MOS_DEADLINES, END_SYSTEM_DELAY)]
             for i in range(2)
         ]
         runs.append(MosRun(f"mos run {k}", MOS_DEADLINES, rail, paths))
@@ -368,22 +366,21 @@ def emodel_monotonicity_gate() -> Gate:
     return Gate("emodel-monotonicity", True, "MOS nonincreasing in loss and delay")
 
 
-def jitter_sweep(count: int = 3000, seed: int = SEED_JITTER,
-                 end_system_delay: float = END_SYSTEM_DELAY) -> list[dict]:
+def jitter_sweep(count: int = 3000) -> list[dict]:
     """Both paths at 100 ms mean, heavy-tailed jitter swept from 10-100 ms."""
     rows = []
     for k, sd in enumerate(range(10, 101, 10)):
         sim = simulate(two_path_scenario(
             DelayModel("paretonormal", mean=100.0, stddev=float(sd)),
             DelayModel("paretonormal", mean=100.0, stddev=float(sd)),
-            count=count, seed=seed + k, label=f"jitter sd={sd}",
+            count=count, seed=SEED_JITTER + k, label=f"jitter sd={sd}",
         ))
-        rail_curve = rail_mos_curve(sim, MOS_DEADLINES, end_system_delay)
+        rail_curve = rail_mos_curve(sim, MOS_DEADLINES, END_SYSTEM_DELAY)
         best = optimal_playout(rail_curve)
         mos_rail = max(p.score.mos for p in rail_curve)
         mos_single = [
             max(p.score.mos for p in
-                path_mos_curve(sim, i, MOS_DEADLINES, end_system_delay))
+                path_mos_curve(sim, i, MOS_DEADLINES, END_SYSTEM_DELAY))
             for i in range(2)
         ]
         rows.append({

@@ -1,6 +1,10 @@
 """CLI verbs, exit codes and report files."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -8,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from railsim import cli, report, suite
@@ -218,10 +222,50 @@ def test_tcp_model_bad_input(capsys):
     ["mos", "--grid", "--losses", "0:inf:0.01"],
     ["mos", "--grid", "--delays", "0,ten"],
     ["mos", "--grid", "--losses", "0:1e300:1e-300"],
+    ["mos", "--delay", "inf"],
 ])
 def test_malformed_numbers_are_errors_not_tracebacks(argv, capsys):
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--end-system-delay", "inf"],
+    ["--end-system-delay", "40", "--deadlines", "50,inf"],
+    ["--end-system-delay", "1e308", "--deadlines", "1e308"],
+])
+def test_mos_curve_infinite_delays_are_errors(scenario_file, tmp_path, extra, capsys):
+    # each used to exit 0, with Infinity in manifest.json or summary.json
+    # or inf in the one_way_ms cells
+    out = tmp_path / "curve"
+    assert run(["mos-curve", "--scenario", scenario_file, "--out", out] + extra) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_out_of_memory_is_an_error_not_a_traceback(tmp_path):
+    """A run too large for memory passes validation, which has no packet
+    cap, and fails at its first allocation.  The CLI runs in a child
+    process whose address space is capped at 1 GiB, so that allocation
+    fails at once whatever memory the host has."""
+    scenario = tmp_path / "huge.scenario"
+    scenario.write_text("[traffic]\ncount = 10000000000\n"
+                        "[paths.0]\nmean = 10\n[paths.1]\nmean = 20\n")
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "railsim.cli", "simulate", "--scenario", str(scenario)],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space,
+        timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("parameter, values", [
@@ -378,3 +422,85 @@ def test_paper_suite_exit_zero_and_writes_bundle(monkeypatch, capsys, tmp_path):
     captured = capsys.readouterr()
     assert "[PASS] always-passes" in captured.out
     assert (out / "demo.csv").exists()
+
+
+# values any key may take: NaN, infinities, a float at the edge of
+# overflow, empty and non-numeric text
+FUZZ_VALUES = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "", "x", "-1", "0.5"]
+# per key, values that keep a scenario valid (at most 200 packets; the
+# largest window is past the int64 range) and, in FUZZ_BAD, ones that
+# make it invalid beyond FUZZ_VALUES
+FUZZ_KEYS = {
+    "scenario": {"seed": ["0", "7"], "reorder_removal": ["false", "true"],
+                 "dedup_window": ["1", "4", "4096", "99999999999999999999"]},
+    "traffic": {"count": ["1", "37", "200"], "interval": ["0.5", "20"],
+                "packet_size": ["200"]},
+    "padding": {"enabled": ["false", "true"], "target_one_way": ["60", "0.5"]},
+    "shared.core": {"rate": ["0", "0.3"], "correlation": ["0", "0.5"]},
+    "paths": {"rate": ["0", "0.2"], "correlation": ["0", "0.5"],
+              "delay": ["constant", "normal", "paretonormal", "trace"],
+              "mean": ["0", "10", "60"], "stddev": ["0", "5", "30"],
+              "delay_correlation": ["0", "0.6"], "trace": ["t.trace"],
+              "shared": ["core"], "force_loss": ["0", "3,3"],
+              "pareto_alpha": ["2"], "pareto_weight": ["0.25"]},
+}
+FUZZ_BAD = {"id": ["p0"], "delay": ["bogus"], "trace": ["missing.trace", "tracedir"],
+            "shared": ["nowhere"], "force_loss": ["5,300", "1e308"]}
+FUZZ_TRACES = ["1,10\n2,0\n3,30\n", "1,nan\n", "1,inf\n", "1,1e308\n", "", "x\n",
+               "2,1\n1,1\n"]
+
+
+def _fuzz_keys(name):
+    return FUZZ_KEYS["paths" if name.startswith("paths.") else name]
+
+
+@st.composite
+def fuzz_scenarios(draw):
+    """Scenario text and trace text.  Every section keeps a random subset
+    of its keys at valid values; then up to three keys take a value from
+    FUZZ_VALUES or from the key's FUZZ_BAD list: a duplicate path id, an
+    unknown delay kind, a missing or directory trace path, an unknown
+    segment or a forced seq outside the run."""
+    names = ["scenario", "traffic", "padding", "shared.core"]
+    names += [f"paths.{i}" for i in range(draw(st.integers(0, 3)))]
+    sections = {}
+    for name in names:
+        sections[name] = {key: draw(st.sampled_from(values))
+                          for key, values in _fuzz_keys(name).items()
+                          if draw(st.booleans())}
+        if name.startswith("paths."):
+            sections[name]["id"] = "p" + name[len("paths."):]
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(names))
+        keys = sorted(_fuzz_keys(name)) + (["id"] if name.startswith("paths.") else [])
+        key = draw(st.sampled_from(keys))
+        sections[name][key] = draw(st.sampled_from(FUZZ_VALUES + FUZZ_BAD.get(key, [])))
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                   for name, body in sections.items())
+    return text, draw(st.sampled_from(FUZZ_TRACES[:1] * 3 + FUZZ_TRACES[1:]))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=fuzz_scenarios(),
+       parameter=st.sampled_from(["paths.0.loss.rate", "paths.0.delay.mean",
+                                  "traffic.interval", "traffic.count", "dedup_window",
+                                  "paths.9.loss.rate", "label"]),
+       # as traffic.count, 1e308 overflows the clock at every interval
+       values=st.sampled_from(["0.1,0.2", "1,nan", "inf", "1e308", "0:1:0.5", "x"]),
+       end_system_delay=st.sampled_from(["40", "0", "nan", "inf", "1e308", "x"]))
+def test_scenario_fuzz_exits_zero_or_one(case, parameter, values, end_system_delay):
+    text, trace_text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        scenario = tmp / "fuzz.scenario"
+        scenario.write_text(text)
+        (tmp / "t.trace").write_text(trace_text)
+        (tmp / "tracedir").mkdir()
+        for argv in (
+            ["simulate", "--out", tmp / "sim"],
+            ["sweep", "--parameter", parameter, "--values", values, "--out", tmp / "sw"],
+            ["mos-curve", "--end-system-delay", end_system_delay,
+             "--out", tmp / "curve"],
+        ):
+            assert run(argv[:1] + ["--scenario", scenario] + argv[1:]) in (0, 1)

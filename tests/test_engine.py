@@ -300,15 +300,26 @@ def test_window_miss_duplicates_are_forwarded_and_counted():
         "edge-fast", "edge-loops"])
 def test_dedup_fast_path_matches_state_machine(monkeypatch, scenario, loops):
     calls = _spy_loop(monkeypatch)
-    fast = simulate(scenario)
+    sim = simulate(scenario)
     assert bool(calls) == loops
-    assert (fast.counters.window_miss_duplicates > 0) == loops
-    monkeypatch.setattr(engine, "_FORCE_DEDUP_LOOP", True)
-    slow = simulate(scenario)
-    assert np.array_equal(fast.forwarded_order, slow.forwarded_order)
-    assert fast.counters == slow.counters
-    assert np.array_equal(fast.rail_delay_ns, slow.rail_delay_ns)
-    assert np.array_equal(fast.forward_ns, slow.forward_ns)
+    miss_s, _ = _misses_in_arrival_order(sim.arrival_ns, scenario.dedup_window)
+    assert (len(miss_s) > 0) == loops
+    c = sim.counters
+    firsts = np.count_nonzero(~sim.rail_lost_mask())
+    delivered = np.count_nonzero(sim.arrival_ns < engine.LOST_NS)
+    assert c.window_miss_duplicates == len(miss_s)
+    assert c.forwarded == firsts + len(miss_s)
+    assert c.suppressed == delivered - firsts - len(miss_s)
+
+
+def _misses_in_arrival_order(arrival, window):
+    """Seqs and times of the window-miss duplicates among the delivered
+    copies, visited in (time, seq, path) order."""
+    p_idx, s_idx = np.nonzero(arrival < engine.LOST_NS)
+    order = np.lexsort((p_idx, s_idx, arrival[p_idx, s_idx]))
+    p_idx, s_idx = p_idx[order], s_idx[order]
+    misses = window_miss_duplicates(s_idx, arrival.shape[1], window)
+    return s_idx[misses], arrival[p_idx, s_idx][misses]
 
 
 def _spy_loop(monkeypatch):
@@ -366,13 +377,11 @@ def test_no_eviction_bound_is_sound(case):
         calls = _spy_loop(mp)
         dup_t, dup_s = engine._dedup_pass(arrival, rail, copy_max, dt,
                                           duplicates, window)
-    p_idx, s_idx = np.nonzero(delivered)
-    order = np.lexsort((p_idx, s_idx, arrival[p_idx, s_idx]))
-    misses = window_miss_duplicates(s_idx[order], arrival.shape[1], window)
+    miss_s, miss_t = _misses_in_arrival_order(arrival, window)
     if not calls:
-        assert len(misses) == 0
-    assert dup_s.tolist() == s_idx[order][misses].tolist()
-    assert dup_t.tolist() == arrival[p_idx, s_idx][order][misses].tolist()
+        assert len(miss_s) == 0
+    assert dup_s.tolist() == miss_s.tolist()
+    assert dup_t.tolist() == miss_t.tolist()
 
 
 # ---------------------------------------------------------------------------

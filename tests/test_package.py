@@ -15,6 +15,7 @@ def test_removed_per_packet_api_is_gone():
     import railsim.engine
     import railsim.errors
     import railsim.pathsim
+    import railsim.quality
     import railsim.railedge
 
     gone = {
@@ -27,6 +28,7 @@ def test_removed_per_packet_api_is_gone():
                            "HEADER_SIZE", "padding_release", "DedupState"],
         railsim.engine: ["PathOutcomes"],
         railsim.errors: ["TraceRangeError"],
+        railsim.quality: ["EModelParams", "G711"],
     }
     for owner, names in gone.items():
         for name in names:
@@ -38,4 +40,4 @@ def test_removed_per_packet_api_is_gone():
     sim = railsim.simulate(railsim.Scenario(paths=[railsim.PathSpec("a")],
                                             traffic=railsim.TrafficSpec(count=2)))
     assert not hasattr(sim, "per_path_outcomes")
-    assert len(railsim.__all__) == 44
+    assert len(railsim.__all__) == 42

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import DomainError
 from railsim.pathsim import DelayModel, PathSpec
-from railsim.quality import (G711, EModelParams, MosPoint, TcpPathSet,
-                             effective_loss, mos, mos_curve, optimal_playout, path_mos_curve,
+from railsim.quality import (DELAY_SLOPE_HIGH, DELAY_SLOPE_LOW, R_BASE, MosPoint,
+                             TcpPathSet, effective_loss, mos, mos_curve,
+                             optimal_playout, path_mos_curve,
                              rail_loss_independent, rail_loss_shared,
                              rail_mos_curve, tcp_fact1_check,
                              tcp_throughput_rail, tcp_throughput_single)
@@ -147,21 +148,24 @@ def test_mos_monotone_in_delay_and_loss():
 
 
 def test_mos_bounds_and_caps():
+    # both impairments are >= 0, so R peaks at R_BASE with no upper clamp
+    # and the cubic keeps MOS below 4.5 there
+    best = mos(0.0, 0.0)
+    assert best.r_factor == R_BASE == 93.2
+    assert best.mos < 4.5
     assert mos(0.0, 10_000.0).mos == 1.0
-    high = mos(0.0, 0.0, EModelParams(r_base=150.0))
-    assert high.r_factor == 100.0 and high.mos == 4.5
+    assert mos(0.0, 10_000.0).r_factor == 0.0
     for loss in (0.0, 0.5, 1.0):
         s = mos(loss, 123.0)
-        assert 0.0 <= s.r_factor <= 100.0
-        assert 1.0 <= s.mos <= 5.0
+        assert 0.0 <= s.r_factor <= R_BASE
+        assert 1.0 <= s.mos <= best.mos
 
 
 def test_mos_delay_knee_increases_slope():
-    p = EModelParams()
     below = mos(0.0, 170.0).r_factor - mos(0.0, 160.0).r_factor
     above = mos(0.0, 260.0).r_factor - mos(0.0, 250.0).r_factor
-    assert below == pytest.approx(-10 * p.delay_slope_low)
-    assert above == pytest.approx(-10 * (p.delay_slope_low + p.delay_slope_high))
+    assert below == pytest.approx(-10 * DELAY_SLOPE_LOW)
+    assert above == pytest.approx(-10 * (DELAY_SLOPE_LOW + DELAY_SLOPE_HIGH))
 
 
 def test_mos_rejects_bad_inputs():
@@ -221,14 +225,19 @@ def test_replication_curve_dominates_single_path():
 
 
 def _mos_curve_per_deadline(n_sent, delivered_delays_ms, deadlines,
-                            end_system_delay, params=G711):
+                            end_system_delay):
     """Oracle: mos_curve with one ``effective_loss`` call and one on-time
     filter per deadline."""
     deadlines = list(deadlines)
     if not deadlines:
         raise DomainError("deadline range is empty")
-    if end_system_delay < 0:
-        raise DomainError("end_system_delay must be >= 0")
+    checks = [("end_system_delay", end_system_delay)]
+    for d in deadlines:
+        checks += [("deadline", d),
+                   ("end_system_delay + deadline", end_system_delay + d)]
+    for name, value in checks:
+        if not 0 <= value < math.inf:
+            raise DomainError(f"{name} must be finite and >= 0, got {value}")
     delivered = np.asarray(delivered_delays_ms, dtype=np.float64)
     delivered = delivered[~np.isnan(delivered)]
     if n_sent < 1:
@@ -248,7 +257,7 @@ def _mos_curve_per_deadline(n_sent, delivered_delays_ms, deadlines,
             one_way=end_system_delay + float(d),
             effective_loss=min(1.0, eff),
             representative_delay=rep,
-            score=mos(min(1.0, eff), rep, params),
+            score=mos(min(1.0, eff), rep),
         ))
     return points
 
@@ -301,6 +310,23 @@ def test_curve_rejects_nan_end_system_delay():
     # message about one_way_delay
     with pytest.raises(DomainError, match="end_system_delay"):
         mos_curve(10, [10.0], [50.0], math.nan)
+
+
+def test_infinite_delays_are_rejected():
+    # inf used to pass the >= 0 checks: mos scored it MOS 1.0 and the
+    # curve reported an infinite one-way budget or optimal deadline
+    with pytest.raises(DomainError, match="one_way_delay"):
+        mos(0.0, math.inf)
+    with pytest.raises(DomainError, match="end_system_delay"):
+        mos_curve(10, [10.0], [50.0], math.inf)
+    for deadlines in ([50.0, math.inf], [math.inf], [-math.inf]):
+        with pytest.raises(DomainError, match="deadline"):
+            mos_curve(10, [10.0], deadlines, 40.0)
+    with pytest.raises(DomainError, match="deadline"):
+        mos_curve(10, [], [math.inf], 40.0)  # nothing delivered
+    # two finite budgets whose sum overflows
+    with pytest.raises(DomainError, match="end_system_delay \\+ deadline"):
+        mos_curve(10, [10.0], [1e308], 1e308)
 
 
 # ---------------------------------------------------------------------------

@@ -172,3 +172,14 @@ def test_hold_in_order_stream_is_undisturbed():
     ready = [(20 * MS * (i + 1), i) for i in range(10)]
     assert hold(ready, timeout_ns=50 * MS) == ready
     assert hold([], timeout_ns=50 * MS) == []
+
+
+@pytest.mark.parametrize("window", [6, 2**63 - 1, 10**30])
+def test_hold_window_wider_than_the_run_never_gives_up(window):
+    # six first arrivals never fill a window of six or more; a window past
+    # the int64 range used to raise OverflowError in numpy
+    ready = [(10 * MS, 0), (20 * MS, 2), (30 * MS, 3), (40 * MS, 5),
+             (50 * MS, 6), (60 * MS, 1)]
+    released = hold(ready, timeout_ns=1000 * MS, window=window)
+    assert released == [(10 * MS, 0), (60 * MS, 1), (60 * MS, 2), (60 * MS, 3),
+                        (1040 * MS, 5), (1040 * MS, 6)]

@@ -9,8 +9,9 @@ in arrival order, the padding rule (``padding_release``) and a
 heap-driven reorder hold (``reference_hold_schedule``).  None of these
 share code with the engine's datapath.  ``simulate()`` must agree with
 the reference exactly, ledger columns, counters and per-path accessors
-alike, with the dedup fast path allowed and with the sequential dedup
-pass forced.
+alike.  Runs with small dedup windows (the hard scenarios use 1-8)
+take the sequential dedup pass and find window misses; the others take
+the fast path.
 
 The engine's reorder hold is a closed form over prefix scans, so it is
 also checked on its own against two walks over the rows: the heap-driven
@@ -353,28 +354,25 @@ def hard_scenarios(draw):
 
 
 def assert_matches_reference(scenario: Scenario, ref: Reference) -> None:
-    for force_loop in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_FORCE_DEDUP_LOOP", force_loop)
-            sim = simulate(scenario)
-        arrival = [[None if t == engine.LOST_NS else t for t in row]
-                   for row in sim.arrival_ns.tolist()]
-        assert sim.send_ns.tolist() == ref.send_ns
-        assert arrival == ref.arrival_ns
-        for i, row in enumerate(ref.arrival_ns):
-            arrivals = [t for t in row if t is not None]
-            assert sim.path_lost(i).tolist() == [t is None for t in row]
-            assert sim.path_delays_ms(i).tolist() == [
-                (t - send) / NS for t, send in zip(row, ref.send_ns) if t is not None]
-            assert sim.path_in_send_order(i) == (arrivals == sorted(arrivals))
-        assert sim.rail_delay_ns.tolist() == ref.rail_delay_ns
-        assert sim.padding_ns.tolist() == ref.padding_ns
-        assert sim.forward_ns.tolist() == ref.forward_ns
-        assert sim.forwarded_order.tolist() == ref.forwarded_order
-        assert sim.counters == ref.counters
-        for arr in (sim.rail_delay_ns, sim.padding_ns, sim.forward_ns,
-                    sim.forwarded_order):
-            assert arr.dtype == np.int64
+    sim = simulate(scenario)
+    arrival = [[None if t == engine.LOST_NS else t for t in row]
+               for row in sim.arrival_ns.tolist()]
+    assert sim.send_ns.tolist() == ref.send_ns
+    assert arrival == ref.arrival_ns
+    for i, row in enumerate(ref.arrival_ns):
+        arrivals = [t for t in row if t is not None]
+        assert sim.path_lost(i).tolist() == [t is None for t in row]
+        assert sim.path_delays_ms(i).tolist() == [
+            (t - send) / NS for t, send in zip(row, ref.send_ns) if t is not None]
+        assert sim.path_in_send_order(i) == (arrivals == sorted(arrivals))
+    assert sim.rail_delay_ns.tolist() == ref.rail_delay_ns
+    assert sim.padding_ns.tolist() == ref.padding_ns
+    assert sim.forward_ns.tolist() == ref.forward_ns
+    assert sim.forwarded_order.tolist() == ref.forwarded_order
+    assert sim.counters == ref.counters
+    for arr in (sim.rail_delay_ns, sim.padding_ns, sim.forward_ns,
+                sim.forwarded_order):
+        assert arr.dtype == np.int64
 
 
 @settings(max_examples=200, deadline=None)
