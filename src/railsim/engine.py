@@ -23,8 +23,8 @@ import numpy as np
 from .errors import ConfigurationError, ValidationError
 from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, PathSpec,
                       SharedSegmentSpec, Trace, fits_clock, load_trace, path_rng,
-                      sample_loss, sample_path, shared_rng,
-                      validate_delay_model, validate_loss_model)
+                      sample_path, shared_rng, validate_delay_model,
+                      validate_loss_model)
 from .railedge import (DEFAULT_DEDUP_WINDOW, PaddingConfig,
                        reorder_hold_schedule, window_miss_duplicates)
 
@@ -248,7 +248,8 @@ def simulate(scenario: Scenario) -> SimResult:
 
     # shared segments: one loss column per segment actually referenced
     referenced = {p.shared for p in scenario.paths if p.shared is not None}
-    shared_lost = {seg.id: sample_loss(seg.loss, shared_rng(scenario.seed, idx), n)
+    shared_lost = {seg.id: sample_path(PathSpec(seg.id, seg.loss),
+                                       shared_rng(scenario.seed, idx), n)[0]
                    for idx, seg in enumerate(scenario.shared_segments)
                    if seg.id in referenced}
 
@@ -398,6 +399,9 @@ def set_parameter(scenario: Scenario, parameter: str, value) -> None:
 def run_sweep(base: Scenario, parameter: str,
               values: Sequence[float]) -> list[tuple[float, SimResult]]:
     """One independent run per value; run i uses seed base.seed + i."""
+    if parameter == "seed":  # the loop below would overwrite every value
+        raise ConfigurationError("parameter 'seed' cannot be swept: run i uses "
+                                 "the base seed + i (set it with --seed)")
     results = []
     for i, value in enumerate(values):
         scenario = copy.deepcopy(base)

@@ -1,12 +1,12 @@
 """Per-path packet outcomes: parametric loss/delay models and recorded traces.
 
 Every path owns an independent generator derived from the scenario seed.
-``sample_path`` and ``sample_loss`` turn it into a run's loss mask and
-delay column in one call.  Randomness is laid out in fixed-size chunks
-with a fixed column layout per chunk, so packet i's outcome does not
-depend on how many packets a run asks for; only the rows of the run are
-drawn (the paretonormal kind's normal column is the one exception, drawn
-whole per chunk).  Each chunk is reduced to what the sequential
+``sample_path`` turns it into a run's loss mask and delay column in one
+call.  Randomness is laid out in fixed-size chunks with a fixed column
+layout per chunk, so packet i's outcome does not depend on how many
+packets a run asks for; one copy of the generator draws only the rows of
+the run (the paretonormal kind's normal column is the one exception,
+drawn whole per chunk).  Each chunk is reduced to what the sequential
 recurrences (sticky loss, AR(1) delay) read as it is drawn, and each
 recurrence then runs once over the whole run: sticky loss as a running
 maximum, the AR(1) delay filter as a verified lockstep of row blocks that
@@ -348,17 +348,9 @@ def ar1_scan(eps, corr):
 # sampling
 
 
-# Seeds the construction of column clones only; each clone's state is
+# Seeds the construction of the sampling copy only; its state is
 # overwritten at once (a fixed seed skips the OS entropy read).
 _CLONE_SEED = np.random.SeedSequence(0)
-
-
-def _clone(state: dict, words: int) -> np.random.Generator:
-    """Generator over a PCG64 at ``state`` advanced by ``words`` outputs."""
-    bit_gen = np.random.PCG64(_CLONE_SEED)
-    bit_gen.state = state
-    bit_gen.advance(words)
-    return np.random.Generator(bit_gen)
 
 
 def _chunks(rng: np.random.Generator, layout: str, n: int):
@@ -371,35 +363,33 @@ def _chunks(rng: np.random.Generator, layout: str, n: int):
     is.  ``rows`` holds one array per column with the chunk's rows below
     ``n`` only, the first of them packet ``start``'s.
 
-    Only those rows are drawn: each column gets its own PCG64 clone of the
-    chunk-start state, advanced to where the column begins.  This is exact
-    because ``random()`` takes one 64-bit word per value, and consecutive
-    ``random``/``standard_normal`` calls equal one call and leave the same
-    state.  A normal column followed by another column is drawn whole,
-    because a normal takes a variable number of words and the next column
-    starts where it ends.  The next chunk starts where the last column of
-    a full chunk ends.  ``rng`` is only read, never advanced.
+    Only those rows are drawn, all from one PCG64 copy of ``rng``: a
+    uniform column draws its rows, then ``advance`` skips the rest.  This
+    is exact because ``random()`` takes one 64-bit word per value, and
+    consecutive ``random``/``standard_normal`` calls equal one call and
+    leave the same state.  A normal column followed by another column is
+    drawn whole, because a normal takes a variable number of words and the
+    next column starts where it ends.  ``rng`` is only read, never advanced.
     """
     if not (isinstance(rng, np.random.Generator)
             and type(rng.bit_generator) is np.random.PCG64):
         # the skip over unread rows relies on PCG64's one word per value
         raise ConfigurationError(
             f"path sampling needs a numpy Generator over PCG64, got {rng!r}")
-    state = rng.bit_generator.state
+    bit_gen = np.random.PCG64(_CLONE_SEED)
+    bit_gen.state = rng.bit_generator.state
+    gen = np.random.Generator(bit_gen)
     for start in range(0, n, CHUNK):
         k = min(n - start, CHUNK)
-        base, words, rows = state, 0, []
+        rows = []
         for j, kind in enumerate(layout):
-            gen = _clone(base, words)
             if kind == "u":
                 rows.append(gen.random(k))
-                words += CHUNK
+                bit_gen.advance(CHUNK - k)
             elif j < len(layout) - 1:
                 rows.append(gen.standard_normal(CHUNK)[:k])
-                base, words = gen.bit_generator.state, 0
             else:
                 rows.append(gen.standard_normal(k))
-        state = gen.bit_generator.state
         yield start, rows
 
 
@@ -409,19 +399,6 @@ def _loss_rows(model: LossModel, u_repeat: np.ndarray, u_fresh: np.ndarray,
     rows that ``sticky_scan`` reads."""
     np.greater_equal(u_repeat, model.correlation, out=fresh)
     np.less(u_fresh, model.rate, out=hit)
-
-
-def sample_loss(model: LossModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Loss outcomes of packets [0, n) as a bool array (True = lost).
-
-    Each chunk's columns are ``u_repeat`` then ``u_fresh``.
-    """
-    _check(validate_loss_model(model))
-    fresh, hit = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    for lo, (u_repeat, u_fresh) in _chunks(rng, "uu", n):
-        hi = lo + len(u_repeat)
-        _loss_rows(model, u_repeat, u_fresh, fresh[lo:hi], hit[lo:hi])
-    return sticky_scan(fresh, hit)
 
 
 # Per-chunk column layout of each delay kind, after the loss columns
@@ -454,7 +431,7 @@ def sample_path(spec: PathSpec, rng: np.random.Generator,
     drawn; each scan then runs once over the whole run.  The delay column
     is populated for every packet; entries where ``lost`` is True are
     ignored downstream.  Only the path's own loss process is sampled
-    here; shared-segment loss is combined by the caller.
+    here; the caller samples a shared segment as a constant-delay path.
     """
     _check(validate_loss_model(spec.loss, f"path {spec.id}: loss"))
     _check(validate_delay_model(spec.delay, f"path {spec.id}: delay"))

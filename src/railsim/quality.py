@@ -248,13 +248,21 @@ class TcpPrediction:
     throughput: float    # packets / s
 
 
+def _throughput(p: float, rtt: float) -> float:
+    """1.22 / (RTT * sqrt(p)) in packets/s; DomainError where floats under/overflow."""
+    denom = (rtt / 1000.0) * math.sqrt(p)
+    if not (0.0 < denom < math.inf and TCP_CONSTANT / denom < math.inf):
+        raise DomainError(f"TCP throughput at loss {p}, rtt {rtt} ms is not finite")
+    return TCP_CONSTANT / denom
+
+
 def tcp_throughput_single(p: float, rtt: float) -> float:
     """Long-lived TCP throughput over one path: 1.22 / (RTT * sqrt(p))."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"loss rate must be in (0, 1), got {p}")
     if not 0 < rtt < math.inf:  # also rejects NaN
         raise DomainError(f"rtt must be finite and > 0, got {rtt}")
-    return TCP_CONSTANT / ((rtt / 1000.0) * math.sqrt(p))
+    return _throughput(p, rtt)
 
 
 def tcp_throughput_rail(paths: TcpPathSet) -> TcpPrediction:
@@ -276,8 +284,7 @@ def tcp_throughput_rail(paths: TcpPathSet) -> TcpPrediction:
     for rtt_i, p_i in zip(rtts, ps):
         e_rtt += rtt_i * prefix * (1.0 - p_i) / denom
         prefix *= p_i
-    throughput = TCP_CONSTANT / ((e_rtt / 1000.0) * math.sqrt(prod_all))
-    return TcpPrediction(expected_rtt=e_rtt, throughput=throughput)
+    return TcpPrediction(expected_rtt=e_rtt, throughput=_throughput(prod_all, e_rtt))
 
 
 def tcp_fact1_check(paths: TcpPathSet) -> tuple[bool, bool]:

@@ -1,5 +1,6 @@
-"""Edge-device datapath at the receiver: duplicate suppression and
-release-time policies (delay padding, optional reorder removal)."""
+"""Edge-device datapath at the receiver: duplicate suppression and the
+optional reorder-removal hold.  Delay padding is only configured here
+(``PaddingConfig``); ``engine.simulate`` applies it."""
 
 from __future__ import annotations
 

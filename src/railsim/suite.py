@@ -403,10 +403,21 @@ def jitter_gate(rows: list[dict]) -> Gate:
 # --- TCP model surfaces ----------------------------------------------------
 
 TCP_RTT1 = 10.0
-TCP_SURFACE_P = tuple(float(p) for p in np.logspace(-4, -1, 20))
-TCP_SURFACE_RATIOS = tuple(float(r) for r in np.linspace(1.0, 10.0, 10))
+# Literal grids: np.logspace's SIMD power loops may round a point otherwise
+# on another CPU (tests/test_quality.py holds each literal within 1 ulp).
+TCP_SURFACE_P = (  # np.logspace(-4, -1, 20)
+    0.0001, 0.0001438449888287663, 0.00020691380811147902, 0.00029763514416313193,
+    0.00042813323987193956, 0.0006158482110660267, 0.0008858667904100822,
+    0.0012742749857031334, 0.0018329807108324356, 0.0026366508987303583,
+    0.00379269019073225, 0.005455594781168515, 0.007847599703514606,
+    0.011288378916846883, 0.01623776739188721, 0.023357214690901212,
+    0.03359818286283781, 0.04832930238571752, 0.06951927961775606, 0.1)
+TCP_SURFACE_RATIOS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
 # region where the fast-link speedup stays between 4x and 10x
-TCP_PRACTICAL_P = (0.01, 0.03)
+TCP_PRACTICAL_P = (  # np.logspace(log10(0.01), log10(0.03), 10)
+    0.01, 0.01129830963909753, 0.012765180070092415, 0.014422495703074084,
+    0.01629498222218846, 0.01841057547098748, 0.02080083823051904,
+    0.023501431108118167, 0.026552644562143804, 0.029999999999999995)
 TCP_SPOT = (0.01, 10.0)
 
 
@@ -452,14 +463,12 @@ def tcp_spot_gate() -> Gate:
 
 def tcp_practical_region() -> list[dict]:
     rows = []
-    for p in np.logspace(math.log10(TCP_PRACTICAL_P[0]),
-                         math.log10(TCP_PRACTICAL_P[1]), 10):
+    for p in TCP_PRACTICAL_P:
         for ratio in TCP_SURFACE_RATIOS:
             pred = tcp_throughput_rail(
-                TcpPathSet.of([(float(p), TCP_RTT1), (float(p), TCP_RTT1 * ratio)])
-            )
-            speedup = pred.throughput / tcp_throughput_single(float(p), TCP_RTT1)
-            rows.append({"p": float(p), "rtt_ratio": float(ratio), "speedup": speedup})
+                TcpPathSet.of([(p, TCP_RTT1), (p, TCP_RTT1 * ratio)]))
+            speedup = pred.throughput / tcp_throughput_single(p, TCP_RTT1)
+            rows.append({"p": p, "rtt_ratio": ratio, "speedup": speedup})
     return rows
 
 

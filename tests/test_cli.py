@@ -223,6 +223,12 @@ def test_tcp_model_bad_input(capsys):
     ["mos", "--grid", "--delays", "0,ten"],
     ["mos", "--grid", "--losses", "0:1e300:1e-300"],
     ["mos", "--delay", "inf"],
+    # the loss product underflows to 0, the RTT underflows to 0 in seconds,
+    # the throughput overflows to inf, and the expected RTT overflows to inf
+    ["tcp-model", "--paths", "1e-200,10;1e-200,20"],
+    ["tcp-model", "--paths", "0.5,5e-324"],
+    ["tcp-model", "--paths", "0.5,1e-320"],
+    ["tcp-model", "--paths", "0.5,1.7976931348623157e308;0.5,1.7976931348623157e308"],
 ])
 def test_malformed_numbers_are_errors_not_tracebacks(argv, capsys):
     assert run(argv) == 1
@@ -273,6 +279,7 @@ def test_out_of_memory_is_an_error_not_a_traceback(tmp_path):
     ("paths.0.loss.rate", "0.1,nan"),
     ("traffic.count", "inf"),
     ("traffic.count", "10,20.5"),
+    ("seed", "100,200"),
 ])
 def test_sweep_bad_values_are_errors(scenario_file, parameter, values, capsys):
     assert run(["sweep", "--scenario", scenario_file,

@@ -21,7 +21,7 @@ def test_removed_per_packet_api_is_gone():
     gone = {
         railsim.pathsim: ["Outcome", "LOST", "PathState", "SharedSegmentState",
                           "sample_outcome", "trace_outcome", "PathStream",
-                          "LossStream", "_Buffered"],
+                          "LossStream", "_Buffered", "sample_loss", "_clone"],
         railsim.pathsim.Trace: ["outcome", "replay_window", "replay", "entries"],
         railsim.railedge: ["Decision", "on_wan_arrival", "RailHeader",
                            "encode_packet", "decode_packet", "replicate",

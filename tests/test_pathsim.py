@@ -12,13 +12,19 @@ from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import ConfigurationError, TraceParseError
 from railsim.pathsim import (CHUNK, DELAY_KINDS, DelayModel, LossModel, PathSpec,
                              SharedSegmentSpec, Trace, _loss_rows, load_trace,
-                             path_rng, sample_loss, sample_path, shared_rng)
+                             path_rng, sample_path, shared_rng)
 
 N = 100_000
 
 
 def _path(spec, n, seed=0, idx=0):
     return sample_path(spec, path_rng(seed, idx), n)
+
+
+def _loss(model, seed, idx=0, n=N):
+    """The loss column of a constant-delay path, the one sampled for a
+    shared segment."""
+    return _path(PathSpec("s", loss=model), n, seed, idx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +57,14 @@ def test_certain_loss_always_lost():
 
 
 def test_measured_loss_rate_matches_bernoulli_mean():
-    measured = sample_loss(LossModel(0.1, 0.0), path_rng(12, 0), N).mean()
+    measured = _loss(LossModel(0.1, 0.0), 12).mean()
     sigma = math.sqrt(0.1 * 0.9 / N)
     assert abs(measured - 0.1) <= 3 * sigma
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_uncorrelated_loss_within_four_sigma(seed):
-    measured = sample_loss(LossModel(0.1, 0.0), path_rng(seed, 0), N).mean()
+    measured = _loss(LossModel(0.1, 0.0), seed).mean()
     sigma = math.sqrt(0.1 * 0.9 / N)
     assert abs(measured - 0.1) <= 4 * sigma
 
@@ -66,14 +72,14 @@ def test_uncorrelated_loss_within_four_sigma(seed):
 def test_sticky_loss_keeps_stationary_rate():
     # the sticky process repeats outcomes but leaves the long-run rate alone;
     # autocorrelation inflates the variance of the mean by (1+c)/(1-c)
-    measured = sample_loss(LossModel(0.2, 0.5), path_rng(21, 0), N).mean()
+    measured = _loss(LossModel(0.2, 0.5), 21).mean()
     sigma = math.sqrt(0.2 * 0.8 / N) * math.sqrt(1.5 / 0.5)
     assert abs(measured - 0.2) <= 4 * sigma
 
 
 def test_sticky_loss_lengthens_runs():
-    plain = sample_loss(LossModel(0.2, 0.0), path_rng(40, 0), N)
-    sticky = sample_loss(LossModel(0.2, 0.7), path_rng(40, 1), N)
+    plain = _loss(LossModel(0.2, 0.0), 40)
+    sticky = _loss(LossModel(0.2, 0.7), 40, 1)
 
     def mean_run(seq):
         runs, cur = [], 0
@@ -154,7 +160,7 @@ def test_trace_replay_stays_positional_across_chunks():
     t_lost = np.isnan(t_delay)
     assert delay.tobytes() == t_delay.tobytes()
     assert np.all(lost[t_lost])
-    own = sample_loss(spec.loss, path_rng(2, 0), n)
+    own = _loss(spec.loss, 2, n=n)
     assert lost.tobytes() == (own | t_lost).tobytes()
 
 
@@ -205,8 +211,8 @@ def _delay(kind, delay_corr):
 
 
 def _sample(kind, loss, delay, rng, n):
-    if kind == "loss":
-        return (sample_loss(loss, rng, n),)
+    if kind == "loss":  # a shared segment: a constant-delay path's loss column
+        return sample_path(PathSpec("s", loss=loss), rng, n)[:1]
     return sample_path(PathSpec("a", loss=loss, delay=delay), rng, n)
 
 
@@ -292,10 +298,9 @@ def test_loss_rows_ties():
 def test_streams_reject_generators_other_than_pcg64(make_rng):
     # the lazy columns skip unread rows in PCG64 words; any other generator
     # would silently draw different randomness
-    with pytest.raises(ConfigurationError, match="PCG64"):
-        sample_path(PathSpec("a"), make_rng(), 1)
-    with pytest.raises(ConfigurationError, match="PCG64"):
-        sample_loss(LossModel(), make_rng(), 0)
+    for n in (0, 1):
+        with pytest.raises(ConfigurationError, match="PCG64"):
+            sample_path(PathSpec("a"), make_rng(), n)
 
 
 # ---------------------------------------------------------------------------

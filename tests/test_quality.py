@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from railsim import suite
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import DomainError
 from railsim.pathsim import DelayModel, PathSpec
@@ -409,6 +410,21 @@ def test_fact1_holds_across_grid():
         for ratio in np.linspace(1.0, 10.0, 10):
             pair = TcpPathSet.of([(float(p), 10.0), (float(p), 10.0 * ratio)])
             assert tcp_fact1_check(pair) == (True, True)
+
+
+def test_tcp_grids_are_the_numpy_grids_to_one_ulp():
+    # the suite spells its grids as literals so that numpy's SIMD dispatch
+    # cannot move a point; each must still be the grid it stands for
+    grids = [
+        (suite.TCP_SURFACE_P, np.logspace(-4, -1, 20)),
+        (suite.TCP_SURFACE_RATIOS, np.linspace(1.0, 10.0, 10)),
+        (suite.TCP_PRACTICAL_P,
+         np.logspace(math.log10(0.01), math.log10(0.03), 10)),
+    ]
+    for literal, computed in grids:
+        assert len(literal) == len(computed)
+        for a, b in zip(literal, computed.tolist()):
+            assert type(a) is float and abs(a - b) <= math.ulp(b)
 
 
 def test_pathset_validation():

@@ -2,10 +2,10 @@
 
 The reference walks the datapath one packet and one copy at a time with
 the scalar primitives: each path's outcome read packet by packet from
-its ``sample_path`` columns, each shared segment's from its
-``sample_loss`` column, then forced losses and nanosecond quantisation,
-a set-and-deque duplicate filter (``DedupState`` below) over the copies
-in arrival order, the padding rule (``padding_release``) and a
+its ``sample_path`` columns, each shared segment's from the loss column
+of a constant-delay path with the segment's loss model, then forced
+losses and nanosecond quantisation, a set-and-deque duplicate filter
+(``DedupState`` below) over the copies in arrival order, the padding rule (``padding_release``) and a
 heap-driven reorder hold (``reference_hold_schedule``).  None of these
 share code with the engine's datapath.  ``simulate()`` must agree with
 the reference exactly, ledger columns, counters and per-path accessors
@@ -33,8 +33,7 @@ from hypothesis import strategies as st
 from railsim import engine, railedge
 from railsim.engine import Counters, Scenario, TrafficSpec, simulate
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
-                             load_trace, path_rng, sample_loss, sample_path,
-                             shared_rng)
+                             load_trace, path_rng, sample_path, shared_rng)
 from railsim.railedge import (PaddingConfig, reorder_hold_schedule,
                               window_miss_duplicates)
 
@@ -213,7 +212,8 @@ def reference_simulate(s: Scenario) -> Reference:
     n = s.traffic.count
     dt = int(round(s.traffic.interval * NS))
     referenced = {p.shared for p in s.paths}
-    shared = {seg.id: sample_loss(seg.loss, shared_rng(s.seed, i), n)
+    shared = {seg.id: sample_path(PathSpec(seg.id, seg.loss),
+                                  shared_rng(s.seed, i), n)[0]
               for i, seg in enumerate(s.shared_segments) if seg.id in referenced}
     columns = [sample_path(p, path_rng(s.seed, i), n) for i, p in enumerate(s.paths)]
     ref = Reference(send_ns=[seq * dt for seq in range(n)],
