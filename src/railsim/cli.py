@@ -8,6 +8,7 @@ paper-suite.  Exit codes: 0 success, 1 usage/configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -396,10 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process.  Parsing leaves a parser
+    as it was, and every default the verbs read from the environment
+    (``_out_dir``) is read when the verb runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except RailSimError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -6,11 +6,12 @@ call.  Randomness is laid out in fixed-size chunks with a fixed column
 layout per chunk, so packet i's outcome does not depend on how many
 packets a run asks for; one copy of the generator draws only the rows of
 the run (the paretonormal kind's normal column is the one exception,
-drawn whole per chunk).  Each chunk is reduced to what the sequential
-recurrences (sticky loss, AR(1) delay) read as it is drawn, and each
-recurrence then runs once over the whole run: sticky loss as a running
-maximum, the AR(1) delay filter as a verified lockstep of row blocks that
-equals the one-row-at-a-time loop bit for bit (see ``ar1_scan``).
+drawn whole per chunk), and skips the loss columns the loss model cannot
+read.  Each chunk is reduced to what the sequential recurrences (sticky
+loss, AR(1) delay) read as it is drawn, and each recurrence then runs
+once over the whole run: sticky loss as a running maximum, the AR(1)
+delay filter as a verified lockstep of row blocks that equals the
+one-row-at-a-time loop bit for bit (see ``ar1_scan``).
 """
 
 from __future__ import annotations
@@ -357,19 +358,22 @@ def _chunks(rng: np.random.Generator, layout: str, n: int):
     """Yield (start, rows) for the chunks of packets [0, n), in order.
 
     Each chunk's randomness is laid out as whole columns of ``CHUNK`` rows
-    in a fixed order (``layout``: ``"u"`` a uniform column, ``"n"`` a
-    standard-normal one), exactly as if each column were drawn whole from
-    ``rng`` in turn, so packet i sees the same randomness whatever ``n``
-    is.  ``rows`` holds one array per column with the chunk's rows below
-    ``n`` only, the first of them packet ``start``'s.
+    in a fixed order (``layout``: ``"u"`` a uniform column, ``"-"`` a
+    uniform column nobody reads, ``"n"`` a standard-normal one), exactly as
+    if each column were drawn whole from ``rng`` in turn, so packet i sees
+    the same randomness whatever ``n`` is.  ``rows`` holds one entry per
+    column: the chunk's rows below ``n`` only, the first of them packet
+    ``start``'s, or None for a ``"-"`` column.
 
     Only those rows are drawn, all from one PCG64 copy of ``rng``: a
-    uniform column draws its rows, then ``advance`` skips the rest.  This
-    is exact because ``random()`` takes one 64-bit word per value, and
-    consecutive ``random``/``standard_normal`` calls equal one call and
-    leave the same state.  A normal column followed by another column is
-    drawn whole, because a normal takes a variable number of words and the
-    next column starts where it ends.  ``rng`` is only read, never advanced.
+    uniform column draws its rows, then ``advance`` skips the rest, and an
+    unread one is skipped whole, not drawn.  This is exact because
+    ``random()`` takes one 64-bit word per value, and consecutive
+    ``random``/``standard_normal`` calls equal one call and leave the same
+    state, so every column after a skip sees the same bytes.  A normal
+    column followed by another column is drawn whole, because a normal
+    takes a variable number of words and the next column starts where it
+    ends.  ``rng`` is only read, never advanced.
     """
     if not (isinstance(rng, np.random.Generator)
             and type(rng.bit_generator) is np.random.PCG64):
@@ -386,6 +390,9 @@ def _chunks(rng: np.random.Generator, layout: str, n: int):
             if kind == "u":
                 rows.append(gen.random(k))
                 bit_gen.advance(CHUNK - k)
+            elif kind == "-":
+                rows.append(None)
+                bit_gen.advance(CHUNK)
             elif j < len(layout) - 1:
                 rows.append(gen.standard_normal(CHUNK)[:k])
             else:
@@ -393,12 +400,14 @@ def _chunks(rng: np.random.Generator, layout: str, n: int):
         yield start, rows
 
 
-def _loss_rows(model: LossModel, u_repeat: np.ndarray, u_fresh: np.ndarray,
-               fresh: np.ndarray, hit: np.ndarray) -> None:
-    """One chunk's loss columns reduced, into ``fresh`` and ``hit``, to the
-    rows that ``sticky_scan`` reads."""
-    np.greater_equal(u_repeat, model.correlation, out=fresh)
-    np.less(u_fresh, model.rate, out=hit)
+def _loss_layout(m: LossModel) -> str:
+    """The loss columns (u_repeat, u_fresh) of a chunk, ``"-"`` where the
+    model cannot read the column: with correlation 0 every row is fresh
+    (``u_repeat >= 0``), and with rate 0 no fresh row is lost
+    (``u_fresh < 0``)."""
+    if m.rate == 0.0:
+        return "--"
+    return "-u" if m.correlation == 0.0 else "uu"
 
 
 # Per-chunk column layout of each delay kind, after the loss columns
@@ -428,23 +437,32 @@ def sample_path(spec: PathSpec, rng: np.random.Generator,
 
     Each chunk holds the loss columns, then the delay columns of
     ``_DELAY_LAYOUT``, and is reduced to the rows the scans read as it is
-    drawn; each scan then runs once over the whole run.  The delay column
-    is populated for every packet; entries where ``lost`` is True are
-    ignored downstream.  Only the path's own loss process is sampled
-    here; the caller samples a shared segment as a constant-delay path.
+    drawn; each scan then runs once over the whole run.  A loss column the
+    model cannot read is skipped, not drawn (``_loss_layout``), with the
+    same bytes out: with correlation 0 every row is fresh, so the sticky
+    scan returns the ``u_fresh < rate`` column unchanged, and with rate 0
+    no packet is lost.  The delay column is populated for every packet;
+    entries where ``lost`` is True are ignored downstream.  Only the path's
+    own loss process is sampled here; the caller samples a shared segment
+    as a constant-delay path.
     """
     _check(validate_loss_model(spec.loss, f"path {spec.id}: loss"))
     _check(validate_delay_model(spec.delay, f"path {spec.id}: delay"))
-    d = spec.delay
-    fresh, hit = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    m, d = spec.loss, spec.delay
+    loss_layout = _loss_layout(m)
+    # hit stays all False when u_fresh is skipped (rate 0)
+    fresh, hit = np.empty(n, dtype=bool), np.zeros(n, dtype=bool)
     eps = np.empty(n)
     for lo, (u_repeat, u_fresh, *delay_rows) in _chunks(
-            rng, "uu" + _DELAY_LAYOUT.get(d.kind, ""), n):
-        hi = lo + len(u_repeat)
-        _loss_rows(spec.loss, u_repeat, u_fresh, fresh[lo:hi], hit[lo:hi])
+            rng, loss_layout + _DELAY_LAYOUT.get(d.kind, ""), n):
+        hi = min(lo + CHUNK, n)
+        if u_repeat is not None:
+            np.greater_equal(u_repeat, m.correlation, out=fresh[lo:hi])
+        if u_fresh is not None:
+            np.less(u_fresh, m.rate, out=hit[lo:hi])
         if delay_rows:
             eps[lo:hi] = _deviates(d, delay_rows)
-    lost = sticky_scan(fresh, hit)
+    lost = sticky_scan(fresh, hit) if loss_layout == "uu" else hit
     if d.kind == "trace":
         # positional replay, wrapping around
         delay = d.trace.delay_ms[np.arange(n) % len(d.trace)]

@@ -83,9 +83,10 @@ def _check_loss_args(network_loss: float, deadline: float) -> None:
         raise DomainError(f"deadline must be >= 0, got {deadline}")
 
 
-def _app_loss(network_loss: float, n_late: int, n_delivered: int) -> float:
-    """Network loss plus the share of delivered packets that arrive late."""
-    return network_loss + (1.0 - network_loss) * (float(n_late) / n_delivered)
+def _app_loss(network_loss: float, n_late, n_delivered: int):
+    """Network loss plus the share of delivered packets that arrive late
+    (``n_late`` an int, or an int64 array of late counts)."""
+    return network_loss + (1.0 - network_loss) * (n_late / n_delivered)
 
 
 def effective_loss(network_loss: float,
@@ -108,6 +109,27 @@ def _check_delay(value: float, name: str) -> None:
         raise DomainError(f"{name} must be finite and >= 0, got {value}")
 
 
+def _check_operating_point(loss: float, one_way_delay: float) -> None:
+    _check_prob(loss, "loss")
+    _check_delay(one_way_delay, "one_way_delay")
+
+
+def _rating(loss, one_way_delay):
+    """(R, MOS) of the E-model, for floats or float64 arrays alike: the
+    same operations in the same order, so an array entry equals the float
+    result bit for bit."""
+    # the builtin on floats: numpy's scalar calls cost more than the formula
+    floor = np.maximum if isinstance(one_way_delay, np.ndarray) else max
+    loss_pct = 100.0 * loss
+    ie_eff = CODEC_IE + (95.0 - CODEC_IE) * loss_pct / (loss_pct + CODEC_BPL)
+    id_delay = DELAY_SLOPE_LOW * one_way_delay + DELAY_SLOPE_HIGH * floor(
+        0.0, one_way_delay - DELAY_KNEE
+    )
+    r = floor(0.0, R_BASE - ie_eff - id_delay)
+    raw = 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r)
+    return r, floor(1.0, raw)
+
+
 def mos(loss: float, one_way_delay: float) -> QualityScore:
     """R-factor and MOS for a (loss, one-way delay) operating point.
 
@@ -115,16 +137,9 @@ def mos(loss: float, one_way_delay: float) -> QualityScore:
     through the standard cubic to MOS, floored at 1.  Both impairments
     are >= 0, so R <= R_BASE = 93.2 and MOS <= 4.41.
     """
-    _check_prob(loss, "loss")
-    _check_delay(one_way_delay, "one_way_delay")
-    loss_pct = 100.0 * loss
-    ie_eff = CODEC_IE + (95.0 - CODEC_IE) * loss_pct / (loss_pct + CODEC_BPL)
-    id_delay = DELAY_SLOPE_LOW * one_way_delay + DELAY_SLOPE_HIGH * max(
-        0.0, one_way_delay - DELAY_KNEE
-    )
-    r = max(0.0, R_BASE - ie_eff - id_delay)
-    raw = 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r)
-    return QualityScore(r_factor=r, mos=max(1.0, raw))
+    _check_operating_point(loss, one_way_delay)
+    r, score = _rating(loss, one_way_delay)
+    return QualityScore(r_factor=r, mos=score)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +162,8 @@ def mos_curve(n_sent: int, delivered_delays_ms, deadlines: Iterable[float],
     Loss combines network loss with late arrivals; the delay fed to the
     model is the end-system budget plus the mean delay of packets that
     were delivered on time (the population that actually plays out).
+    Every point is scored as ``mos`` scores it, and the first point
+    ``mos`` would reject raises its DomainError.
     """
     deadlines = list(deadlines)
     if not deadlines:
@@ -161,28 +178,38 @@ def mos_curve(n_sent: int, delivered_delays_ms, deadlines: Iterable[float],
     network_loss = 1.0 - delivered.size / n_sent
     if delivered.size:
         _check_prob(network_loss, "network_loss")
-    ranked = np.sort(delivered)  # one sort serves every deadline's late count
-    points = []
-    for d in deadlines:
-        if delivered.size:
-            n_late = delivered.size - int(np.searchsorted(ranked, d, "right"))
-            eff = _app_loss(network_loss, n_late, delivered.size)
-            # arrival order, not sorted: np.mean's pairwise sum depends on it
-            on_time = delivered if n_late == 0 else delivered[delivered <= d]
-        else:
-            eff, on_time = 1.0, delivered
-        if on_time.size:
-            rep = end_system_delay + float(np.mean(on_time))
-        else:
-            rep = end_system_delay + d  # nothing plays out; MOS floors on loss
-        points.append(MosPoint(
-            deadline=float(d),
-            one_way=end_system_delay + float(d),
-            effective_loss=min(1.0, eff),
-            representative_delay=rep,
-            score=mos(min(1.0, eff), rep),
-        ))
-    return points
+    end_system_delay = float(end_system_delay)
+    deadline = np.array(deadlines, dtype=np.float64)
+    one_way = end_system_delay + deadline
+    # nothing plays out: the model sees the whole budget, MOS floors on loss
+    rep = one_way.copy()
+    loss = np.ones(len(deadline))
+    if delivered.size:
+        ranked = np.sort(delivered)  # one sort serves every deadline
+        n_on_time = np.searchsorted(ranked, deadline, "right")
+        loss = np.minimum(1.0, _app_loss(network_loss, delivered.size - n_on_time,
+                                         delivered.size))
+        # The on-time set is the packets at or below the k-th smallest delay,
+        # so it depends only on its count k.  It is averaged in arrival
+        # order, not sorted: np.mean's pairwise sum depends on it.
+        counts, which = np.unique(n_on_time, return_inverse=True)
+        on_time_rep = np.array([
+            end_system_delay + float(np.mean(
+                delivered if k == delivered.size
+                else delivered[delivered <= ranked[k - 1]])) if k else math.nan
+            for k in counts.tolist()])
+        played = n_on_time > 0
+        rep[played] = on_time_rep[which[played]]
+    bad = ~((0.0 <= loss) & (loss <= 1.0) & (0.0 <= rep) & (rep < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_operating_point(float(loss[i]), float(rep[i]))
+    r, score = _rating(loss, rep)
+    return [MosPoint(deadline=d, one_way=o, effective_loss=e, representative_delay=t,
+                     score=QualityScore(r_factor=rf, mos=m))
+            for d, o, e, t, rf, m in zip(deadline.tolist(), one_way.tolist(),
+                                         loss.tolist(), rep.tolist(), r.tolist(),
+                                         score.tolist())]
 
 
 def optimal_playout(points: Sequence[MosPoint]) -> float:

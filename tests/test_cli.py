@@ -162,6 +162,34 @@ def test_usage_error_exit_code_is_one(capsys):
     assert run(["mos", "--loss", "nope"]) == 1
 
 
+def test_calls_in_one_process_behave_as_fresh_processes(tmp_path, monkeypatch,
+                                                        capsys):
+    # main keeps one parser per process: each call must still read
+    # RAILSIM_OUT afresh, and an earlier usage error must leave no trace
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    grid = ["mos", "--grid", "--losses", "0,0.01", "--delays", "0,150"]
+    for argv, name, want in [(grid, "first", 0), (["mos", "--loss", "nope"], "bad", 1),
+                             (grid, "second", 0)]:
+        out, fresh_out = tmp_path / "in-process" / name, tmp_path / "fresh" / name
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(out))
+        code = run(argv)
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "railsim.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(env, **{cli.ENV_OUT_DIR: str(fresh_out)}))
+        assert code == proc.returncode == want
+        assert captured.out == proc.stdout.replace(str(fresh_out), str(out))
+        assert captured.err == proc.stderr
+        assert _files(out) == _files(fresh_out)
+        assert bool(_files(out)) == (want == 0)
+
+
+def _files(out):
+    return {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+
+
 def test_sweep_verb(scenario_file, tmp_path):
     out = tmp_path / "sweep"
     assert run(["sweep", "--scenario", scenario_file,

@@ -11,7 +11,7 @@ from test_kernels import loop_ar1_scan, loop_sticky_scan
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import ConfigurationError, TraceParseError
 from railsim.pathsim import (CHUNK, DELAY_KINDS, DelayModel, LossModel, PathSpec,
-                             SharedSegmentSpec, Trace, _loss_rows, load_trace,
+                             SharedSegmentSpec, Trace, load_trace,
                              path_rng, sample_path, shared_rng)
 
 N = 100_000
@@ -241,7 +241,11 @@ BOUNDARY_TAKES = [[CHUNK, CHUNK + 1], [CHUNK - 1, 1], [2 * CHUNK + 7],
 @pytest.mark.parametrize("takes", BOUNDARY_TAKES)
 @pytest.mark.parametrize("kind", STREAM_KINDS)
 def test_lazy_columns_equal_whole_chunk_draws_at_boundaries(kind, takes):
-    _assert_equals_eager(kind, LossModel(0.1, 0.6), 0.9, 17, takes)
+    # every loss layout: both columns read, u_repeat skipped (correlation
+    # 0), and both skipped (rate 0)
+    for loss in (LossModel(0.1, 0.6), LossModel(0.1, 0.0), LossModel(0.0, 0.6),
+                 LossModel(0.0, 0.0)):
+        _assert_equals_eager(kind, loss, 0.9, 17, takes)
 
 
 RUN_LENGTHS = [0, 1, 2, 7, 999, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]
@@ -278,14 +282,16 @@ def test_a_run_is_a_prefix_of_every_longer_run(kind, loss_corr, delay_corr,
         assert a.tobytes() == b[:m].tobytes()
 
 
-def test_loss_rows_ties():
+def test_loss_ties_at_the_correlation_and_the_rate():
     # a row repeats only when u_repeat is strictly below the correlation,
-    # and a fresh row is lost only when u_fresh is strictly below the rate
-    fresh, hit = np.empty(2, dtype=bool), np.empty(2, dtype=bool)
-    _loss_rows(LossModel(0.5, 0.8), np.array([0.8, 0.79]), np.array([0.5, 0.49]),
-               fresh, hit)
-    assert fresh.tolist() == [True, False]
-    assert hit.tolist() == [False, True]
+    # and a fresh row is lost only when u_fresh is strictly below the rate;
+    # the model takes both thresholds from the run's own draws
+    u_repeat, u_fresh = path_rng(3, 0).random((2, CHUNK))[:, :2].tolist()
+    assert 0.0 < u_repeat[1] and u_fresh[0] < u_fresh[1]
+    for corr in (u_repeat[1], 0.0):  # the sticky scan, and the skipped column
+        spec = PathSpec("a", loss=LossModel(u_fresh[1], corr))
+        lost, _ = sample_path(spec, path_rng(3, 0), 2)
+        assert lost.tolist() == [True, False]
 
 
 @pytest.mark.parametrize("make_rng", [

@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from railsim import suite
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import DomainError
 from railsim.pathsim import DelayModel, PathSpec
-from railsim.quality import (DELAY_SLOPE_HIGH, DELAY_SLOPE_LOW, R_BASE, MosPoint,
-                             TcpPathSet, effective_loss, mos, mos_curve,
+from railsim.quality import (DELAY_KNEE, DELAY_SLOPE_HIGH, DELAY_SLOPE_LOW, R_BASE,
+                             MosPoint, TcpPathSet, effective_loss, mos, mos_curve,
                              optimal_playout, path_mos_curve,
                              rail_loss_independent, rail_loss_shared,
                              rail_mos_curve, tcp_fact1_check,
@@ -284,6 +284,8 @@ GRID = [0.0, 10.0, 50.0, 80.0, 150.0, 400.0]
                        | st.just(math.inf), max_size=8),
     end_system_delay=st.sampled_from([0.0, 40.0]) | st.floats(-1.0, 500.0),
 )
+# a negative mean on-time delay: mos() rejects the point, and so must the curve
+@example(n_sent=1, delays=[-1.0], deadlines=[0.0], end_system_delay=0.0)
 def test_mos_curve_equals_per_deadline_loop(n_sent, delays, deadlines,
                                             end_system_delay):
     # Equal points, or the same DomainError.  The oracle's np.minimum(on_time,
@@ -292,6 +294,17 @@ def test_mos_curve_equals_per_deadline_loop(n_sent, delays, deadlines,
                     end_system_delay)
     got = _outcome(mos_curve, n_sent, delays, deadlines, end_system_delay)
     assert got == want
+
+
+def test_mos_curve_scores_points_as_mos_does():
+    # one curve through the knee, the R floor, and the MOS floor with R > 0
+    points = mos_curve(2, [DELAY_KNEE, 5000.0], [0.0, 200.0, 6000.0], 0.0)
+    for p in points:
+        assert p.score == mos(p.effective_loss, p.representative_delay)
+    mos_floor, knee, r_floor = points
+    assert mos_floor.score.mos == 1.0 and mos_floor.score.r_factor > 0.0
+    assert knee.representative_delay == DELAY_KNEE
+    assert r_floor.score.r_factor == 0.0
 
 
 def test_mos_curve_all_lost_and_empty_inputs():
