@@ -273,19 +273,27 @@ def simulate(scenario: Scenario) -> SimResult:
                 f"({len(spec.delay.trace)} entries), replay wrapped around"
             )
         # lost entries may carry NaN delays (trace convention); zero them
-        # before the integer cast, the mask keeps them out of the run
-        delay_ms = np.where(lost, 0.0, delay_ms)
-        if not fits_clock(float(delay_ms.max())):
+        # before the integer cast, the mask keeps them out of the run.
+        # sample_path's columns are fresh, so the row is built in place.
+        delay_ms[lost] = 0.0
+        top = float(delay_ms.max())
+        if not fits_clock(top):
             raise ConfigurationError(
                 f"path {spec.id}: a sampled delay overflows the int64 ns clock")
-        delay_ns = np.rint(delay_ms * NS_PER_MS).astype(np.int64)
-        copy_max_ns = max(copy_max_ns, int(delay_ns.max()))
-        arrival_ns[pidx] = np.where(lost, LOST_NS, send_ns + delay_ns)
+        # scaling and rounding are monotone: this is the row's largest delay
+        copy_max_ns = max(copy_max_ns, int(np.rint(top * NS_PER_MS)))
+        np.multiply(delay_ms, NS_PER_MS, out=delay_ms)
+        row = arrival_ns[pidx]
+        row[:] = np.rint(delay_ms, out=delay_ms)
+        row += send_ns
+        row[lost] = LOST_NS
         lost_copies += int(np.count_nonzero(lost))
 
     first_ns = arrival_ns.min(axis=0)  # LOST_NS when no copy delivered
     ever = first_ns < LOST_NS
-    rail_delay_ns = np.where(ever, first_ns - send_ns, -1)
+    never = ~ever
+    rail_delay_ns = first_ns - send_ns
+    rail_delay_ns[never] = -1
     duplicates = arrival_ns.size - lost_copies - int(np.count_nonzero(ever))
     dup_t, dup_s = _dedup_pass(arrival_ns, rail_delay_ns, copy_max_ns, dt_ns,
                                duplicates, scenario.dedup_window)
@@ -299,17 +307,23 @@ def simulate(scenario: Scenario) -> SimResult:
     else:
         padding_ns = np.zeros(n, dtype=np.int64)
         padded = padding_total = 0
-    release_ns = np.where(ever, first_ns + padding_ns, -1)
+    release_ns = first_ns  # padding_ns is 0 where nothing arrived
+    if padded:
+        release_ns += padding_ns
+    release_ns[never] = -1
 
     # release order: first forwards plus window-miss duplicates, by time
-    # then seq; the reorder hold reschedules that stream when enabled
+    # then seq; the reorder hold reschedules that stream when enabled.
+    # The first forwards alone come in ascending seq, so when their times
+    # never decrease that is already the order.
     seqs = np.nonzero(ever)[0]
     t = release_ns[seqs]
     if len(dup_s):
         t = np.concatenate([t, dup_t])
         seqs = np.concatenate([seqs, dup_s])
-    order = np.lexsort((seqs, t))
-    t, seqs = t[order], seqs[order]
+    if len(dup_s) or np.any(t[1:] < t[:-1]):
+        order = np.lexsort((seqs, t))
+        t, seqs = t[order], seqs[order]
 
     hold_events = Counter()
     if scenario.reorder_removal:

@@ -6,12 +6,13 @@ call.  Randomness is laid out in fixed-size chunks with a fixed column
 layout per chunk, so packet i's outcome does not depend on how many
 packets a run asks for; one copy of the generator draws only the rows of
 the run (the paretonormal kind's normal column is the one exception,
-drawn whole per chunk), and skips the loss columns the loss model cannot
-read.  Each chunk is reduced to what the sequential recurrences (sticky
-loss, AR(1) delay) read as it is drawn, and each recurrence then runs
-once over the whole run: sticky loss as a running maximum, the AR(1)
-delay filter as a verified lockstep of row blocks that equals the
-one-row-at-a-time loop bit for bit (see ``ar1_scan``).
+generated whole per chunk, its unread rows into a reused buffer), and
+skips the loss columns the loss model cannot read.  Each chunk is
+reduced to what the sequential recurrences (sticky loss, AR(1) delay)
+read as it is drawn, and each recurrence then runs once over the whole
+run: sticky loss as a running maximum, the AR(1) delay filter as a
+verified lockstep of row blocks that equals the one-row-at-a-time loop
+bit for bit (see ``ar1_scan``).
 """
 
 from __future__ import annotations
@@ -235,9 +236,12 @@ def sticky_scan(fresh, hit):
 # The AR(1) scan's lockstep: with fewer blocks than this the loop is as
 # fast (each lockstep step costs about as much as 15 loop rows, and there
 # are up to two steps per block row); a block has at least this many rows,
-# and a repair re-runs the loop this many rows at a time.
+# and a repair re-runs the loop this many rows at a time.  With blocks of
+# max(w, 32) rows, runs of a few thousand rows at a weak correlation
+# (w = 38 at 0.3) take the lockstep; a 16-block lockstep is slower than
+# the loop (w = 89 at 0.6, 2,000 rows).
 _MIN_BLOCKS = 32
-_MIN_BLOCK_ROWS = 128
+_MIN_BLOCK_ROWS = 32
 
 
 def _ar1_loop(x, corr, b, out):
@@ -285,7 +289,7 @@ def ar1_scan(eps, corr):
     closed form reproduces that rounding, but the recurrence contracts:
     after ``w = ceil(45 / -ln |corr|)`` rows a start error has shrunk below
     2**-64 of itself, so a run from a wrong start almost always reaches the
-    exact bits.  Rows 1.. are split into blocks of ``m = max(w, 128)`` rows
+    exact bits.  Rows 1.. are split into blocks of ``m = max(w, 32)`` rows
     and every block runs at once, one row index at a time, with the loop's
     two correctly rounded operations as numpy calls (no fused multiply-add):
 
@@ -353,6 +357,11 @@ def ar1_scan(eps, corr):
 # overwritten at once (a fixed seed skips the OS entropy read).
 _CLONE_SEED = np.random.SeedSequence(0)
 
+# Takes the normals of a chunk past the run's rows when another column
+# follows them, a buffer at a time; written, never read.  A whole column's
+# worth (512 KiB) would stay resident in every process that samples.
+_DISCARD = np.empty(4096)
+
 
 def _chunks(rng: np.random.Generator, layout: str, n: int):
     """Yield (start, rows) for the chunks of packets [0, n), in order.
@@ -371,9 +380,11 @@ def _chunks(rng: np.random.Generator, layout: str, n: int):
     ``random()`` takes one 64-bit word per value, and consecutive
     ``random``/``standard_normal`` calls equal one call and leave the same
     state, so every column after a skip sees the same bytes.  A normal
-    column followed by another column is drawn whole, because a normal
-    takes a variable number of words and the next column starts where it
-    ends.  ``rng`` is only read, never advanced.
+    column followed by another column is still generated whole, because
+    a normal takes a variable number of words and the next column starts
+    where it ends: its rows are drawn, and the rest of the column goes
+    through a small reused buffer that nothing reads (``_DISCARD``).
+    ``rng`` is only read, never advanced.
     """
     if not (isinstance(rng, np.random.Generator)
             and type(rng.bit_generator) is np.random.PCG64):
@@ -393,10 +404,11 @@ def _chunks(rng: np.random.Generator, layout: str, n: int):
             elif kind == "-":
                 rows.append(None)
                 bit_gen.advance(CHUNK)
-            elif j < len(layout) - 1:
-                rows.append(gen.standard_normal(CHUNK)[:k])
             else:
                 rows.append(gen.standard_normal(k))
+                if j < len(layout) - 1:
+                    for lo in range(k, CHUNK, _DISCARD.size):
+                        gen.standard_normal(out=_DISCARD[:CHUNK - lo])
         yield start, rows
 
 
@@ -442,9 +454,11 @@ def sample_path(spec: PathSpec, rng: np.random.Generator,
     same bytes out: with correlation 0 every row is fresh, so the sticky
     scan returns the ``u_fresh < rate`` column unchanged, and with rate 0
     no packet is lost.  The delay column is populated for every packet;
-    entries where ``lost`` is True are ignored downstream.  Only the path's
-    own loss process is sampled here; the caller samples a shared segment
-    as a constant-delay path.
+    entries where ``lost`` is True are ignored downstream.  Both arrays
+    are fresh for every kind (shared with nothing else), so the caller may
+    write into them, as ``engine.simulate`` does.  Only the path's own
+    loss process is sampled here; the caller samples a shared segment as
+    a constant-delay path.
     """
     _check(validate_loss_model(spec.loss, f"path {spec.id}: loss"))
     _check(validate_delay_model(spec.delay, f"path {spec.id}: delay"))

@@ -191,12 +191,14 @@ def mos_curve(n_sent: int, delivered_delays_ms, deadlines: Iterable[float],
                                          delivered.size))
         # The on-time set is the packets at or below the k-th smallest delay,
         # so it depends only on its count k.  It is averaged in arrival
-        # order, not sorted: np.mean's pairwise sum depends on it.
+        # order, not sorted: the pairwise sum depends on it.  The mean is
+        # np.mean's own arithmetic (one add.reduce, one division by k)
+        # without its wrapper.
         counts, which = np.unique(n_on_time, return_inverse=True)
         on_time_rep = np.array([
-            end_system_delay + float(np.mean(
+            end_system_delay + float(np.add.reduce(
                 delivered if k == delivered.size
-                else delivered[delivered <= ranked[k - 1]])) if k else math.nan
+                else delivered[delivered <= ranked[k - 1]])) / k if k else math.nan
             for k in counts.tolist()])
         played = n_on_time > 0
         rep[played] = on_time_rep[which[played]]

@@ -19,8 +19,9 @@ from .engine import Scenario, TrafficSpec, simulate
 from .metrics import (DelayCdf, burst_stats, downtime_combine, empirical_cdf,
                       reorder_stats)
 from .pathsim import DelayModel, LossModel, PathSpec
-from .quality import (TcpPathSet, mos, optimal_playout, path_mos_curve,
-                      rail_mos_curve, tcp_throughput_rail, tcp_throughput_single)
+from .quality import (TcpPathSet, _rating, mos, optimal_playout,
+                      path_mos_curve, rail_mos_curve, tcp_throughput_rail,
+                      tcp_throughput_single)
 from .railedge import PaddingConfig
 from .report import ReportBundle, fmt_ms, fmt_num
 
@@ -352,16 +353,22 @@ def mos_dominance_gate(runs: list[MosRun]) -> Gate:
                 f"max single-path MOS excess {worst:.3g}")
 
 
+def _rises(scores: np.ndarray) -> np.ndarray:
+    """Per row of ``scores``: does some entry exceed the one before it?"""
+    return (scores[..., 1:] > scores[..., :-1] + 1e-12).any(axis=-1)
+
+
 def emodel_monotonicity_gate() -> Gate:
+    # scored over arrays; each entry equals mos(loss, delay).mos bit for bit
     losses = [k / 100.0 for k in range(0, 101, 2)]
     delays = [float(d) for d in range(0, 501, 10)]
-    for d in delays:
-        scores = [mos(l, d).mos for l in losses]
-        if any(b > a + 1e-12 for a, b in zip(scores, scores[1:])):
+    delay_col = np.array(delays)
+    _, grid = _rating(np.array(losses), delay_col[:, None])  # [delay, loss]
+    for d, rose in zip(delays, _rises(grid).tolist()):
+        if rose:
             return Gate("emodel-monotonicity", False, f"MOS rose with loss at delay {d}")
     for l in (0.0, 0.01, 0.05, 0.2):
-        scores = [mos(l, d).mos for d in delays]
-        if any(b > a + 1e-12 for a, b in zip(scores, scores[1:])):
+        if _rises(_rating(l, delay_col)[1]):
             return Gate("emodel-monotonicity", False, f"MOS rose with delay at loss {l}")
     return Gate("emodel-monotonicity", True, "MOS nonincreasing in loss and delay")
 

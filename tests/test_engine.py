@@ -14,7 +14,7 @@ from railsim.engine import (Scenario, TrafficSpec, load_scenario,
 from railsim.errors import ConfigurationError, ValidationError
 from railsim.metrics import reorder_stats
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
-                             load_trace)
+                             Trace, load_trace)
 from railsim.railedge import PaddingConfig, window_miss_duplicates
 
 
@@ -470,6 +470,73 @@ def test_sampled_delay_beyond_the_clock_is_an_error():
     )
     with pytest.raises(ConfigurationError, match="clock"):
         simulate(scenario)
+
+
+def test_lost_rows_neither_raise_nor_touch_the_trace():
+    # the ledger is built in the sampled delay column; lost rows carry NaN
+    # (the trace's own losses) or a delay far past the clock (entry 2,
+    # replayed at seqs 2 and 7, both forced lost), and a replayed trace
+    # must come out of the run unchanged
+    trace = Trace([0, 1, 2, 3, 4], [10.0, math.nan, 1e300, 25.0, math.nan])
+    seq, delay = trace.seq.tobytes(), trace.delay_ms.tobytes()
+    sim = simulate(Scenario(
+        paths=[PathSpec("a", delay=DelayModel("trace", trace=trace))],
+        traffic=TrafficSpec(interval=20.0, count=12),
+        forced_losses={"a": (2, 7)},
+    ))
+    assert trace.seq.tobytes() == seq and trace.delay_ms.tobytes() == delay
+    lost = [1, 2, 4, 6, 7, 9, 11]
+    assert np.flatnonzero(sim.path_lost(0)).tolist() == lost
+    delivered = np.delete(np.arange(12), lost)
+    want = sim.send_ns[delivered] + np.array([10, 25, 10, 25, 10]) * engine.NS_PER_MS
+    assert sim.arrival_ns[0, delivered].tolist() == want.tolist()
+    assert sim.counters.lost_copies == 7 and sim.counters.forced_losses == 2
+
+
+def _release_order_oracle(sim):
+    """The seqs in release order by the plain lexsort, from the ledger's
+    arrival and send columns and the scenario's padding target (for runs
+    without window-miss duplicates or the reorder hold)."""
+    first = sim.arrival_ns.min(axis=0)
+    seqs = np.flatnonzero(first < engine.LOST_NS)
+    t = first[seqs]
+    if sim.scenario.padding.enabled:
+        target_ns = engine.ms_to_ns(sim.scenario.padding.target_one_way)
+        t = np.maximum(t, sim.send_ns[seqs] + target_ns)
+    return seqs[np.lexsort((seqs, t))]
+
+
+def _trace_path(delays):
+    return PathSpec("a", delay=DelayModel("trace",
+                                          trace=Trace(range(len(delays)), delays)))
+
+
+@pytest.mark.parametrize("scenario, order", [
+    # a lossy constant-delay run: the identity
+    (Scenario(paths=[PathSpec("a", loss=LossModel(0.3),
+                              delay=DelayModel("constant", mean=40.0))],
+              traffic=TrafficSpec(interval=20.0, count=200), seed=5), None),
+    # padded to 30 ms, seq 1 arrives after 80 ms and the next two overtake it
+    (Scenario(paths=[_trace_path([10.0, 80.0, 10.0, 10.0, 10.0])],
+              traffic=TrafficSpec(interval=20.0, count=5),
+              padding=PaddingConfig(enabled=True, target_one_way=30.0)),
+     [0, 2, 3, 1, 4]),
+    # seqs 1-3 are all released at 60 ms, before seq 0 (70 ms); seq 4 is lost
+    (Scenario(paths=[_trace_path([70.0, 40.0, 20.0, 0.0, math.nan, 0.0])],
+              traffic=TrafficSpec(interval=20.0, count=6)),
+     [1, 2, 3, 0, 5]),
+], ids=["identity", "padded-overtake", "ties"])
+def test_release_order_equals_the_lexsort_oracle(scenario, order):
+    sim = simulate(scenario)
+    assert sim.counters.window_miss_duplicates == 0
+    want = _release_order_oracle(sim)
+    assert sim.forwarded_order.dtype == np.int64
+    assert sim.forwarded_order.tolist() == want.tolist()
+    if order is None:
+        assert want.tolist() == np.flatnonzero(~sim.rail_lost_mask()).tolist()
+        assert 0 < len(want) < 200
+    else:
+        assert want.tolist() == order
 
 
 def test_set_parameter_rejects_non_integer_for_integer_field():

@@ -146,6 +146,18 @@ def test_long_ar1_scans_equal_the_loop_bit_for_bit(corr, n, scale, seed):
     assert got.tobytes() == loop_ar1_scan(eps, corr).tobytes()
 
 
+@pytest.mark.parametrize("corr", [0.3, 0.6])
+@pytest.mark.parametrize("n", [1999, 2000, 3000])
+def test_suite_sized_ar1_scans_equal_the_loop_bit_for_bit(n, corr):
+    # the correlated paper-suite runs: 2,000-3,000 rows at corr 0.3 (38-row
+    # blocks, lockstep) and 0.6 (89-row blocks: the loop up to 2,848 rows)
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 15.0, 1e-3):
+        eps = rng.standard_normal(n) * scale
+        assert (pathsim.ar1_scan(eps, corr).tobytes()
+                == loop_ar1_scan(eps, corr).tobytes())
+
+
 @pytest.fixture
 def repairs(monkeypatch):
     """(first row, merged) of every block ``ar1_scan`` repairs, in order."""
@@ -161,10 +173,10 @@ def repairs(monkeypatch):
     return calls
 
 
-# corr 0.6: each guess warms up over w = 89 rows, blocks have m = 128 rows
+# corr 0.6: each guess warms up over w = 89 rows, blocks have m = 89 rows
 # (block k holds rows 1 + k*m ..), and 40 blocks plus a 30-row tail run in
-# lockstep.
-CORR, W, M, BLOCKS = 0.6, 89, 128, 40
+# lockstep.  With m = w a guess warms up over the whole block before it.
+CORR, W, M, BLOCKS = 0.6, 89, 89, 40
 
 
 def _lockstep_eps(seed=11):
@@ -177,7 +189,8 @@ def _before_window(k):
 
 
 def test_the_lockstep_geometry_is_pinned():
-    assert math.ceil(45 / -math.log(CORR)) == W and max(W, 128) == M
+    assert math.ceil(45 / -math.log(CORR)) == W
+    assert max(W, pathsim._MIN_BLOCK_ROWS) == M
     assert BLOCKS >= pathsim._MIN_BLOCKS
 
 
@@ -228,7 +241,7 @@ def test_signed_zero_runs_are_exact(lead, zero):
     # corr 0.6 it would stop at the smallest subnormal): only a negative
     # value over -0.0 rows ends on -0.0, which a guess of +0.0 equals as a
     # float but not bit for bit
-    corr = 0.4  # w = 50, so still 128-row blocks
+    corr = 0.4  # w = 50, so 50-row blocks, 71 of them in lockstep
     eps = _lockstep_eps()
     eps[499] = lead
     eps[500:3000] = zero

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernels import loop_ar1_scan, loop_sticky_scan
 
+from railsim import pathsim
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import ConfigurationError, TraceParseError
 from railsim.pathsim import (CHUNK, DELAY_KINDS, DelayModel, LossModel, PathSpec,
@@ -233,9 +234,11 @@ def _assert_equals_eager(kind, loss, delay_corr, seed, runs):
 
 STREAM_KINDS = ["loss", *DELAY_KINDS]
 # run lengths that end exactly on a chunk boundary, one row past or short
-# of one, span more than one chunk, and are empty
-BOUNDARY_TAKES = [[CHUNK, CHUNK + 1], [CHUNK - 1, 1], [2 * CHUNK + 7],
-                  [0, 5, 3 * CHUNK]]
+# of one, span more than one chunk, and are empty; and one that leaves the
+# paretonormal normal column a whole number of discard buffers to skip
+BOUNDARY_TAKES = [[CHUNK, CHUNK + 1],
+                  [CHUNK - 1, 1, CHUNK - 2 * pathsim._DISCARD.size],
+                  [2 * CHUNK + 7], [0, 5, 3 * CHUNK]]
 
 
 @pytest.mark.parametrize("takes", BOUNDARY_TAKES)
@@ -246,6 +249,19 @@ def test_lazy_columns_equal_whole_chunk_draws_at_boundaries(kind, takes):
     for loss in (LossModel(0.1, 0.6), LossModel(0.1, 0.0), LossModel(0.0, 0.6),
                  LossModel(0.0, 0.0)):
         _assert_equals_eager(kind, loss, 0.9, 17, takes)
+
+
+@pytest.mark.parametrize("kind", DELAY_KINDS)
+def test_sampled_columns_never_share_the_discard_buffer(kind):
+    # the paretonormal normal column's unread rows go into one reused
+    # buffer; the columns a run returns are its own (the engine writes into
+    # the delay column)
+    delay = _delay(kind, 0.0)
+    for n in (1, CHUNK - 1, CHUNK, CHUNK + 1):
+        lost, delay_ms = _sample(kind, LossModel(0.1, 0.6), delay, path_rng(4, 0), n)
+        assert not np.shares_memory(delay_ms, pathsim._DISCARD)
+        assert not np.shares_memory(lost, pathsim._DISCARD)
+        assert not np.shares_memory(delay_ms, WRAP_TRACE.delay_ms)
 
 
 RUN_LENGTHS = [0, 1, 2, 7, 999, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]

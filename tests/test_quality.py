@@ -12,8 +12,8 @@ from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import DomainError
 from railsim.pathsim import DelayModel, PathSpec
 from railsim.quality import (DELAY_KNEE, DELAY_SLOPE_HIGH, DELAY_SLOPE_LOW, R_BASE,
-                             MosPoint, TcpPathSet, effective_loss, mos, mos_curve,
-                             optimal_playout, path_mos_curve,
+                             MosPoint, TcpPathSet, _rating, effective_loss, mos,
+                             mos_curve, optimal_playout, path_mos_curve,
                              rail_loss_independent, rail_loss_shared,
                              rail_mos_curve, tcp_fact1_check,
                              tcp_throughput_rail, tcp_throughput_single)
@@ -305,6 +305,24 @@ def test_mos_curve_scores_points_as_mos_does():
     assert mos_floor.score.mos == 1.0 and mos_floor.score.r_factor > 0.0
     assert knee.representative_delay == DELAY_KNEE
     assert r_floor.score.r_factor == 0.0
+
+
+def test_emodel_gate_scores_its_grid_as_mos_does(monkeypatch):
+    # the gate scores arrays with _rating; each entry is mos()'s, bit for bit
+    losses = [k / 100.0 for k in range(0, 101, 2)]
+    delays = [float(d) for d in range(0, 501, 10)]
+    r, score = _rating(np.array(losses), np.array(delays)[:, None])
+    want = [[mos(l, d) for l in losses] for d in delays]
+    assert r.tobytes() == np.array([[q.r_factor for q in row] for row in want]).tobytes()
+    assert score.tobytes() == np.array([[q.mos for q in row] for row in want]).tobytes()
+    assert suite.emodel_monotonicity_gate() == suite.Gate(
+        "emodel-monotonicity", True, "MOS nonincreasing in loss and delay")
+    # a model that rose would be named by the first delay or loss it rose at
+    monkeypatch.setattr(suite, "_rating", lambda loss, d: (None, d + 0 * loss))
+    assert suite.emodel_monotonicity_gate().detail == "MOS rose with delay at loss 0.0"
+    monkeypatch.setattr(suite, "_rating",
+                        lambda loss, d: (None, np.where(d >= 30.0, loss, 0 * d)))
+    assert suite.emodel_monotonicity_gate().detail == "MOS rose with loss at delay 30.0"
 
 
 def test_mos_curve_all_lost_and_empty_inputs():
