@@ -185,17 +185,43 @@ def validate_scenario(s: Scenario) -> list[str]:
 # simulation
 
 
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` from numpy's default sort, which
+    runs SIMD code where the CPU has it but leaves each run of equal keys
+    in an order of its own: those entries are put back in index order."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if len(tied):
+        # the positions in runs of equal keys and the run of each; runs
+        # keep their positions, so one sort of run * n + index (below
+        # n * n, which fits int64 for any array numpy can sort here) puts
+        # each run's indices in order
+        in_run = np.zeros(len(keys), dtype=bool)
+        in_run[tied] = in_run[tied + 1] = True
+        at = np.flatnonzero(in_run)
+        run = np.cumsum(np.r_[0, ranked[at[1:]] != ranked[at[:-1]]]) * len(keys)
+        order[at] = np.sort(run + order[at]) - run
+    return order
+
+
 def _dedup_pass(arrival_ns: np.ndarray, rail_delay_ns: np.ndarray,
-                copy_max_ns: int, dt_ns: int, duplicates: int, window: int):
-    """Window-miss duplicates among the delivered copies.
+                copy_max_ns: int, dt_ns: int, duplicates: int, window: int,
+                padding_ns: np.ndarray | None):
+    """Duplicate suppression over the delivered copies, and the release
+    order of what it forwards.
 
     arrival_ns is (n_paths, count) with LOST_NS marking lost copies,
     rail_delay_ns the first arrival's delay (-1 when none arrived),
-    copy_max_ns the largest delivered copy delay and duplicates the number
-    of delivered copies that are not their seq's first.  Returns the
-    window-miss duplicate times and seqs as int64 arrays.  The first copy
-    of a seq is always forwarded, so only the duplicates need the
-    sequential window pass.
+    copy_max_ns the largest delivered copy delay, duplicates the number of
+    delivered copies that are not their seq's first and padding_ns each
+    seq's padding, or None when no packet is padded.  Returns None when no
+    window miss is possible: every seq is then forwarded once, its first
+    copy.  Otherwise runs the sequential window pass over the copies in
+    (time, seq, path) order and returns the forwarded copies, each seq's
+    first plus the window-miss duplicates, as release times and seqs in
+    that order.  Without padding a copy is released on arrival, so that
+    is the release order, (time, seq); padding moves first copies later.
     """
     count = arrival_ns.shape[1]
     use_fast = duplicates == 0 or window >= count
@@ -215,15 +241,26 @@ def _dedup_pass(arrival_ns: np.ndarray, rail_delay_ns: np.ndarray,
 
     if use_fast:
         # no eviction is possible: no copy after the first is forwarded
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return None
     # the transpose lists the copies by seq, then path, so a stable sort
     # by time orders them by time, then seq, then path
-    s_idx, p_idx = np.nonzero((arrival_ns < LOST_NS).T)
-    t = arrival_ns[p_idx, s_idx]
-    order = np.argsort(t, kind="stable")
+    copies = arrival_ns.T.ravel()
+    at = np.flatnonzero(copies < LOST_NS)
+    t, s_idx = copies[at], at // arrival_ns.shape[0]
+    del copies, at
+    order = _stable_argsort(t)
     t, s_idx = t[order], s_idx[order]
-    misses = window_miss_duplicates(s_idx, count, window)
-    return t[misses], s_idx[misses]
+    del order
+    # a seq's first copy arrives at its first arrival time, and a second
+    # copy of the seq at that time comes right after it
+    forwarded = t == rail_delay_ns[s_idx] + s_idx * dt_ns
+    tied = np.flatnonzero(t[1:] == t[:-1]) + 1
+    forwarded[tied[s_idx[tied] == s_idx[tied - 1]]] = False
+    if padding_ns is not None:
+        t[forwarded] += padding_ns[s_idx[forwarded]]
+    forwarded[window_miss_duplicates(s_idx, count, window)] = True
+    at = np.flatnonzero(forwarded)
+    return t[at], s_idx[at]
 
 
 def _exact_sum(a: np.ndarray, most: int) -> int:
@@ -275,7 +312,11 @@ def simulate(scenario: Scenario) -> SimResult:
         # lost entries may carry NaN delays (trace convention); zero them
         # before the integer cast, the mask keeps them out of the run.
         # sample_path's columns are fresh, so the row is built in place.
-        delay_ms[lost] = 0.0
+        # np.putmask does not branch per row as a masked assignment does,
+        # but it costs time even when nothing is lost.
+        n_lost = int(np.count_nonzero(lost))
+        if n_lost:
+            np.putmask(delay_ms, lost, 0.0)
         top = float(delay_ms.max())
         if not fits_clock(top):
             raise ConfigurationError(
@@ -286,17 +327,15 @@ def simulate(scenario: Scenario) -> SimResult:
         row = arrival_ns[pidx]
         row[:] = np.rint(delay_ms, out=delay_ms)
         row += send_ns
-        row[lost] = LOST_NS
-        lost_copies += int(np.count_nonzero(lost))
+        if n_lost:
+            np.putmask(row, lost, LOST_NS)
+        lost_copies += n_lost
 
     first_ns = arrival_ns.min(axis=0)  # LOST_NS when no copy delivered
     ever = first_ns < LOST_NS
     never = ~ever
     rail_delay_ns = first_ns - send_ns
     rail_delay_ns[never] = -1
-    duplicates = arrival_ns.size - lost_copies - int(np.count_nonzero(ever))
-    dup_t, dup_s = _dedup_pass(arrival_ns, rail_delay_ns, copy_max_ns, dt_ns,
-                               duplicates, scenario.dedup_window)
 
     # padding (applies to first forwards; duplicates pass through as-is)
     if scenario.padding.enabled:
@@ -307,6 +346,12 @@ def simulate(scenario: Scenario) -> SimResult:
     else:
         padding_ns = np.zeros(n, dtype=np.int64)
         padded = padding_total = 0
+
+    n_ever = int(np.count_nonzero(ever))
+    duplicates = arrival_ns.size - lost_copies - n_ever
+    forwards = _dedup_pass(arrival_ns, rail_delay_ns, copy_max_ns, dt_ns,
+                           duplicates, scenario.dedup_window,
+                           padding_ns if padded else None)
     release_ns = first_ns  # padding_ns is 0 where nothing arrived
     if padded:
         release_ns += padding_ns
@@ -315,15 +360,19 @@ def simulate(scenario: Scenario) -> SimResult:
     # release order: first forwards plus window-miss duplicates, by time
     # then seq; the reorder hold reschedules that stream when enabled.
     # The first forwards alone come in ascending seq, so when their times
-    # never decrease that is already the order.
-    seqs = np.nonzero(ever)[0]
-    t = release_ns[seqs]
-    if len(dup_s):
-        t = np.concatenate([t, dup_t])
-        seqs = np.concatenate([seqs, dup_s])
-    if len(dup_s) or np.any(t[1:] < t[:-1]):
+    # never decrease that is already the order.  The dedup pass lists its
+    # forwards in (time, seq) order unless padding moved some.
+    if forwards is None:
+        seqs = np.nonzero(ever)[0]
+        t = release_ns[seqs]
+        unsorted = np.any(t[1:] < t[:-1])
+    else:
+        t, seqs = forwards
+        unsorted = padded
+    if unsorted:
         order = np.lexsort((seqs, t))
         t, seqs = t[order], seqs[order]
+    misses = len(seqs) - n_ever
 
     hold_events = Counter()
     if scenario.reorder_removal:
@@ -333,7 +382,7 @@ def simulate(scenario: Scenario) -> SimResult:
                                          events=hold_events)
         t, seqs = released[:, 0], released[:, 1]
 
-    if len(dup_s) or scenario.reorder_removal:
+    if misses or scenario.reorder_removal:
         forward_ns = np.full(n, LOST_NS, dtype=np.int64)
         np.minimum.at(forward_ns, seqs, t)
         forward_ns[forward_ns == LOST_NS] = -1
@@ -342,9 +391,9 @@ def simulate(scenario: Scenario) -> SimResult:
 
     counters = Counters(
         forwarded=len(seqs),
-        suppressed=duplicates - len(dup_s),
+        suppressed=duplicates - misses,
         lost_copies=lost_copies,
-        window_miss_duplicates=len(dup_s),
+        window_miss_duplicates=misses,
         hold_timeouts=hold_events["timeout"],
         hold_give_ups=hold_events["give_up"],
         padded=padded,

@@ -98,18 +98,29 @@ class ReorderStats:
 
 
 def reorder_stats(forwarded_order: Sequence[int]) -> ReorderStats:
+    """The histogram lists the gaps in the order each first occurred.
+    Gaps up to a few times the stream's length are counted by value
+    (``bincount``), sparser ones (or any wrapped past the int64 range)
+    by sorting them."""
     order = np.asarray(forwarded_order, dtype=np.int64)
     # highest seq forwarded before each packet (none before the first)
     high = np.empty_like(order)
     high[:1] = np.iinfo(np.int64).min
     np.maximum.accumulate(order[:-1], out=high[1:])
     late = order < high
-    gap_values, first_at, counts = np.unique(
-        high[late] - order[late], return_index=True, return_counts=True)
-    # the histogram keeps the order in which each gap first occurred
+    gap = high[late] - order[late]
+    if gap.min(initial=1) > 0 and gap.max(initial=0) <= 4 * len(order):
+        counts = np.bincount(gap)
+        first_at = np.full(len(counts), len(gap))
+        np.minimum.at(first_at, gap, np.arange(len(gap)))
+        gap_values = np.flatnonzero(counts)
+        first_at, counts = first_at[gap_values], counts[gap_values]
+    else:
+        gap_values, first_at, counts = np.unique(gap, return_index=True,
+                                                 return_counts=True)
     by_first = np.argsort(first_at)
     gaps = dict(zip(gap_values[by_first].tolist(), counts[by_first].tolist()))
-    return ReorderStats(out_of_order_count=int(np.count_nonzero(late)), gaps=gaps)
+    return ReorderStats(out_of_order_count=len(gap), gaps=gaps)
 
 
 def downtime_combine(bad_fraction_1: float, bad_fraction_2: float) -> float:

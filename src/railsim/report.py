@@ -134,19 +134,25 @@ class MsColumn:
 
     def cells(self, rows: slice, fmt: str) -> np.ndarray:
         ns = self.ns[rows]
-        missing = (np.zeros(len(ns), dtype=bool) if self.missing is None
-                   else self.missing[rows])
-        big = ~missing & ((ns < 0) | (ns >= _DECIMAL_NS))
-        decimal = np.where(missing | big, 0, ns)
+        missing = None if self.missing is None else self.missing[rows]
+        # negative ns wrap to the top of uint64, so one unsigned test finds
+        # the cells outside [0, 2^33 ms); the missing ones join them
+        odd = ns.view(np.uint64) >= _DECIMAL_NS
+        if missing is not None:
+            odd |= missing
+        any_odd = bool(odd.any())
+        decimal = np.where(odd, 0, ns) if any_odd else ns
         q = decimal // NS_PER_MS
         r = decimal - q * NS_PER_MS
         frac_hi = r // 1000
         frac_lo = r - frac_hi * 1000
         cells = _word_cells(_digit_words(q) + [_DOT3[frac_hi], _FRAC3[frac_lo]])
-        if missing.any():
-            cells = _put(cells, missing, _text_cells([self.word]))
-        if big.any():
-            cells = _put(cells, big, _text_cells(self._printed(ns[big])))
+        if any_odd:
+            if missing is not None and missing.any():
+                cells = _put(cells, missing, _text_cells([self.word]))
+                odd &= ~missing
+            if odd.any():
+                cells = _put(cells, odd, _text_cells(self._printed(ns[odd])))
         if fmt == "json":
             return np.pad(cells, ((0, 0), (1, 1)), constant_values=ord('"'))
         return cells
@@ -184,20 +190,22 @@ def _column_cells(column, rows: slice, fmt: str) -> np.ndarray:
     return column.cells(rows, fmt)
 
 
-def _join_rows(seps: list[str], cells: list[np.ndarray], end: str) -> bytes:
+def _join_rows(seps: list[str], cells: list[np.ndarray], end: str) -> bytearray:
     """Rows of ``seps[0] cells[0] seps[1] cells[1] ... end``, the cells'
-    NUL padding dropped."""
+    NUL padding dropped.  The rows are laid out in one bytearray, seen
+    through a numpy view, so dropping the NULs is the only copy."""
     template, starts = bytearray(), []
     for sep, column in zip(seps, cells):
         template += sep.encode()
         starts.append(len(template))
         template += bytes(column.shape[1])
     template += end.encode()
-    rows = np.empty((len(cells[0]), len(template)), dtype=np.uint8)
+    block = bytearray(len(cells[0]) * len(template))
+    rows = np.frombuffer(block, dtype=np.uint8).reshape(-1, len(template))
     rows[:] = np.frombuffer(template, dtype=np.uint8)
     for at, column in zip(starts, cells):
         rows[:, at:at + column.shape[1]] = column
-    return rows.tobytes().translate(None, b"\0")
+    return block.translate(None, b"\0")
 
 
 class Table(NamedTuple):
@@ -207,7 +215,7 @@ class Table(NamedTuple):
     columns: list
 
 
-def _table_blocks(table: Table, fmt: str) -> Iterator[bytes]:
+def _table_blocks(table: Table, fmt: str) -> Iterator[bytes | bytearray]:
     """The bytes of a CSV or JSON table file, BLOCK_ROWS rows at a time.
 
     JSON is what ``json.dumps(rows, sort_keys=True, indent=2)`` prints for

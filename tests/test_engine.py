@@ -365,7 +365,9 @@ def arrival_matrices(draw):
 @given(case=arrival_matrices())
 def test_no_eviction_bound_is_sound(case):
     """Whenever the dedup pass skips the sequential window pass, that
-    pass over the copies in arrival order finds no window miss."""
+    pass over the copies in arrival order finds no window miss; when it
+    runs it, it forwards each seq's first copy and the misses, in (time,
+    seq) order."""
     send, arrival, dt, window = case
     delivered = arrival < engine.LOST_NS
     first = arrival.min(axis=0)
@@ -375,13 +377,18 @@ def test_no_eviction_bound_is_sound(case):
     duplicates = int(delivered.sum() - ever.sum())
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_loop(mp)
-        dup_t, dup_s = engine._dedup_pass(arrival, rail, copy_max, dt,
-                                          duplicates, window)
+        forwards = engine._dedup_pass(arrival, rail, copy_max, dt,
+                                      duplicates, window, None)
     miss_s, miss_t = _misses_in_arrival_order(arrival, window)
-    if not calls:
+    assert (forwards is None) == (not calls)
+    if forwards is None:
         assert len(miss_s) == 0
-    assert dup_s.tolist() == miss_s.tolist()
-    assert dup_t.tolist() == miss_t.tolist()
+        return
+    want_s = np.concatenate([np.flatnonzero(ever), miss_s])
+    want_t = np.concatenate([first[ever], miss_t])
+    order = np.lexsort((want_s, want_t))
+    assert forwards[1].tolist() == want_s[order].tolist()
+    assert forwards[0].tolist() == want_t[order].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +502,19 @@ def test_lost_rows_neither_raise_nor_touch_the_trace():
 
 def _release_order_oracle(sim):
     """The seqs in release order by the plain lexsort, from the ledger's
-    arrival and send columns and the scenario's padding target (for runs
-    without window-miss duplicates or the reorder hold)."""
+    arrival and send columns and the scenario's padding target: each
+    seq's first forward plus the window-miss duplicates, found by the
+    window pass over every copy in (time, seq, path) order (for runs
+    without the reorder hold)."""
     first = sim.arrival_ns.min(axis=0)
     seqs = np.flatnonzero(first < engine.LOST_NS)
     t = first[seqs]
     if sim.scenario.padding.enabled:
         target_ns = engine.ms_to_ns(sim.scenario.padding.target_one_way)
         t = np.maximum(t, sim.send_ns[seqs] + target_ns)
+    miss_s, miss_t = _misses_in_arrival_order(sim.arrival_ns,
+                                              sim.scenario.dedup_window)
+    seqs, t = np.concatenate([seqs, miss_s]), np.concatenate([t, miss_t])
     return seqs[np.lexsort((seqs, t))]
 
 
@@ -537,6 +549,71 @@ def test_release_order_equals_the_lexsort_oracle(scenario, order):
         assert 0 < len(want) < 200
     else:
         assert want.tolist() == order
+
+
+def _jittery_paths(target=None):
+    """Three lossy normal-delay paths at 1 ms spacing with an 8-seq
+    window: many copies overtake each other and some miss the window."""
+    return Scenario(
+        paths=[PathSpec(f"p{i}", loss=LossModel(0.2),
+                        delay=DelayModel("normal", mean=40.0 + 20 * i, stddev=30.0))
+               for i in range(3)],
+        traffic=TrafficSpec(interval=1.0, count=3000),
+        padding=PaddingConfig(enabled=target is not None,
+                              target_one_way=target or 0.0),
+        dedup_window=8, seed=11)
+
+
+@pytest.mark.parametrize("scenario, padded", [
+    (_jittery_paths(), False),
+    (_jittery_paths(target=0.0), False),
+    (_jittery_paths(target=70.0), True),
+], ids=["misses", "padding-unused", "padded"])
+def test_forwards_with_window_misses_equal_the_lexsort_oracle(scenario, padded):
+    """Without padding the forwards keep the copy ordering's (time, seq)
+    order; a padded run is sorted again."""
+    sim = simulate(scenario)
+    assert sim.counters.window_miss_duplicates > 20
+    assert (sim.counters.padded > 0) == padded
+    want = _release_order_oracle(sim)
+    assert sim.forwarded_order.dtype == np.int64
+    assert sim.forwarded_order.tolist() == want.tolist()
+    assert reorder_stats(want).out_of_order_count > 0
+
+
+def _keys_with_ties():
+    small = st.integers(-3, 3)
+    wide = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+    return st.lists(small | wide, max_size=300) | st.lists(small, max_size=300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=_keys_with_ties(), shape=st.sampled_from(
+    ["as drawn", "all tied", "sorted", "reversed"]))
+def test_the_sort_helper_is_the_stable_argsort(keys, shape):
+    keys = np.array(keys, dtype=np.int64)
+    if shape == "all tied":
+        keys = np.full(len(keys), keys[0] if len(keys) else 5)
+    elif shape != "as drawn":
+        keys.sort()
+        keys = keys if shape == "sorted" else keys[::-1].copy()
+    got = engine._stable_argsort(keys)
+    assert got.tolist() == np.argsort(keys, kind="stable").tolist()
+
+
+_RNG = np.random.default_rng(8)
+
+
+@pytest.mark.parametrize("keys", [
+    [], [7], [7, 7], [2, 1], [1, 1, 0, 0, 1],
+    # long enough for the SIMD sort: every key tied three ways, few keys
+    np.repeat(_RNG.integers(0, 2**40, 10_000), 3)[_RNG.permutation(30_000)],
+    _RNG.integers(0, 50, 30_000),
+], ids=["empty", "one", "pair", "two", "five", "three-way", "few-keys"])
+def test_the_sort_helper_on_fixed_arrays(keys):
+    keys = np.array(keys, dtype=np.int64)
+    assert (engine._stable_argsort(keys).tolist()
+            == np.argsort(keys, kind="stable").tolist())
 
 
 def test_set_parameter_rejects_non_integer_for_integer_field():

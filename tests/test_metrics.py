@@ -199,7 +199,9 @@ def loop_reorder_stats(forwarded_order) -> ReorderStats:
 
 @settings(max_examples=300, deadline=None)
 @given(order=st.lists(st.integers(0, 60), max_size=120)
-       | st.permutations(range(40)))
+       | st.permutations(range(40))
+       # gaps far above the stream's length
+       | st.lists(st.integers(-2**61, 2**61), max_size=20))
 def test_reorder_stats_equal_the_loop(order):
     want = loop_reorder_stats(order)
     got = reorder_stats(np.array(order, dtype=np.int64))
@@ -209,6 +211,50 @@ def test_reorder_stats_equal_the_loop(order):
     assert str(got.gaps) == str(want.gaps)
     assert type(got.out_of_order_count) is int
 
+
+
+def unique_reorder_stats(forwarded_order) -> ReorderStats:
+    """Reorder statistics by sorting the gaps (``np.unique``): the form the
+    counting pass replaced, kept as an oracle."""
+    order = np.asarray(forwarded_order, dtype=np.int64)
+    high = np.empty_like(order)
+    high[:1] = np.iinfo(np.int64).min
+    np.maximum.accumulate(order[:-1], out=high[1:])
+    late = order < high
+    gap_values, first_at, counts = np.unique(
+        high[late] - order[late], return_index=True, return_counts=True)
+    by_first = np.argsort(first_at)
+    gaps = dict(zip(gap_values[by_first].tolist(), counts[by_first].tolist()))
+    return ReorderStats(out_of_order_count=int(np.count_nonzero(late)), gaps=gaps)
+
+
+_R = random.Random(12)
+
+
+@pytest.mark.parametrize("order", [
+    [], [4], list(range(50)),
+    # gaps up to count - 1
+    [49] + list(range(49)), list(range(49, -1, -1)),
+    # repeated gaps, the later ones first seen after larger ones
+    [5, 3, 9, 8, 2, 7, 1, 12, 11, 10, 6],
+    _R.sample(range(3000), 3000),
+    # sparse gaps far above the stream's length are sorted instead
+    [2**40, 3, 2**50, 0, 2**40 - 1, 7],
+    # a gap past the int64 range wraps, as it always did
+    [2**62, -2**62, 5],
+], ids=["empty", "one", "in-order", "last-first", "reversed", "repeats",
+        "shuffled", "sparse", "wrapped"])
+def test_reorder_stats_equal_the_sorting_form(order):
+    want = unique_reorder_stats(order)
+    got = reorder_stats(np.array(order, dtype=np.int64))
+    assert got == want
+    assert list(got.gaps) == list(want.gaps)
+    assert type(got.out_of_order_count) is int
+
+
+def test_reorder_gaps_keep_their_first_occurrence_order():
+    stats = reorder_stats([5, 3, 9, 8, 2, 7, 1, 12, 11, 10, 6])
+    assert list(stats.gaps.items()) == [(2, 3), (1, 2), (7, 1), (8, 1), (6, 1)]
 
 
 def test_reorder_detects_late_packet_with_gap():

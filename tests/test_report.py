@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from railsim import report
-from railsim.report import IntColumn, ReportBundle
+from railsim.engine import LOST_NS, NS_PER_MS
+from railsim.report import IntColumn, MsColumn, ReportBundle
 
 
 @st.composite
@@ -97,3 +98,37 @@ def test_tables_reject_nul_cells(tmp_path):
     bundle.add_table("t", ["a"], [["x\0"]])
     with pytest.raises(ValueError):
         bundle.write(tmp_path)
+
+
+@pytest.mark.parametrize("int_division", [True, False])
+def test_ms_cells_outside_the_digit_range_print_as_python(tmp_path, int_division):
+    """Negative cells, cells at or above 2^33 ms, LOST_NS and -1 rows print
+    as f"{x:.6f}" of their quotient, or as the missing word; blocks of
+    three rows put some blocks past the one test that finds them."""
+    big = 2 ** 33 * NS_PER_MS
+    ns = np.array([0, 1, 999_999, 123_456_789, big - 1, -1, -5_000_123, big,
+                   big + 7, 2 ** 62 + 3, LOST_NS, -2 ** 63, 1_000_000,
+                   42_000_001, 7], dtype=np.int64)
+    # missing where lost or -1, and one in-range row marked missing, in a
+    # block of in-range rows
+    missing = (ns == LOST_NS) | (ns == -1) | (ns == 42_000_001)
+
+    def spelled(v, word=None):
+        if word is not None:
+            return word
+        q = v / NS_PER_MS if int_division else float(np.float64(v) / NS_PER_MS)
+        return f"{q:.6f}"
+
+    want = [[spelled(v, "LOST" if m else None), spelled(v)]
+            for v, m in zip(ns.tolist(), missing.tolist())]
+    bundle = ReportBundle(manifest={})
+    bundle.add_columns("t", ["a", "b"], [
+        MsColumn(ns, missing, "LOST", int_division=int_division),
+        MsColumn(ns, int_division=int_division)])
+    with mock.patch.object(report, "BLOCK_ROWS", 3):
+        bundle.write(tmp_path / "csv")
+        bundle.write(tmp_path / "json", fmt="json")
+    text = (tmp_path / "csv" / "t.csv").read_text()
+    assert text == "a,b\n" + "".join(f"{a},{b}\n" for a, b in want)
+    assert json.loads((tmp_path / "json" / "t.json").read_text()) == [
+        {"a": a, "b": b} for a, b in want]
