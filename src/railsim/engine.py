@@ -188,7 +188,13 @@ def validate_scenario(s: Scenario) -> list[str]:
 def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` from numpy's default sort, which
     runs SIMD code where the CPU has it but leaves each run of equal keys
-    in an order of its own: those entries are put back in index order."""
+    in an order of its own: those entries are put back in index order.
+
+    On a CPU without AVX2 and AVX-512 the default sort has no SIMD loop,
+    and the helper is slower than the stable sort: the seven copy
+    orderings of a sim-hold perfbench pass took 34.2 ms with it against
+    27.3 ms (2-core VM), about 7 ms more a pass.  With SIMD they take
+    15.2 ms against 29.8, so the helper stays the one sort."""
     order = np.argsort(keys)
     ranked = keys[order]
     tied = np.flatnonzero(ranked[1:] == ranked[:-1])
@@ -206,22 +212,24 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
 
 
 def _dedup_pass(arrival_ns: np.ndarray, rail_delay_ns: np.ndarray,
-                copy_max_ns: int, dt_ns: int, duplicates: int, window: int,
-                padding_ns: np.ndarray | None):
+                r_min: int, r_max: int, copy_max_ns: int, dt_ns: int,
+                duplicates: int, window: int, padding_ns: np.ndarray | None):
     """Duplicate suppression over the delivered copies, and the release
     order of what it forwards.
 
     arrival_ns is (n_paths, count) with LOST_NS marking lost copies,
-    rail_delay_ns the first arrival's delay (-1 when none arrived),
-    copy_max_ns the largest delivered copy delay, duplicates the number of
-    delivered copies that are not their seq's first and padding_ns each
-    seq's padding, or None when no packet is padded.  Returns None when no
-    window miss is possible: every seq is then forwarded once, its first
-    copy.  Otherwise runs the sequential window pass over the copies in
-    (time, seq, path) order and returns the forwarded copies, each seq's
-    first plus the window-miss duplicates, as release times and seqs in
-    that order.  Without padding a copy is released on arrival, so that
-    is the release order, (time, seq); padding moves first copies later.
+    rail_delay_ns the first arrival's delay (-1 when none arrived), r_min
+    and r_max the least and largest rail delay of the seqs that arrived
+    (copy_max_ns and -1 when none did), copy_max_ns the largest delivered
+    copy delay, duplicates the number of delivered copies that are not
+    their seq's first and padding_ns each seq's padding, or None when no
+    packet is padded.  Returns None when no window miss is possible:
+    every seq is then forwarded once, its first copy.  Otherwise runs the
+    sequential window pass over the copies in (time, seq, path) order
+    and returns the forwarded copies, each seq's first plus the
+    window-miss duplicates, as release times and seqs in that order.
+    Without padding a copy is released on arrival, so that is the
+    release order, (time, seq); padding moves first copies later.
     """
     count = arrival_ns.shape[1]
     use_fast = duplicates == 0 or window >= count
@@ -234,9 +242,7 @@ def _dedup_pass(arrival_ns: np.ndarray, rail_delay_ns: np.ndarray,
         # an interval of `span` ns that holds at most span // dt_ns seqs
         # other than s, ties at either end included.  (The fastest copy of
         # all is its seq's first, so r_min is also the least copy delay.)
-        ever = rail_delay_ns >= 0
-        r_min = int(rail_delay_ns.min(where=ever, initial=copy_max_ns))
-        span = copy_max_ns + int(rail_delay_ns.max()) - 2 * r_min
+        span = copy_max_ns + r_max - 2 * r_min
         use_fast = span // dt_ns < window
 
     if use_fast:
@@ -309,24 +315,33 @@ def simulate(scenario: Scenario) -> SimResult:
                 f"path {spec.id}: trace shorter than the run "
                 f"({len(spec.delay.trace)} entries), replay wrapped around"
             )
-        # lost entries may carry NaN delays (trace convention); zero them
-        # before the integer cast, the mask keeps them out of the run.
-        # sample_path's columns are fresh, so the row is built in place.
-        # np.putmask does not branch per row as a masked assignment does,
-        # but it costs time even when nothing is lost.
         n_lost = int(np.count_nonzero(lost))
-        if n_lost:
-            np.putmask(delay_ms, lost, 0.0)
-        top = float(delay_ms.max())
-        if not fits_clock(top):
-            raise ConfigurationError(
-                f"path {spec.id}: a sampled delay overflows the int64 ns clock")
-        # scaling and rounding are monotone: this is the row's largest delay
-        copy_max_ns = max(copy_max_ns, int(np.rint(top * NS_PER_MS)))
-        np.multiply(delay_ms, NS_PER_MS, out=delay_ms)
         row = arrival_ns[pidx]
-        row[:] = np.rint(delay_ms, out=delay_ms)
-        row += send_ns
+        if spec.delay.kind == "constant":
+            # every row holds the float mean, which validation fitted to
+            # the clock: one integer add, rounded as the float rows are
+            delay_ns = ms_to_ns(float(spec.delay.mean))
+            np.add(send_ns, delay_ns, out=row)
+            if n_lost < n:
+                copy_max_ns = max(copy_max_ns, delay_ns)
+        else:
+            # lost entries may carry NaN (trace convention) or delays past
+            # the clock; zero them before the integer cast, the mask keeps
+            # them out of the run.  sample_path's columns are fresh, so
+            # the row is built in place.  np.putmask does not branch per
+            # row as a masked assignment does, but it costs time even when
+            # nothing is lost.
+            if n_lost:
+                np.putmask(delay_ms, lost, 0.0)
+            top = float(delay_ms.max())
+            if not fits_clock(top):
+                raise ConfigurationError(
+                    f"path {spec.id}: a sampled delay overflows the int64 ns clock")
+            # scaling and rounding are monotone: this is the row's largest delay
+            copy_max_ns = max(copy_max_ns, int(np.rint(top * NS_PER_MS)))
+            np.multiply(delay_ms, NS_PER_MS, out=delay_ms)
+            row[:] = np.rint(delay_ms, out=delay_ms)
+            row += send_ns
         if n_lost:
             np.putmask(row, lost, LOST_NS)
         lost_copies += n_lost
@@ -334,8 +349,14 @@ def simulate(scenario: Scenario) -> SimResult:
     first_ns = arrival_ns.min(axis=0)  # LOST_NS when no copy delivered
     ever = first_ns < LOST_NS
     never = ~ever
+    n_ever = int(np.count_nonzero(ever))
     rail_delay_ns = first_ns - send_ns
+    # a seq nothing reached holds LOST_NS - send_ns here, above any delay
+    # the clock allows, so the plain minimum (a SIMD loop, where a where=
+    # reduction has none) is the least rail delay once any seq arrived
+    r_min = int(rail_delay_ns.min()) if n_ever else copy_max_ns
     rail_delay_ns[never] = -1
+    r_max = int(rail_delay_ns.max())
 
     # padding (applies to first forwards; duplicates pass through as-is)
     if scenario.padding.enabled:
@@ -347,10 +368,9 @@ def simulate(scenario: Scenario) -> SimResult:
         padding_ns = np.zeros(n, dtype=np.int64)
         padded = padding_total = 0
 
-    n_ever = int(np.count_nonzero(ever))
     duplicates = arrival_ns.size - lost_copies - n_ever
-    forwards = _dedup_pass(arrival_ns, rail_delay_ns, copy_max_ns, dt_ns,
-                           duplicates, scenario.dedup_window,
+    forwards = _dedup_pass(arrival_ns, rail_delay_ns, r_min, r_max, copy_max_ns,
+                           dt_ns, duplicates, scenario.dedup_window,
                            padding_ns if padded else None)
     release_ns = first_ns  # padding_ns is 0 where nothing arrived
     if padded:
@@ -360,12 +380,16 @@ def simulate(scenario: Scenario) -> SimResult:
     # release order: first forwards plus window-miss duplicates, by time
     # then seq; the reorder hold reschedules that stream when enabled.
     # The first forwards alone come in ascending seq, so when their times
-    # never decrease that is already the order.  The dedup pass lists its
-    # forwards in (time, seq) order unless padding moved some.
+    # never decrease that is already the order.  Unpadded, seq s goes out
+    # at s * dt_ns + r_s, and rail delays spanning less than dt_ns cannot
+    # undo a lead of dt_ns: the times strictly increase, unchecked.  The
+    # dedup pass lists its forwards in (time, seq) order unless padding
+    # moved some.
     if forwards is None:
         seqs = np.nonzero(ever)[0]
-        t = release_ns[seqs]
-        unsorted = np.any(t[1:] < t[:-1])
+        in_order = not padded and r_max - r_min < dt_ns
+        t = release_ns[seqs] if scenario.reorder_removal or not in_order else None
+        unsorted = not in_order and np.any(t[1:] < t[:-1])
     else:
         t, seqs = forwards
         unsorted = padded

@@ -100,16 +100,19 @@ class ReorderStats:
 def reorder_stats(forwarded_order: Sequence[int]) -> ReorderStats:
     """The histogram lists the gaps in the order each first occurred.
     Gaps up to a few times the stream's length are counted by value
-    (``bincount``), sparser ones (or any wrapped past the int64 range)
-    by sorting them."""
+    (``bincount``), sparser ones by sorting them.  Seqs spanning 2^63 or
+    more, whose gaps int64 cannot hold, are a DomainError."""
     order = np.asarray(forwarded_order, dtype=np.int64)
+    if len(order) and int(order.max()) - int(order.min()) > np.iinfo(np.int64).max:
+        raise DomainError("forwarded seqs span 2^63 or more: their gaps "
+                          "overflow int64")
     # highest seq forwarded before each packet (none before the first)
     high = np.empty_like(order)
     high[:1] = np.iinfo(np.int64).min
     np.maximum.accumulate(order[:-1], out=high[1:])
     late = order < high
     gap = high[late] - order[late]
-    if gap.min(initial=1) > 0 and gap.max(initial=0) <= 4 * len(order):
+    if gap.max(initial=0) <= 4 * len(order):
         counts = np.bincount(gap)
         first_at = np.full(len(counts), len(gap))
         np.minimum.at(first_at, gap, np.arange(len(gap)))

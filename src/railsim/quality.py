@@ -190,16 +190,23 @@ def mos_curve(n_sent: int, delivered_delays_ms, deadlines: Iterable[float],
         loss = np.minimum(1.0, _app_loss(network_loss, delivered.size - n_on_time,
                                          delivered.size))
         # The on-time set is the packets at or below the k-th smallest delay,
-        # so it depends only on its count k.  It is averaged in arrival
-        # order, not sorted: the pairwise sum depends on it.  The mean is
-        # np.mean's own arithmetic (one add.reduce, one division by k)
-        # without its wrapper.
+        # so it depends only on its count k (a count searchsorted returns,
+        # so exactly k packets).  It is averaged in arrival order, not
+        # sorted: the pairwise sum depends on it.  The sets nest, so each
+        # is filtered from the next larger one, which keeps arrival order
+        # and gives add.reduce the same array as a filter of the whole.
+        # The mean is np.mean's own arithmetic (one add.reduce, one
+        # division by k) without its wrapper.
         counts, which = np.unique(n_on_time, return_inverse=True)
-        on_time_rep = np.array([
-            end_system_delay + float(np.add.reduce(
-                delivered if k == delivered.size
-                else delivered[delivered <= ranked[k - 1]])) / k if k else math.nan
-            for k in counts.tolist()])
+        on_time_rep = np.full(len(counts), math.nan)  # nan where k == 0
+        on_time = delivered
+        for i in range(len(counts) - 1, -1, -1):
+            k = int(counts[i])
+            if not k:
+                break
+            if k < on_time.size:
+                on_time = on_time[on_time <= ranked[k - 1]]
+            on_time_rep[i] = end_system_delay + float(np.add.reduce(on_time)) / k
         played = n_on_time > 0
         rep[played] = on_time_rep[which[played]]
     bad = ~((0.0 <= loss) & (loss <= 1.0) & (0.0 <= rep) & (rep < math.inf))

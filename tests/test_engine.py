@@ -15,6 +15,7 @@ from railsim.errors import ConfigurationError, ValidationError
 from railsim.metrics import reorder_stats
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
                              Trace, load_trace)
+from railsim.quality import rail_loss_independent, rail_loss_shared
 from railsim.railedge import PaddingConfig, window_miss_duplicates
 
 
@@ -66,6 +67,35 @@ def test_rail_loss_is_product_of_path_losses():
     measured = np.count_nonzero(sim.rail_lost_mask()) / 100_000
     sigma = math.sqrt(0.01 * 0.99 / 100_000)
     assert abs(measured - 0.01) <= 3 * sigma
+
+
+@pytest.mark.parametrize("p_shared", [None, 0.05])
+def test_rail_loss_matches_the_closed_forms(p_shared):
+    """Rail loss over two lossy constant-delay paths, with and without a
+    shared segment, against quality.rail_loss_independent and
+    rail_loss_shared.  The lost count is binomial (200,000 packets); the
+    bound of 4.5 standard deviations fails a correct engine with
+    probability about 7e-6 per seed (two-sided normal tail), and the seed
+    is fixed."""
+    n, own = 200_000, [0.1, 0.3]
+    scenario = Scenario(
+        paths=[PathSpec(pid, loss=LossModel(rate), delay=DelayModel("constant", mean=mean),
+                        shared=None if p_shared is None else "core")
+               for pid, rate, mean in (("a", own[0], 50.0), ("b", own[1], 80.0))],
+        shared_segments=([] if p_shared is None
+                         else [SharedSegmentSpec("core", LossModel(p_shared))]),
+        traffic=TrafficSpec(interval=1.0, count=n),
+        seed=21,
+    )
+    sim = simulate(scenario)
+    p = (rail_loss_independent(own) if p_shared is None
+         else rail_loss_shared(p_shared, own))
+    lost = np.count_nonzero(sim.rail_lost_mask())
+    assert abs(lost - n * p) <= 4.5 * math.sqrt(n * p * (1 - p))
+    for i, mean in enumerate((50.0, 80.0)):
+        delivered = ~sim.path_lost(i)
+        assert np.all(sim.arrival_ns[i][delivered]
+                      == sim.send_ns[delivered] + engine.ms_to_ns(mean))
 
 
 def test_copy_accounting_balances():
@@ -312,6 +342,36 @@ def test_dedup_fast_path_matches_state_machine(monkeypatch, scenario, loops):
     assert c.suppressed == delivered - firsts - len(miss_s)
 
 
+@pytest.mark.parametrize("lost", ["own", "forced", "shared"])
+def test_a_constant_path_losing_every_copy_adds_nothing_to_the_bound(
+        monkeypatch, lost):
+    """A 900 ms path that delivers nothing leaves the largest copy delay at
+    the other paths' 30 ms: the no-eviction bound (rail delays 10-30 ms,
+    span 40 ms, two seqs) holds for a 4-seq window and the sequential
+    pass does not run.  Had the lost path's mean counted, the span would
+    cover 45 seqs."""
+    gone = {"own": PathSpec("gone", loss=LossModel(1.0),
+                            delay=DelayModel("constant", mean=900.0)),
+            "forced": PathSpec("gone", delay=DelayModel("constant", mean=900.0)),
+            "shared": PathSpec("gone", shared="core",
+                               delay=DelayModel("constant", mean=900.0))}[lost]
+    scenario = Scenario(
+        paths=[gone, PathSpec("b", loss=LossModel(0.2),
+                              delay=DelayModel("constant", mean=10.0)),
+               PathSpec("c", loss=LossModel(0.2),
+                        delay=DelayModel("constant", mean=30.0))],
+        shared_segments=[SharedSegmentSpec("core", LossModel(1.0))],
+        traffic=TrafficSpec(interval=20.0, count=300),
+        dedup_window=4, seed=12,
+        forced_losses={"gone": tuple(range(300))} if lost == "forced" else {})
+    calls = _spy_loop(monkeypatch)
+    sim = simulate(scenario)
+    assert not calls
+    assert sim.path_lost(0).all()
+    assert sim.counters.window_miss_duplicates == 0
+    assert sim.counters.suppressed > 0
+
+
 def _misses_in_arrival_order(arrival, window):
     """Seqs and times of the window-miss duplicates among the delivered
     copies, visited in (time, seq, path) order."""
@@ -374,11 +434,12 @@ def test_no_eviction_bound_is_sound(case):
     ever = first < engine.LOST_NS
     rail = np.where(ever, first - send, -1)
     copy_max = int(np.where(delivered, arrival - send, 0).max())
+    r_min = int(rail[ever].min(initial=copy_max))
     duplicates = int(delivered.sum() - ever.sum())
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_loop(mp)
-        forwards = engine._dedup_pass(arrival, rail, copy_max, dt,
-                                      duplicates, window, None)
+        forwards = engine._dedup_pass(arrival, rail, r_min, int(rail.max()),
+                                      copy_max, dt, duplicates, window, None)
     miss_s, miss_t = _misses_in_arrival_order(arrival, window)
     assert (forwards is None) == (not calls)
     if forwards is None:

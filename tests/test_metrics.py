@@ -240,16 +240,27 @@ _R = random.Random(12)
     _R.sample(range(3000), 3000),
     # sparse gaps far above the stream's length are sorted instead
     [2**40, 3, 2**50, 0, 2**40 - 1, 7],
-    # a gap past the int64 range wraps, as it always did
-    [2**62, -2**62, 5],
+    # seqs spanning 2^63 - 1, the widest gap int64 holds
+    [2**62 - 1, -2**62, 5],
 ], ids=["empty", "one", "in-order", "last-first", "reversed", "repeats",
-        "shuffled", "sparse", "wrapped"])
+        "shuffled", "sparse", "widest"])
 def test_reorder_stats_equal_the_sorting_form(order):
     want = unique_reorder_stats(order)
     got = reorder_stats(np.array(order, dtype=np.int64))
     assert got == want
     assert list(got.gaps) == list(want.gaps)
     assert type(got.out_of_order_count) is int
+
+
+@pytest.mark.parametrize("order", [
+    [2**62, -2**62, 5],
+    [0, np.iinfo(np.int64).min],
+    [-2**62, 2**62],  # in order: no gap yet, the span alone is checked
+], ids=["wrapped", "int64-min", "in-order"])
+def test_reorder_stats_reject_seqs_spanning_2_63(order):
+    """A gap of 2^63 or more would wrap in int64."""
+    with pytest.raises(DomainError, match="2\\^63"):
+        reorder_stats(np.array(order, dtype=np.int64))
 
 
 def test_reorder_gaps_keep_their_first_occurrence_order():

@@ -296,6 +296,43 @@ def test_mos_curve_equals_per_deadline_loop(n_sent, delays, deadlines,
     assert got == want
 
 
+@st.composite
+def on_time_cases(draw):
+    """Delivered delays in arrival order, tied on a coarse grid or spread
+    wide, short or long enough for several pairwise-sum blocks; deadlines
+    at delivered delays (ties at the thresholds), at 0 and half the least
+    delay (below it), at the largest (every packet on time) and above."""
+    n = draw(st.integers(1, 20) | st.integers(100, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        delivered = rng.choice(GRID[1:], size=n)
+    else:
+        delivered = rng.uniform(1.0, 1e4, size=n)
+    lo, hi = float(delivered.min()), float(delivered.max())
+    deadlines = [*rng.choice(delivered, size=5).tolist(), 0.0, lo / 2, hi, 2 * hi,
+                 *rng.uniform(0.0, 1.2 * hi, size=3).tolist()]
+    return delivered, rng.permutation(deadlines).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=on_time_cases(), end=st.sampled_from([0.0, 40.0]) | st.floats(0.0, 500.0))
+def test_on_time_means_equal_a_filter_of_the_whole_stream(case, end):
+    """Each representative delay is, bit for bit, the add.reduce of the
+    on-time packets filtered from the whole stream in arrival order, over
+    their count k (the whole budget when nothing is on time)."""
+    delivered, deadlines = case
+    points = mos_curve(len(delivered) + 3, delivered, deadlines, end)
+    ranked = np.sort(delivered)
+    ks = set()
+    for d, p in zip(deadlines, points):
+        k = int(np.searchsorted(ranked, d, "right"))
+        ks.add(k)
+        want = (end + float(np.add.reduce(delivered[delivered <= ranked[k - 1]])) / k
+                if k else end + d)
+        assert p.representative_delay.hex() == want.hex()
+    assert {0, len(delivered)} <= ks
+
+
 def test_mos_curve_scores_points_as_mos_does():
     # one curve through the knee, the R floor, and the MOS floor with R > 0
     points = mos_curve(2, [DELAY_KNEE, 5000.0], [0.0, 200.0, 6000.0], 0.0)

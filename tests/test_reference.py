@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from railsim import engine, railedge
 from railsim.engine import Counters, Scenario, TrafficSpec, simulate
+from railsim.metrics import reorder_stats
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
                              load_trace, path_rng, sample_path, shared_rng)
 from railsim.railedge import (PaddingConfig, reorder_hold_schedule,
@@ -465,6 +466,101 @@ def test_tied_arrivals_are_deduplicated_in_seq_order():
     )
     ref = reference_simulate(scenario)
     assert ref.counters.suppressed > 300
+    assert_matches_reference(scenario, ref)
+
+
+def _constant(pid, mean, rate=0.0, shared=None):
+    return PathSpec(pid, loss=LossModel(rate), shared=shared,
+                    delay=DelayModel("constant", mean=mean))
+
+
+@pytest.mark.parametrize("scenario", [
+    # means on half a nanosecond round half to even: to 0 and 2 ns
+    Scenario(paths=[_constant("a", 0.0000005, 0.2), _constant("b", 0.0000015, 0.2)],
+             traffic=TrafficSpec(interval=0.000003, count=400), seed=1,
+             dedup_window=2),
+    # a mean just under the clock limit (2^60 ns), and a near path
+    Scenario(paths=[_constant("a", 1.1e12, 0.3), _constant("b", 7.5, 0.3)],
+             traffic=TrafficSpec(interval=20.0, count=300), seed=2),
+    # forced losses on both paths, some seqs on both, behind a shared segment
+    Scenario(paths=[_constant("a", 12.5, 0.1, shared="core"),
+                    _constant("b", 40.0, 0.1, shared="core")],
+             shared_segments=[SharedSegmentSpec("core", LossModel(0.2, 0.5))],
+             traffic=TrafficSpec(interval=5.0, count=500), seed=3,
+             dedup_window=4,
+             forced_losses={"a": (0, 1, 2, 3, 250, 499), "b": (2, 3, 4, 499)}),
+    # a path that loses every copy, next to a lossless one
+    Scenario(paths=[_constant("gone", 900.0, 1.0), _constant("b", 30.0)],
+             traffic=TrafficSpec(interval=20.0, count=200), seed=4,
+             dedup_window=4),
+    # every copy lost on every path
+    Scenario(paths=[_constant("a", 10.0, 1.0),
+                    _constant("b", 20.0, 0.0, shared="core")],
+             shared_segments=[SharedSegmentSpec("core", LossModel(1.0))],
+             traffic=TrafficSpec(interval=20.0, count=50), seed=5),
+], ids=["half-ns", "clock-limit", "forced-shared", "one-path-gone", "all-gone"])
+def test_constant_rows_match_the_reference(scenario):
+    """Constant-delay rows are one integer add of the rounded mean; every
+    delivered copy lands at send + round-half-even(mean * 10^6) ns."""
+    ref = reference_simulate(scenario)
+    assert_matches_reference(scenario, ref)
+    for spec, row in zip(scenario.paths, ref.arrival_ns):
+        delay_ns = round(spec.delay.mean * NS)
+        assert all(t is None or t == send + delay_ns
+                   for t, send in zip(row, ref.send_ns))
+
+
+def _rail_span(sim):
+    rail = sim.rail_delay_ns[sim.rail_delay_ns >= 0]
+    return int(rail.max()) - int(rail.min())
+
+
+def _trace(delays):
+    return DelayModel("trace", trace=load_trace("".join(
+        f"{k},{d}\n" for k, d in enumerate(delays, start=1))))
+
+
+@pytest.mark.parametrize("scenario, in_order, late", [
+    # lossy constant paths: every rail delay is one of two means 5 ms apart
+    (Scenario(paths=[_constant("a", 10.0, 0.3), _constant("b", 15.0, 0.3)],
+              traffic=TrafficSpec(interval=20.0, count=400), seed=6), True, 0),
+    # rail delays spanning 1 ns less than the spacing
+    (Scenario(paths=[PathSpec("a", loss=LossModel(0.1),
+                              delay=_trace([10.0, 29.999999, 12.0, 20.0]))],
+              traffic=TrafficSpec(interval=20.0, count=200), seed=7), True, 0),
+    # spanning exactly the spacing: seq 4k + 1 ties with seq 4k + 2
+    (Scenario(paths=[PathSpec("a", delay=_trace([10.0, 30.0, 10.0, 20.0]))],
+              traffic=TrafficSpec(interval=20.0, count=200), seed=8), False, 0),
+    # one inversion: seq 1 (at 30 ms) goes out before seq 0 (at 50 ms)
+    (Scenario(paths=[PathSpec("a", delay=_trace([50.0] + [10.0] * 300))],
+              traffic=TrafficSpec(interval=20.0, count=300), seed=9), False, 1),
+], ids=["constant", "span-below-dt", "span-is-dt", "one-inversion"])
+def test_release_order_with_and_without_the_range_proof(scenario, in_order, late):
+    """Unpadded first forwards whose rail delays span less than the
+    spacing go out in seq order unchecked; any wider span keeps the
+    order check and the sort."""
+    dt = int(round(scenario.traffic.interval * NS))
+    sim = simulate(scenario)
+    assert sim.counters.padded == 0 and sim.counters.window_miss_duplicates == 0
+    assert (_rail_span(sim) < dt) == in_order
+    ref = reference_simulate(scenario)
+    assert_matches_reference(scenario, ref)
+    assert reorder_stats(ref.forwarded_order).out_of_order_count == late
+
+
+def test_reorder_hold_after_the_range_proof():
+    """Lossy constant paths within one spacing of each other, the hold on:
+    the proof skips the order check, and the hold still times out every
+    gap a lost packet leaves."""
+    scenario = Scenario(
+        paths=[_constant("a", 10.0, 0.4), _constant("b", 25.0, 0.4)],
+        traffic=TrafficSpec(interval=20.0, count=500),
+        padding=PaddingConfig(enabled=False, target_one_way=30.0),
+        reorder_removal=True, seed=10, dedup_window=8)
+    sim = simulate(scenario)
+    assert _rail_span(sim) < int(round(scenario.traffic.interval * NS))
+    ref = reference_simulate(scenario)
+    assert ref.counters.hold_timeouts > 0
     assert_matches_reference(scenario, ref)
 
 
