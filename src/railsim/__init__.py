@@ -22,8 +22,8 @@ from .pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
 from .quality import (MosPoint, QualityScore, TcpPath, TcpPathSet,
                       TcpPrediction, effective_loss, mos, mos_curve,
                       optimal_playout, path_mos_curve, rail_loss_independent,
-                      rail_loss_shared, rail_mos_curve, tcp_fact1_check,
-                      tcp_throughput_rail, tcp_throughput_single)
+                      rail_loss_shared, rail_mos_curve, tcp_throughput_rail,
+                      tcp_throughput_single)
 from .railedge import PaddingConfig
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "MosPoint", "QualityScore", "TcpPath", "TcpPathSet", "TcpPrediction",
     "effective_loss", "mos", "mos_curve", "optimal_playout", "path_mos_curve",
     "rail_loss_independent", "rail_loss_shared", "rail_mos_curve",
-    "tcp_fact1_check", "tcp_throughput_rail", "tcp_throughput_single",
+    "tcp_throughput_rail", "tcp_throughput_single",
     # railedge
     "PaddingConfig",
 ]

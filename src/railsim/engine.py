@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, PathSpec,
-                      SharedSegmentSpec, Trace, fits_clock, load_trace, path_rng,
-                      sample_path, shared_rng, validate_delay_model,
+                      SharedSegmentSpec, Trace, fits_clock, load_trace, path_key,
+                      sample_path, shared_key, validate_delay_model,
                       validate_loss_model)
 from .railedge import (DEFAULT_DEDUP_WINDOW, PaddingConfig,
                        reorder_hold_schedule, window_miss_duplicates)
@@ -292,14 +292,14 @@ def simulate(scenario: Scenario) -> SimResult:
     # shared segments: one loss column per segment actually referenced
     referenced = {p.shared for p in scenario.paths if p.shared is not None}
     shared_lost = {seg.id: sample_path(PathSpec(seg.id, seg.loss),
-                                       shared_rng(scenario.seed, idx), n)[0]
+                                       shared_key(scenario.seed, idx), n)[0]
                    for idx, seg in enumerate(scenario.shared_segments)
                    if seg.id in referenced}
 
     arrival_ns = np.empty((len(scenario.paths), n), dtype=np.int64)
     lost_copies = shared_losses = forced_losses = trace_wraps = copy_max_ns = 0
     for pidx, spec in enumerate(scenario.paths):
-        lost, delay_ms = sample_path(spec, path_rng(scenario.seed, pidx), n)
+        lost, delay_ms = sample_path(spec, path_key(scenario.seed, pidx), n)
         if spec.shared is not None:
             n_own = int(np.count_nonzero(lost))
             lost = lost | shared_lost[spec.shared]

@@ -1,11 +1,12 @@
 """Per-path packet outcomes: parametric loss/delay models and recorded traces.
 
-Every path owns an independent generator derived from the scenario seed.
-``sample_path`` turns it into a run's loss mask and delay column in one
-call.  Randomness is laid out in fixed-size chunks with a fixed column
-layout per chunk, so packet i's outcome does not depend on how many
-packets a run asks for; one copy of the generator draws only the rows of
-the run (the paretonormal kind's normal column is the one exception,
+Every path and every shared segment owns an independent stream, keyed by
+(scenario seed, stream kind, index).  ``sample_path`` builds the stream's
+one PCG64 from that key and turns it into a run's loss mask and delay
+column in one call.  Randomness is laid out in fixed-size chunks with a
+fixed column layout per chunk, so packet i's outcome does not depend on
+how many packets a run asks for; the generator draws only the rows of the
+run (the paretonormal kind's normal column is the one exception,
 generated whole per chunk, its unread rows into a reused buffer), and
 skips the loss columns the loss model cannot read.  Each chunk is
 reduced to what the sequential recurrences (sticky loss, AR(1) delay)
@@ -36,18 +37,18 @@ _SHARED_STREAM = 2
 DELAY_KINDS = ("constant", "normal", "paretonormal", "trace")
 
 
-def stream_rng(seed: int, stream: int, index: int) -> np.random.Generator:
-    """Independent generator for one (seed, stream kind, index) triple."""
-    ss = np.random.SeedSequence([int(seed) & _MASK64, stream, index])
-    return np.random.default_rng(ss)
+# A seed outside [0, 2**64) is taken modulo 2**64 (SeedSequence rejects
+# negative entries), so seed -1 runs as seed 2**64 - 1.
+def path_key(seed: int, path_index: int) -> np.random.SeedSequence:
+    """The stream key of path ``path_index`` under scenario seed ``seed``."""
+    return np.random.SeedSequence([int(seed) & _MASK64, _PATH_STREAM,
+                                   path_index])
 
 
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    return stream_rng(seed, _PATH_STREAM, path_index)
-
-
-def shared_rng(seed: int, segment_index: int) -> np.random.Generator:
-    return stream_rng(seed, _SHARED_STREAM, segment_index)
+def shared_key(seed: int, segment_index: int) -> np.random.SeedSequence:
+    """The stream key of shared segment ``segment_index``."""
+    return np.random.SeedSequence([int(seed) & _MASK64, _SHARED_STREAM,
+                                   segment_index])
 
 
 # ---------------------------------------------------------------------------
@@ -353,46 +354,36 @@ def ar1_scan(eps, corr):
 # sampling
 
 
-# Seeds the construction of the sampling copy only; its state is
-# overwritten at once (a fixed seed skips the OS entropy read).
-_CLONE_SEED = np.random.SeedSequence(0)
-
 # Takes the normals of a chunk past the run's rows when another column
 # follows them, a buffer at a time; written, never read.  A whole column's
 # worth (512 KiB) would stay resident in every process that samples.
 _DISCARD = np.empty(4096)
 
 
-def _chunks(rng: np.random.Generator, layout: str, n: int):
+def _chunks(key: np.random.SeedSequence, layout: str, n: int):
     """Yield (start, rows) for the chunks of packets [0, n), in order.
 
     Each chunk's randomness is laid out as whole columns of ``CHUNK`` rows
     in a fixed order (``layout``: ``"u"`` a uniform column, ``"-"`` a
     uniform column nobody reads, ``"n"`` a standard-normal one), exactly as
-    if each column were drawn whole from ``rng`` in turn, so packet i sees
-    the same randomness whatever ``n`` is.  ``rows`` holds one entry per
-    column: the chunk's rows below ``n`` only, the first of them packet
-    ``start``'s, or None for a ``"-"`` column.
+    if each column were drawn whole, in turn, from the PCG64 generator
+    seeded with ``key``, so packet i sees the same randomness whatever
+    ``n`` is.  ``rows`` holds one entry per column: the chunk's rows below
+    ``n`` only, the first of them packet ``start``'s, or None for a ``"-"``
+    column.
 
-    Only those rows are drawn, all from one PCG64 copy of ``rng``: a
-    uniform column draws its rows, then ``advance`` skips the rest, and an
-    unread one is skipped whole, not drawn.  This is exact because
-    ``random()`` takes one 64-bit word per value, and consecutive
+    Only those rows are drawn, from that one generator: a uniform column
+    draws its rows, then ``advance`` skips the rest, and an unread one is
+    skipped whole, not drawn.  This is exact because ``random()`` takes
+    one 64-bit PCG64 word per value, and consecutive
     ``random``/``standard_normal`` calls equal one call and leave the same
     state, so every column after a skip sees the same bytes.  A normal
     column followed by another column is still generated whole, because
     a normal takes a variable number of words and the next column starts
     where it ends: its rows are drawn, and the rest of the column goes
     through a small reused buffer that nothing reads (``_DISCARD``).
-    ``rng`` is only read, never advanced.
     """
-    if not (isinstance(rng, np.random.Generator)
-            and type(rng.bit_generator) is np.random.PCG64):
-        # the skip over unread rows relies on PCG64's one word per value
-        raise ConfigurationError(
-            f"path sampling needs a numpy Generator over PCG64, got {rng!r}")
-    bit_gen = np.random.PCG64(_CLONE_SEED)
-    bit_gen.state = rng.bit_generator.state
+    bit_gen = np.random.PCG64(key)
     gen = np.random.Generator(bit_gen)
     for start in range(0, n, CHUNK):
         k = min(n - start, CHUNK)
@@ -443,22 +434,24 @@ def _deviates(d: DelayModel, rows: list[np.ndarray]) -> np.ndarray:
     return d.stddev * np.where(u_mix < d.pareto_weight, pareto - pareto_mean, z)
 
 
-def sample_path(spec: PathSpec, rng: np.random.Generator,
+def sample_path(spec: PathSpec, key: np.random.SeedSequence,
                 n: int) -> tuple[np.ndarray, np.ndarray]:
     """Packets [0, n) on one path as (lost bool[n], delay_ms float[n]).
 
-    Each chunk holds the loss columns, then the delay columns of
-    ``_DELAY_LAYOUT``, and is reduced to the rows the scans read as it is
-    drawn; each scan then runs once over the whole run.  A loss column the
-    model cannot read is skipped, not drawn (``_loss_layout``), with the
-    same bytes out: with correlation 0 every row is fresh, so the sticky
-    scan returns the ``u_fresh < rate`` column unchanged, and with rate 0
-    no packet is lost.  The delay column is populated for every packet;
-    entries where ``lost`` is True are ignored downstream.  Both arrays
-    are fresh for every kind (shared with nothing else), so the caller may
-    write into them, as ``engine.simulate`` does.  Only the path's own
-    loss process is sampled here; the caller samples a shared segment as
-    a constant-delay path.
+    ``key`` is the path's stream key (``path_key``, or ``shared_key`` for a
+    shared segment); the stream is one PCG64 built from it, so the same
+    key always gives the same columns.  Each chunk holds the loss columns,
+    then the delay columns of ``_DELAY_LAYOUT``, and is reduced to the rows
+    the scans read as it is drawn; each scan then runs once over the whole
+    run.  A loss column the model cannot read is skipped, not drawn
+    (``_loss_layout``), with the same bytes out: with correlation 0 every
+    row is fresh, so the sticky scan returns the ``u_fresh < rate`` column
+    unchanged, and with rate 0 no packet is lost.  The delay column is
+    populated for every packet; entries where ``lost`` is True are ignored
+    downstream.  Both arrays are fresh for every kind (shared with nothing
+    else), so the caller may write into them, as ``engine.simulate`` does.
+    Only the path's own loss process is sampled here; the caller samples a
+    shared segment as a constant-delay path.
     """
     _check(validate_loss_model(spec.loss, f"path {spec.id}: loss"))
     _check(validate_delay_model(spec.delay, f"path {spec.id}: delay"))
@@ -468,7 +461,7 @@ def sample_path(spec: PathSpec, rng: np.random.Generator,
     fresh, hit = np.empty(n, dtype=bool), np.zeros(n, dtype=bool)
     eps = np.empty(n)
     for lo, (u_repeat, u_fresh, *delay_rows) in _chunks(
-            rng, loss_layout + _DELAY_LAYOUT.get(d.kind, ""), n):
+            key, loss_layout + _DELAY_LAYOUT.get(d.kind, ""), n):
         hi = min(lo + CHUNK, n)
         if u_repeat is not None:
             np.greater_equal(u_repeat, m.correlation, out=fresh[lo:hi])

@@ -322,12 +322,3 @@ def tcp_throughput_rail(paths: TcpPathSet) -> TcpPrediction:
         prefix *= p_i
     return TcpPrediction(expected_rtt=e_rtt, throughput=_throughput(prod_all, e_rtt))
 
-
-def tcp_fact1_check(paths: TcpPathSet) -> tuple[bool, bool]:
-    """Is the replicated throughput above each single path's throughput?"""
-    if len(paths.paths) != 2:
-        raise DomainError("fact-1 check takes exactly two paths")
-    t = tcp_throughput_rail(paths).throughput
-    t1 = tcp_throughput_single(paths.paths[0].loss_rate, paths.paths[0].rtt)
-    t2 = tcp_throughput_single(paths.paths[1].loss_rate, paths.paths[1].rtt)
-    return t > t1, t > t2

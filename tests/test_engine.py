@@ -156,6 +156,28 @@ def test_determinism_byte_identical(tmp_path):
             == (tmp_path / "b" / "records.csv").read_bytes())
 
 
+def test_seeds_are_taken_modulo_2_64():
+    # path and shared-segment streams both key on the seed mod 2**64: seed
+    # -1 runs as 2**64 - 1 and seed 2**64 as 0, not as an error
+    def run(seed):
+        return simulate(Scenario(
+            paths=[PathSpec("a", loss=LossModel(0.2, 0.5), shared="core",
+                            delay=DelayModel("normal", mean=40.0, stddev=15.0)),
+                   PathSpec("b", loss=LossModel(0.1),
+                            delay=DelayModel("paretonormal", mean=60.0,
+                                             stddev=20.0))],
+            shared_segments=[SharedSegmentSpec("core", LossModel(0.1))],
+            traffic=TrafficSpec(count=2000), seed=seed))
+
+    for seed, same in ((-1, 2 ** 64 - 1), (2 ** 64, 0)):
+        a, b = run(seed), run(same)
+        for col in ("send_ns", "arrival_ns", "rail_delay_ns", "forward_ns",
+                    "padding_ns", "forwarded_order"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
+        assert a.counters == b.counters
+    assert not np.array_equal(run(-1).arrival_ns, run(0).arrival_ns)
+
+
 # ---------------------------------------------------------------------------
 # padding
 

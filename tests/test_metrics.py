@@ -1,6 +1,7 @@
 """CDF, burst, reorder and downtime statistics."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -96,6 +97,37 @@ def test_rail_cdf_dominates_both_paths_on_a_run():
     for t in np.unique(np.concatenate([f1.sorted_samples, f2.sorted_samples,
                                        fr.sorted_samples])):
         assert 1 - fr(t) <= min(1 - f1(t), 1 - f2(t))
+
+
+def _vector_cdf(samples):
+    """The empirical CDF of ``samples``, evaluated at an array of points."""
+    s = empirical_cdf(samples).sorted_samples
+    return lambda t: np.searchsorted(s, t, side="right") / len(s)
+
+
+def test_rail_cdf_predicts_the_simulated_first_arrival():
+    # Two independent, lossless, uncorrelated paths: the first copy's delay
+    # is the minimum of two independent delays, whose CDF rail_cdf gives
+    # from the two path CDFs.  By the DKW inequality each of the three
+    # empirical CDFs of n samples is within eps = sqrt(ln(2/alpha) / 2n)
+    # of its true CDF everywhere, except with probability alpha; rail_cdf
+    # moves by at most the sum of its inputs' errors, so the two sides
+    # differ by at most 3 eps, except with probability 3 alpha = 3e-6 for
+    # the seed.  Every gap between step functions is largest at one of
+    # their steps, so checking at every sample checks every t.
+    n, alpha = 20_000, 1e-6
+    sim = simulate(Scenario(
+        paths=[PathSpec("a", delay=DelayModel("normal", mean=60.0, stddev=15.0)),
+               PathSpec("b", delay=DelayModel("paretonormal", mean=70.0,
+                                              stddev=20.0))],
+        traffic=TrafficSpec(count=n), seed=5,
+    ))
+    d0, d1, rail = sim.path_delays_ms(0), sim.path_delays_ms(1), sim.rail_delays_ms()
+    assert len(d0) == len(d1) == len(rail) == n
+    t = np.concatenate([d0, d1, rail])
+    predicted = rail_cdf(_vector_cdf(d0), _vector_cdf(d1), t)
+    eps = math.sqrt(math.log(2 / alpha) / (2 * n))
+    assert np.max(np.abs(_vector_cdf(rail)(t) - predicted)) <= 3 * eps
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,15 @@ def test_removed_per_packet_api_is_gone():
     gone = {
         railsim.pathsim: ["Outcome", "LOST", "PathState", "SharedSegmentState",
                           "sample_outcome", "trace_outcome", "PathStream",
-                          "LossStream", "_Buffered", "sample_loss", "_clone"],
+                          "LossStream", "_Buffered", "sample_loss", "_clone",
+                          "stream_rng", "path_rng", "shared_rng", "_CLONE_SEED"],
         railsim.pathsim.Trace: ["outcome", "replay_window", "replay", "entries"],
         railsim.railedge: ["Decision", "on_wan_arrival", "RailHeader",
                            "encode_packet", "decode_packet", "replicate",
                            "HEADER_SIZE", "padding_release", "DedupState"],
         railsim.engine: ["PathOutcomes"],
         railsim.errors: ["TraceRangeError"],
-        railsim.quality: ["EModelParams", "G711"],
+        railsim.quality: ["EModelParams", "G711", "tcp_fact1_check"],
     }
     for owner, names in gone.items():
         for name in names:
@@ -40,4 +41,4 @@ def test_removed_per_packet_api_is_gone():
     sim = railsim.simulate(railsim.Scenario(paths=[railsim.PathSpec("a")],
                                             traffic=railsim.TrafficSpec(count=2)))
     assert not hasattr(sim, "per_path_outcomes")
-    assert len(railsim.__all__) == 42
+    assert len(railsim.__all__) == 41

@@ -13,13 +13,13 @@ from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import ConfigurationError, TraceParseError
 from railsim.pathsim import (CHUNK, DELAY_KINDS, DelayModel, LossModel, PathSpec,
                              SharedSegmentSpec, Trace, load_trace,
-                             path_rng, sample_path, shared_rng)
+                             path_key, sample_path, shared_key)
 
 N = 100_000
 
 
 def _path(spec, n, seed=0, idx=0):
-    return sample_path(spec, path_rng(seed, idx), n)
+    return sample_path(spec, path_key(seed, idx), n)
 
 
 def _loss(model, seed, idx=0, n=N):
@@ -34,8 +34,8 @@ def _loss(model, seed, idx=0, n=N):
 
 def _one_at_a_time(spec, n, seed=0, idx=0):
     """Packet i of each column taken from a run of i + 1 packets."""
-    rng = path_rng(seed, idx)
-    lasts = [[col[-1] for col in sample_path(spec, rng, i + 1)] for i in range(n)]
+    key = path_key(seed, idx)
+    lasts = [[col[-1] for col in sample_path(spec, key, i + 1)] for i in range(n)]
     return tuple(np.array(c) for c in zip(*lasts))
 
 
@@ -169,10 +169,12 @@ def test_trace_replay_stays_positional_across_chunks():
 # lazy columns against whole-chunk draws
 
 
-def eager_sample(kind, loss, delay, rng, n):
+def eager_sample(kind, loss, delay, key, n):
     """Oracle: every column of each chunk drawn whole, in layout order,
-    straight from ``rng``, then the loop kernels over the whole run.
-    Returns the loss column, plus the delay column for a path kind."""
+    from numpy's default generator seeded with ``key``, then the loop
+    kernels over the whole run.  Returns the loss column, plus the delay
+    column for a path kind."""
+    rng = np.random.default_rng(key)
     cols = []
     for _ in range(max(1, -(-n // CHUNK))):
         chunk = [rng.random(CHUNK), rng.random(CHUNK)]  # u_repeat, u_fresh
@@ -211,21 +213,18 @@ def _delay(kind, delay_corr):
                       trace=WRAP_TRACE)
 
 
-def _sample(kind, loss, delay, rng, n):
+def _sample(kind, loss, delay, key, n):
     if kind == "loss":  # a shared segment: a constant-delay path's loss column
-        return sample_path(PathSpec("s", loss=loss), rng, n)[:1]
-    return sample_path(PathSpec("a", loss=loss, delay=delay), rng, n)
+        return sample_path(PathSpec("s", loss=loss), key, n)[:1]
+    return sample_path(PathSpec("a", loss=loss, delay=delay), key, n)
 
 
 def _assert_equals_eager(kind, loss, delay_corr, seed, runs):
     delay = _delay(kind, delay_corr)
     for n in runs:
-        rng = shared_rng(seed, 1) if kind == "loss" else path_rng(seed, 2)
-        state = rng.bit_generator.state
-        got = _sample(kind, loss, delay, rng, n)
-        # sampling reads the generator and leaves it where it was
-        assert rng.bit_generator.state == state
-        want = eager_sample(kind, loss, delay, rng, n)
+        key = shared_key(seed, 1) if kind == "loss" else path_key(seed, 2)
+        got = _sample(kind, loss, delay, key, n)
+        want = eager_sample(kind, loss, delay, key, n)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert len(a) == n
@@ -258,7 +257,7 @@ def test_sampled_columns_never_share_the_discard_buffer(kind):
     # the delay column)
     delay = _delay(kind, 0.0)
     for n in (1, CHUNK - 1, CHUNK, CHUNK + 1):
-        lost, delay_ms = _sample(kind, LossModel(0.1, 0.6), delay, path_rng(4, 0), n)
+        lost, delay_ms = _sample(kind, LossModel(0.1, 0.6), delay, path_key(4, 0), n)
         assert not np.shares_memory(delay_ms, pathsim._DISCARD)
         assert not np.shares_memory(lost, pathsim._DISCARD)
         assert not np.shares_memory(delay_ms, WRAP_TRACE.delay_ms)
@@ -292,8 +291,8 @@ def test_a_run_is_a_prefix_of_every_longer_run(kind, loss_corr, delay_corr,
     # shorter run ends inside, at or just past a chunk boundary
     m, n = sorted((n, m))
     loss, delay = LossModel(0.1, loss_corr), _delay(kind, delay_corr)
-    short = _sample(kind, loss, delay, path_rng(seed, 2), m)
-    long = _sample(kind, loss, delay, path_rng(seed, 2), n)
+    short = _sample(kind, loss, delay, path_key(seed, 2), m)
+    long = _sample(kind, loss, delay, path_key(seed, 2), n)
     for a, b in zip(short, long):
         assert a.tobytes() == b[:m].tobytes()
 
@@ -302,27 +301,13 @@ def test_loss_ties_at_the_correlation_and_the_rate():
     # a row repeats only when u_repeat is strictly below the correlation,
     # and a fresh row is lost only when u_fresh is strictly below the rate;
     # the model takes both thresholds from the run's own draws
-    u_repeat, u_fresh = path_rng(3, 0).random((2, CHUNK))[:, :2].tolist()
+    rng = np.random.default_rng(path_key(3, 0))
+    u_repeat, u_fresh = rng.random((2, CHUNK))[:, :2].tolist()
     assert 0.0 < u_repeat[1] and u_fresh[0] < u_fresh[1]
     for corr in (u_repeat[1], 0.0):  # the sticky scan, and the skipped column
         spec = PathSpec("a", loss=LossModel(u_fresh[1], corr))
-        lost, _ = sample_path(spec, path_rng(3, 0), 2)
+        lost, _ = sample_path(spec, path_key(3, 0), 2)
         assert lost.tolist() == [True, False]
-
-
-@pytest.mark.parametrize("make_rng", [
-    lambda: np.random.Generator(np.random.Philox(1)),
-    lambda: np.random.Generator(np.random.PCG64DXSM(1)),
-    lambda: np.random.Generator(np.random.MT19937(1)),
-    lambda: np.random.Generator(np.random.SFC64(1)),
-    lambda: np.random.RandomState(1),
-], ids=["philox", "pcg64dxsm", "mt19937", "sfc64", "randomstate"])
-def test_streams_reject_generators_other_than_pcg64(make_rng):
-    # the lazy columns skip unread rows in PCG64 words; any other generator
-    # would silently draw different randomness
-    for n in (0, 1):
-        with pytest.raises(ConfigurationError, match="PCG64"):
-            sample_path(PathSpec("a"), make_rng(), n)
 
 
 # ---------------------------------------------------------------------------

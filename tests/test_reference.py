@@ -34,7 +34,7 @@ from railsim import engine, railedge
 from railsim.engine import Counters, Scenario, TrafficSpec, simulate
 from railsim.metrics import reorder_stats
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
-                             load_trace, path_rng, sample_path, shared_rng)
+                             load_trace, path_key, sample_path, shared_key)
 from railsim.railedge import (PaddingConfig, reorder_hold_schedule,
                               window_miss_duplicates)
 
@@ -214,9 +214,9 @@ def reference_simulate(s: Scenario) -> Reference:
     dt = int(round(s.traffic.interval * NS))
     referenced = {p.shared for p in s.paths}
     shared = {seg.id: sample_path(PathSpec(seg.id, seg.loss),
-                                  shared_rng(s.seed, i), n)[0]
+                                  shared_key(s.seed, i), n)[0]
               for i, seg in enumerate(s.shared_segments) if seg.id in referenced}
-    columns = [sample_path(p, path_rng(s.seed, i), n) for i, p in enumerate(s.paths)]
+    columns = [sample_path(p, path_key(s.seed, i), n) for i, p in enumerate(s.paths)]
     ref = Reference(send_ns=[seq * dt for seq in range(n)],
                     arrival_ns=[[] for _ in s.paths])
     for p in s.paths:  # a replay wraps at each seq past its trace's end
@@ -440,7 +440,7 @@ def test_loss_causes_and_trace_wraps_are_counted(count):
         forced_losses={"a": (1, 2, 3, 4, 5, 6, 7, 8), "t": (10, 10, 20)},
     )
     ref = reference_simulate(scenario)
-    own = sum(int(np.count_nonzero(sample_path(p, path_rng(scenario.seed, i), count)[0]))
+    own = sum(int(np.count_nonzero(sample_path(p, path_key(scenario.seed, i), count)[0]))
               for i, p in enumerate(scenario.paths))
     c = ref.counters
     assert own > 0 and c.shared_losses > 0 and c.forced_losses > 0
