@@ -1,6 +1,8 @@
 """Deterministic simulation of a replicated packet stream over a set of
-emulated WAN paths: probe emission, per-path outcomes, receiver-side
-duplicate suppression, delay padding and optional reorder removal.
+emulated WAN paths.  ``simulate`` validates the scenario, samples each
+path's outcomes into one ledger row of copy arrivals and hands the
+ledger to the receiving edge device (``railedge.receive``: duplicate
+suppression, delay padding and optional reorder removal).
 
 Time is integer nanoseconds internally so event ordering never suffers
 float drift; all interfaces speak milliseconds.
@@ -13,7 +15,6 @@ import copy
 import hashlib
 import json
 import math
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -25,11 +26,9 @@ from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, PathSpec,
                       SharedSegmentSpec, Trace, fits_clock, load_trace, path_key,
                       sample_path, shared_key, validate_delay_model,
                       validate_loss_model)
-from .railedge import (DEFAULT_DEDUP_WINDOW, PaddingConfig,
-                       reorder_hold_schedule, window_miss_duplicates)
+from .railedge import DEFAULT_DEDUP_WINDOW, LOST_NS, PaddingConfig, receive
 
 NS_PER_MS = 1_000_000
-LOST_NS = np.iinfo(np.int64).max  # arrival_ns of a lost copy
 
 
 def ms_to_ns(ms: float) -> int:
@@ -185,99 +184,6 @@ def validate_scenario(s: Scenario) -> list[str]:
 # simulation
 
 
-def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` from numpy's default sort, which
-    runs SIMD code where the CPU has it but leaves each run of equal keys
-    in an order of its own: those entries are put back in index order.
-
-    On a CPU without AVX2 and AVX-512 the default sort has no SIMD loop,
-    and the helper is slower than the stable sort: the seven copy
-    orderings of a sim-hold perfbench pass took 34.2 ms with it against
-    27.3 ms (2-core VM), about 7 ms more a pass.  With SIMD they take
-    15.2 ms against 29.8, so the helper stays the one sort."""
-    order = np.argsort(keys)
-    ranked = keys[order]
-    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
-    if len(tied):
-        # the positions in runs of equal keys and the run of each; runs
-        # keep their positions, so one sort of run * n + index (below
-        # n * n, which fits int64 for any array numpy can sort here) puts
-        # each run's indices in order
-        in_run = np.zeros(len(keys), dtype=bool)
-        in_run[tied] = in_run[tied + 1] = True
-        at = np.flatnonzero(in_run)
-        run = np.cumsum(np.r_[0, ranked[at[1:]] != ranked[at[:-1]]]) * len(keys)
-        order[at] = np.sort(run + order[at]) - run
-    return order
-
-
-def _dedup_pass(arrival_ns: np.ndarray, rail_delay_ns: np.ndarray,
-                r_min: int, r_max: int, copy_max_ns: int, dt_ns: int,
-                duplicates: int, window: int, padding_ns: np.ndarray | None):
-    """Duplicate suppression over the delivered copies, and the release
-    order of what it forwards.
-
-    arrival_ns is (n_paths, count) with LOST_NS marking lost copies,
-    rail_delay_ns the first arrival's delay (-1 when none arrived), r_min
-    and r_max the least and largest rail delay of the seqs that arrived
-    (copy_max_ns and -1 when none did), copy_max_ns the largest delivered
-    copy delay, duplicates the number of delivered copies that are not
-    their seq's first and padding_ns each seq's padding, or None when no
-    packet is padded.  Returns None when no window miss is possible:
-    every seq is then forwarded once, its first copy.  Otherwise runs the
-    sequential window pass over the copies in (time, seq, path) order
-    and returns the forwarded copies, each seq's first plus the
-    window-miss duplicates, as release times and seqs in that order.
-    Without padding a copy is released on arrival, so that is the
-    release order, (time, seq); padding moves first copies later.
-    """
-    count = arrival_ns.shape[1]
-    use_fast = duplicates == 0 or window >= count
-    if not use_fast:
-        # Before the first eviction only first arrivals are forwarded, and a
-        # later copy of seq s is a window miss once `window` of them came
-        # after s's first, all at times in [first_s, last_s].  With r the
-        # rail delays and c the copy delays, such a seq q has (q - s) * dt_ns
-        # in [r_s - r_q, c - r_q], inside [r_min - r_max, c_max - r_min]:
-        # an interval of `span` ns that holds at most span // dt_ns seqs
-        # other than s, ties at either end included.  (The fastest copy of
-        # all is its seq's first, so r_min is also the least copy delay.)
-        span = copy_max_ns + r_max - 2 * r_min
-        use_fast = span // dt_ns < window
-
-    if use_fast:
-        # no eviction is possible: no copy after the first is forwarded
-        return None
-    # the transpose lists the copies by seq, then path, so a stable sort
-    # by time orders them by time, then seq, then path
-    copies = arrival_ns.T.ravel()
-    at = np.flatnonzero(copies < LOST_NS)
-    t, s_idx = copies[at], at // arrival_ns.shape[0]
-    del copies, at
-    order = _stable_argsort(t)
-    t, s_idx = t[order], s_idx[order]
-    del order
-    # a seq's first copy arrives at its first arrival time, and a second
-    # copy of the seq at that time comes right after it
-    forwarded = t == rail_delay_ns[s_idx] + s_idx * dt_ns
-    tied = np.flatnonzero(t[1:] == t[:-1]) + 1
-    forwarded[tied[s_idx[tied] == s_idx[tied - 1]]] = False
-    if padding_ns is not None:
-        t[forwarded] += padding_ns[s_idx[forwarded]]
-    forwarded[window_miss_duplicates(s_idx, count, window)] = True
-    at = np.flatnonzero(forwarded)
-    return t[at], s_idx[at]
-
-
-def _exact_sum(a: np.ndarray, most: int) -> int:
-    """Sum of an int64 array whose elements lie in [0, most], as a Python
-    int: numpy's where its int64 sum cannot wrap, else Python's (a long run
-    of paddings near the clock limit)."""
-    if most * len(a) <= np.iinfo(np.int64).max:
-        return int(a.sum())
-    return sum(a.tolist())
-
-
 def simulate(scenario: Scenario) -> SimResult:
     """Run one scenario and return the complete per-packet ledger."""
     problems = validate_scenario(scenario)
@@ -346,97 +252,17 @@ def simulate(scenario: Scenario) -> SimResult:
             np.putmask(row, lost, LOST_NS)
         lost_copies += n_lost
 
-    first_ns = arrival_ns.min(axis=0)  # LOST_NS when no copy delivered
-    ever = first_ns < LOST_NS
-    never = ~ever
-    n_ever = int(np.count_nonzero(ever))
-    rail_delay_ns = first_ns - send_ns
-    # a seq nothing reached holds LOST_NS - send_ns here, above any delay
-    # the clock allows, so the plain minimum (a SIMD loop, where a where=
-    # reduction has none) is the least rail delay once any seq arrived
-    r_min = int(rail_delay_ns.min()) if n_ever else copy_max_ns
-    rail_delay_ns[never] = -1
-    r_max = int(rail_delay_ns.max())
-
-    # padding (applies to first forwards; duplicates pass through as-is)
-    if scenario.padding.enabled:
-        target_ns = ms_to_ns(scenario.padding.target_one_way)
-        padding_ns = np.where(ever, np.maximum(target_ns - rail_delay_ns, 0), 0)
-        padded = int(np.count_nonzero(padding_ns))
-        padding_total = _exact_sum(padding_ns, target_ns)
-    else:
-        padding_ns = np.zeros(n, dtype=np.int64)
-        padded = padding_total = 0
-
-    duplicates = arrival_ns.size - lost_copies - n_ever
-    forwards = _dedup_pass(arrival_ns, rail_delay_ns, r_min, r_max, copy_max_ns,
-                           dt_ns, duplicates, scenario.dedup_window,
-                           padding_ns if padded else None)
-    release_ns = first_ns  # padding_ns is 0 where nothing arrived
-    if padded:
-        release_ns += padding_ns
-    release_ns[never] = -1
-
-    # release order: first forwards plus window-miss duplicates, by time
-    # then seq; the reorder hold reschedules that stream when enabled.
-    # The first forwards alone come in ascending seq, so when their times
-    # never decrease that is already the order.  Unpadded, seq s goes out
-    # at s * dt_ns + r_s, and rail delays spanning less than dt_ns cannot
-    # undo a lead of dt_ns: the times strictly increase, unchecked.  The
-    # dedup pass lists its forwards in (time, seq) order unless padding
-    # moved some.
-    if forwards is None:
-        seqs = np.nonzero(ever)[0]
-        in_order = not padded and r_max - r_min < dt_ns
-        t = release_ns[seqs] if scenario.reorder_removal or not in_order else None
-        unsorted = not in_order and np.any(t[1:] < t[:-1])
-    else:
-        t, seqs = forwards
-        unsorted = padded
-    if unsorted:
-        order = np.lexsort((seqs, t))
-        t, seqs = t[order], seqs[order]
-    misses = len(seqs) - n_ever
-
-    hold_events = Counter()
-    if scenario.reorder_removal:
-        timeout_ns = ms_to_ns(scenario.padding.target_one_way)
-        released = reorder_hold_schedule(np.column_stack((t, seqs)), timeout_ns,
-                                         window=scenario.dedup_window,
-                                         events=hold_events)
-        t, seqs = released[:, 0], released[:, 1]
-
-    if misses or scenario.reorder_removal:
-        forward_ns = np.full(n, LOST_NS, dtype=np.int64)
-        np.minimum.at(forward_ns, seqs, t)
-        forward_ns[forward_ns == LOST_NS] = -1
-    else:
-        forward_ns = release_ns  # each seq released once, at release_ns
-
-    counters = Counters(
-        forwarded=len(seqs),
-        suppressed=duplicates - misses,
-        lost_copies=lost_copies,
-        window_miss_duplicates=misses,
-        hold_timeouts=hold_events["timeout"],
-        hold_give_ups=hold_events["give_up"],
-        padded=padded,
-        padding_ns=padding_total,
-        shared_losses=shared_losses,
-        forced_losses=forced_losses,
-        trace_wraps=trace_wraps,
-    )
-    return SimResult(
-        scenario=scenario,
-        forwarded_order=seqs,
-        counters=counters,
-        warnings=warnings,
-        send_ns=send_ns,
-        arrival_ns=arrival_ns,
-        rail_delay_ns=rail_delay_ns,
-        forward_ns=forward_ns,
-        padding_ns=padding_ns,
-    )
+    target_ns = ms_to_ns(scenario.padding.target_one_way)
+    rail_delay_ns, padding_ns, forward_ns, forwarded_order, counts = receive(
+        arrival_ns, send_ns, dt_ns, copy_max_ns, lost_copies,
+        target_ns if scenario.padding.enabled else None, scenario.dedup_window,
+        target_ns if scenario.reorder_removal else None)
+    counters = Counters(lost_copies=lost_copies, shared_losses=shared_losses,
+                        forced_losses=forced_losses, trace_wraps=trace_wraps, **counts)
+    return SimResult(scenario=scenario, forwarded_order=forwarded_order,
+                     counters=counters, warnings=warnings, send_ns=send_ns,
+                     arrival_ns=arrival_ns, rail_delay_ns=rail_delay_ns,
+                     forward_ns=forward_ns, padding_ns=padding_ns)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ class DelayCdf:
     def n(self) -> int:
         return int(self._samples.size)
 
-    def __call__(self, t: float) -> float:
-        """Fraction of samples <= t."""
-        return float(np.searchsorted(self._samples, t, side="right")) / self.n
+    def __call__(self, t):
+        """Fraction of samples <= t, for a number or an array of them."""
+        count = np.searchsorted(self._samples, t, side="right")
+        return count / self.n if np.ndim(count) else float(count) / self.n
 
     def quantile(self, q: float) -> float:
         """Smallest sample x with F(x) >= q (inverse CDF, no interpolation)."""

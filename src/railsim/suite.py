@@ -186,10 +186,7 @@ def cdf_dominance_runs(n_runs: int = 50, count: int = 2000) -> list[tuple[int, f
         dr = sim.rail_delays_ms()
         f1, f2, fr = empirical_cdf(d1), empirical_cdf(d2), empirical_cdf(dr)
         ts = np.unique(np.concatenate([d1, d2, dr]))
-        s1, s2, sr = (
-            1.0 - np.searchsorted(f.sorted_samples, ts, side="right") / f.n
-            for f in (f1, f2, fr)
-        )
+        s1, s2, sr = (1.0 - f(ts) for f in (f1, f2, fr))
         # max(0.0, ...) also keeps a -0.0 excess out of the report
         worst = max(0.0, float(np.max(sr - np.minimum(s1, s2))))
         results.append((run, worst))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsim import engine
+from railsim import engine, railedge
 from railsim.engine import (Scenario, TrafficSpec, load_scenario,
                             parse_scenario, run_sweep, set_parameter, simulate)
 from railsim.errors import ConfigurationError, ValidationError
@@ -207,9 +207,9 @@ def test_padding_total_does_not_wrap_int64():
     # 16 paddings just under the clock limit sum past 2**63
     limit = engine.CLOCK_LIMIT_NS
     pads = np.full(16, limit - 1, dtype=np.int64)
-    assert engine._exact_sum(pads, limit) == 16 * (limit - 1)
-    assert engine._exact_sum(np.arange(1000, dtype=np.int64), 999) == 499500
-    assert engine._exact_sum(np.empty(0, dtype=np.int64), limit) == 0
+    assert railedge._exact_sum(pads, limit) == 16 * (limit - 1)
+    assert railedge._exact_sum(np.arange(1000, dtype=np.int64), 999) == 499500
+    assert railedge._exact_sum(np.empty(0, dtype=np.int64), limit) == 0
     # and through simulate: every packet is held for almost the whole target
     sim = simulate(two_const_paths(0.0, 0.0, count=16, padding=PaddingConfig(
         enabled=True, target_one_way=(limit - 1) / engine.NS_PER_MS - 1.0)))
@@ -412,7 +412,7 @@ def _spy_loop(monkeypatch):
         calls.append(args)
         return window_miss_duplicates(*args)
 
-    monkeypatch.setattr(engine, "window_miss_duplicates", spy)
+    monkeypatch.setattr(railedge, "window_miss_duplicates", spy)
     return calls
 
 
@@ -446,32 +446,28 @@ def arrival_matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(case=arrival_matrices())
 def test_no_eviction_bound_is_sound(case):
-    """Whenever the dedup pass skips the sequential window pass, that
-    pass over the copies in arrival order finds no window miss; when it
-    runs it, it forwards each seq's first copy and the misses, in (time,
-    seq) order."""
+    """Whenever the receiver skips the sequential window pass, that pass
+    over the copies in arrival order finds no window miss; either way the
+    receiver forwards each seq's first copy and the misses, in (time,
+    seq) order, each seq first at its first arrival."""
     send, arrival, dt, window = case
     delivered = arrival < engine.LOST_NS
     first = arrival.min(axis=0)
     ever = first < engine.LOST_NS
-    rail = np.where(ever, first - send, -1)
     copy_max = int(np.where(delivered, arrival - send, 0).max())
-    r_min = int(rail[ever].min(initial=copy_max))
-    duplicates = int(delivered.sum() - ever.sum())
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_loop(mp)
-        forwards = engine._dedup_pass(arrival, rail, r_min, int(rail.max()),
-                                      copy_max, dt, duplicates, window, None)
+        _, _, forward, forwarded, counts = railedge.receive(
+            arrival, send, dt, copy_max, int(np.count_nonzero(~delivered)),
+            None, window, None)
     miss_s, miss_t = _misses_in_arrival_order(arrival, window)
-    assert (forwards is None) == (not calls)
-    if forwards is None:
+    if not calls:
         assert len(miss_s) == 0
-        return
+    assert counts["window_miss_duplicates"] == len(miss_s)
     want_s = np.concatenate([np.flatnonzero(ever), miss_s])
     want_t = np.concatenate([first[ever], miss_t])
-    order = np.lexsort((want_s, want_t))
-    assert forwards[1].tolist() == want_s[order].tolist()
-    assert forwards[0].tolist() == want_t[order].tolist()
+    assert forwarded.tolist() == want_s[np.lexsort((want_s, want_t))].tolist()
+    assert forward.tolist() == np.where(ever, first, -1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +676,7 @@ def test_the_sort_helper_is_the_stable_argsort(keys, shape):
     elif shape != "as drawn":
         keys.sort()
         keys = keys if shape == "sorted" else keys[::-1].copy()
-    got = engine._stable_argsort(keys)
+    got = railedge._stable_argsort(keys)
     assert got.tolist() == np.argsort(keys, kind="stable").tolist()
 
 
@@ -695,7 +691,7 @@ _RNG = np.random.default_rng(8)
 ], ids=["empty", "one", "pair", "two", "five", "three-way", "few-keys"])
 def test_the_sort_helper_on_fixed_arrays(keys):
     keys = np.array(keys, dtype=np.int64)
-    assert (engine._stable_argsort(keys).tolist()
+    assert (railedge._stable_argsort(keys).tolist()
             == np.argsort(keys, kind="stable").tolist())
 
 

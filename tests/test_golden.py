@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from railsim import cli, engine, suite
+from railsim import cli, railedge, suite
 from railsim.engine import NS_PER_MS, load_scenario, simulate
 from railsim.pathsim import CHUNK
 
@@ -297,7 +297,7 @@ def test_paper_suite_bundle_matches_golden(tmp_path, monkeypatch):
     """The bundle is pinned, and every suite run proves that its dedup
     window cannot evict, so none pays for the sequential dedup pass."""
     loops = []
-    monkeypatch.setattr(engine, "window_miss_duplicates",
+    monkeypatch.setattr(railedge, "window_miss_duplicates",
                         lambda *args: loops.append(args))
     bundle, gates = suite.run_paper_suite()
     assert loops == []

@@ -66,6 +66,21 @@ def test_cdf_is_nondecreasing_with_limits():
     assert f(ts[0] - 1) == 0.0 and f(ts[-1]) == 1.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(samples=st.lists(st.sampled_from([0.0, 1.5, 7.0]) | st.floats(-1e3, 1e3),
+                        min_size=1, max_size=60),
+       ts=st.lists(st.sampled_from([0.0, 1.5, 7.0]) | st.floats(-2e3, 2e3)
+                   | st.just(math.inf) | st.just(-math.inf), max_size=30))
+def test_cdf_of_an_array_is_the_cdf_of_each_point(samples, ts):
+    """An array of points gives, bit for bit, the float each point gives:
+    the same int count over n."""
+    f = empirical_cdf(samples)
+    got = f(np.array(ts, dtype=np.float64))
+    assert got.dtype == np.float64 and got.shape == (len(ts),)
+    assert [x.hex() for x in got.tolist()] == [f(t).hex() for t in ts]
+    assert isinstance(f(ts[0] if ts else 0.0), float)
+
+
 # ---------------------------------------------------------------------------
 # two-path composition
 

@@ -333,6 +333,25 @@ def test_on_time_means_equal_a_filter_of_the_whole_stream(case, end):
     assert {0, len(delivered)} <= ks
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=on_time_cases(), lost=st.sampled_from([0, 1]) | st.integers(0, 2000),
+       nan_at=st.lists(st.integers(0, 700), max_size=5))
+def test_curve_loss_is_the_effective_loss(case, lost, nan_at):
+    """``effective_loss`` is the oracle of every curve point's loss, bit
+    for bit: network loss from the delivered share, plus the late share,
+    capped at 1.  Lost packets appear as NaN among the delays or only in
+    ``n_sent``."""
+    delivered, deadlines = case
+    at = np.minimum(np.array(nan_at, dtype=np.int64), len(delivered))
+    delays = np.insert(delivered, at, math.nan)
+    n_sent = len(delivered) + len(nan_at) + lost
+    points = mos_curve(n_sent, delays, deadlines, 40.0)
+    network_loss = 1.0 - len(delivered) / n_sent
+    for d, p in zip(deadlines, points):
+        want = min(1.0, effective_loss(network_loss, delays, d))
+        assert p.effective_loss.hex() == want.hex()
+
+
 def test_mos_curve_scores_points_as_mos_does():
     # one curve through the knee, the R floor, and the MOS floor with R > 0
     points = mos_curve(2, [DELAY_KNEE, 5000.0], [0.0, 200.0, 6000.0], 0.0)

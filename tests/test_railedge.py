@@ -1,4 +1,5 @@
-"""Duplicate suppression and the reorder-removal hold."""
+"""Duplicate suppression, the receiver over a ledger and the
+reorder-removal hold."""
 
 import random
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from railsim.errors import ConfigurationError
-from railsim.railedge import reorder_hold_schedule, window_miss_duplicates
+from railsim.railedge import (LOST_NS, receive, reorder_hold_schedule,
+                              window_miss_duplicates)
 
 MS = 1_000_000  # ns per ms, matching the engine clock
 
@@ -71,6 +73,38 @@ def test_random_interleavings_forward_each_seq_once():
         first_seen = list(dict.fromkeys(arrivals))
         assert forwarded == first_seen
         assert sorted(forwarded) == list(range(n))
+
+
+# ---------------------------------------------------------------------------
+# the receiver over a ledger
+
+
+def test_receive_walks_tied_copies_in_seq_then_path_order():
+    """30,000 copies on three paths land on a 50-seq time grid, so each
+    arrival time is shared by up to 150 copies, and numpy's default sort
+    (SIMD where the CPU has it) orders them.  The window pass must still
+    walk them in (time, seq, path) order on any CPU: its forwards, in
+    that order, equal those of the stable lexsort."""
+    rng = np.random.default_rng(5)
+    n, window = 10_000, 16
+    send = np.arange(n, dtype=np.int64)
+    arrival = send - send % 50 + np.array([[0], [200], [400]])
+    arrival[rng.random(arrival.shape) < 0.1] = LOST_NS
+    delivered = arrival < LOST_NS
+    p_idx, s_idx = np.nonzero(delivered)
+    t = arrival[p_idx, s_idx]
+    order = np.lexsort((p_idx, s_idx, t))
+    t, s_idx = t[order], s_idx[order]
+    # each seq's first copy plus the window-miss duplicates
+    forwards = np.zeros(len(t), dtype=bool)
+    forwards[np.unique(s_idx, return_index=True)[1]] = True
+    forwards[window_miss_duplicates(s_idx, n, window)] = True
+
+    _, _, _, forwarded, counts = receive(
+        arrival, send, 1, int((arrival - send)[delivered].max()),
+        int(np.count_nonzero(~delivered)), None, window, None)
+    assert forwarded.tolist() == s_idx[forwards].tolist()
+    assert counts["window_miss_duplicates"] > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ share code with the engine's datapath.  ``simulate()`` must agree with
 the reference exactly, ledger columns, counters and per-path accessors
 alike.  Runs with small dedup windows (the hard scenarios use 1-8)
 take the sequential dedup pass and find window misses; the others take
-the fast path.
+the fast path.  The reference's receiver half (``reference_receive``)
+runs on a ledger alone, so it also checks ``railedge.receive`` directly
+on drawn ledgers.
 
 The engine's reorder hold is a closed form over prefix scans, so it is
 also checked on its own against two walks over the rows: the heap-driven
@@ -35,8 +37,8 @@ from railsim.engine import Counters, Scenario, TrafficSpec, simulate
 from railsim.metrics import reorder_stats
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
                              load_trace, path_key, sample_path, shared_key)
-from railsim.railedge import (PaddingConfig, reorder_hold_schedule,
-                              window_miss_duplicates)
+from railsim.railedge import (LOST_NS, PaddingConfig, receive,
+                              reorder_hold_schedule, window_miss_duplicates)
 
 NS = 1_000_000  # ns per ms
 
@@ -224,7 +226,6 @@ def reference_simulate(s: Scenario) -> Reference:
             ref.counters.trace_wraps += sum(seq % len(p.delay.trace) == 0
                                             for seq in range(1, n))
 
-    copies = []  # (arrival_ns, seq, path index) of every delivered copy
     for seq in range(n):
         seg_lost = {sid: bool(column[seq]) for sid, column in shared.items()}
         for pidx, (spec, (lost, delay_ms)) in enumerate(zip(s.paths, columns)):
@@ -237,14 +238,27 @@ def reference_simulate(s: Scenario) -> Reference:
                 ref.counters.forced_losses += forced and not (own or on_segment)
                 ref.arrival_ns[pidx].append(None)
                 continue
-            t = ref.send_ns[seq] + int(round(float(delay_ms[seq]) * NS))
-            ref.arrival_ns[pidx].append(t)
-            copies.append((t, seq, pidx))
+            ref.arrival_ns[pidx].append(
+                ref.send_ns[seq] + int(round(float(delay_ms[seq]) * NS)))
 
-    state = DedupState(s.dedup_window)
+    target_ns = int(round(s.padding.target_one_way * NS))
+    reference_receive(ref, target_ns if s.padding.enabled else None,
+                      s.dedup_window, target_ns if s.reorder_removal else None)
+    return ref
+
+
+def reference_receive(ref: Reference, pad_target: int | None, window: int,
+                      hold_timeout: int | None) -> None:
+    """The receiver half of the reference: fills ``ref``'s receiver columns
+    and counters from its ``send_ns`` and ``arrival_ns``.  ``pad_target``
+    and ``hold_timeout`` are in ns, None where padding or the hold is off."""
+    n = len(ref.send_ns)
+    copies = sorted((t, seq, pidx) for pidx, row in enumerate(ref.arrival_ns)
+                    for seq, t in enumerate(row) if t is not None)
+    state = DedupState(window)
     first = [None] * n
     dups = []
-    for t, seq, _ in sorted(copies):
+    for t, seq, _ in copies:
         if not state.observe(seq):
             ref.counters.suppressed += 1
         elif first[seq] is None:
@@ -252,8 +266,6 @@ def reference_simulate(s: Scenario) -> Reference:
         else:
             dups.append((t, seq))
 
-    target_ns = int(round(s.padding.target_one_way * NS))
-    pad_target = target_ns if s.padding.enabled else None
     ready = list(dups)
     for seq, t in enumerate(first):
         if t is None:
@@ -269,8 +281,8 @@ def reference_simulate(s: Scenario) -> Reference:
             ref.counters.padding_ns += release - t
         ready.append((release, seq))
     ready.sort()
-    if s.reorder_removal:
-        released = reference_hold_schedule(ready, target_ns, s.dedup_window,
+    if hold_timeout is not None:
+        released = reference_hold_schedule(ready, hold_timeout, window,
                                            ref.hold_events)
     else:
         released = ready
@@ -284,7 +296,6 @@ def reference_simulate(s: Scenario) -> Reference:
     ref.counters.window_miss_duplicates = len(dups)
     ref.counters.hold_timeouts = ref.hold_events["timeout"]
     ref.counters.hold_give_ups = ref.hold_events["give_up"]
-    return ref
 
 
 rates = st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]) | st.floats(0.0, 0.5)
@@ -562,6 +573,78 @@ def test_reorder_hold_after_the_range_proof():
     ref = reference_simulate(scenario)
     assert ref.counters.hold_timeouts > 0
     assert_matches_reference(scenario, ref)
+
+
+@st.composite
+def ledgers(draw):
+    """A ledger and the receiver's settings: 1-3 paths of integer delays a
+    few spacings wide, so copies tie with each other and with padded
+    releases, whole seqs lost on every path, and padding, a dedup window
+    and a hold timeout each drawn small enough to matter or turned off."""
+    n = draw(st.integers(1, 40) | st.integers(100, 300))
+    dt = draw(st.sampled_from([1, 3, 10, 50]))
+    n_paths = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = dt * draw(st.sampled_from([0, 1, 4, 20])) + draw(st.integers(0, 2 * dt))
+    jitter = draw(st.sampled_from([0, 1, dt, top]))
+    delay = (rng.integers(0, top + 1, size=(n_paths, 1))
+             + rng.integers(0, jitter + 1, size=(n_paths, n)))
+    lost = rng.random((n_paths, n)) < draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    send = [seq * dt for seq in range(n)]
+    arrival = [[None if gone else t + d for t, d, gone in zip(send, row, lost_row)]
+               for row, lost_row in zip(delay.tolist(), lost.tolist())]
+    pad_target = draw(st.none() | st.integers(0, 2 * top + dt))
+    window = draw(st.integers(1, 8) | st.integers(1, n + 2))
+    hold_timeout = draw(st.none() | st.integers(0, 3 * dt) | st.integers(0, 2 * top + dt))
+    return send, arrival, dt, pad_target, window, hold_timeout
+
+
+def assert_receive_matches_reference(send, arrival, dt, pad_target, window,
+                                     hold_timeout) -> Reference:
+    ref = Reference(send_ns=send, arrival_ns=arrival)
+    reference_receive(ref, pad_target, window, hold_timeout)
+    matrix = np.array([[LOST_NS if t is None else t for t in row] for row in arrival],
+                      dtype=np.int64).reshape(len(arrival), len(send))
+    copy_delays = [t - t0 for row in arrival for t, t0 in zip(row, send) if t is not None]
+    lost = sum(t is None for row in arrival for t in row)
+    rail, padding, forward, order, counts = receive(
+        matrix, np.array(send, dtype=np.int64), dt, max(copy_delays, default=0),
+        lost, pad_target, window, hold_timeout)
+    assert rail.tolist() == ref.rail_delay_ns
+    assert padding.tolist() == ref.padding_ns
+    assert forward.tolist() == ref.forward_ns
+    assert order.tolist() == ref.forwarded_order
+    for arr in (rail, padding, forward, order):
+        assert arr.dtype == np.int64
+    receiver = {"forwarded", "suppressed", "window_miss_duplicates", "hold_timeouts",
+                "hold_give_ups", "padded", "padding_ns"}
+    assert counts == {name: getattr(ref.counters, name) for name in receiver}
+    return ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ledgers())
+def test_receive_matches_the_reference_receiver(case):
+    assert_receive_matches_reference(*case)
+
+
+def test_one_ledger_reaches_every_receiver_event():
+    """A fixed ledger, drawn as above, on which ties, seqs no copy reached,
+    padding, window misses, hold timeouts and give-ups all occur."""
+    rng = np.random.default_rng(21)
+    n, dt = 300, 3
+    delay = rng.integers(0, 12, size=(3, 1)) + rng.integers(0, 60, size=(3, n))
+    lost = rng.random((3, n)) < 0.4
+    send = [seq * dt for seq in range(n)]
+    arrival = [[None if gone else t + d for t, d, gone in zip(send, row, lost_row)]
+               for row, lost_row in zip(delay.tolist(), lost.tolist())]
+    ref = assert_receive_matches_reference(send, arrival, dt, 30, 4, 9)
+    times = [t for row in arrival for t in row if t is not None]
+    assert len(set(times)) < len(times)
+    assert -1 in ref.rail_delay_ns
+    c = ref.counters
+    assert c.padded and c.window_miss_duplicates
+    assert c.hold_timeouts and c.hold_give_ups
 
 
 @st.composite
