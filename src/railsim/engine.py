@@ -343,20 +343,72 @@ def scenario_sha256(scenario: Scenario) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _field(sec, key, default, cast, where, problems):
-    raw = sec.get(key, None)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        problems.append(f"[{where}] {key}: invalid value {raw!r}")
-        return default
+def _parse_bool(text: str) -> bool:
+    v = text.strip().lower()
+    if v in ("1", "true", "yes", "on"):
+        return True
+    if v in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _seq_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(",")) if text.strip() else ()
+
+
+# The scenario file format: per section kind, each key's target object,
+# field and cast.  A key a section leaves out takes its field's dataclass
+# default; a key not listed here is a problem.  parse_scenario resolves two
+# keys further: a path's trace file name into its Trace, and its force_loss
+# seqs into Scenario.forced_losses.
+SCENARIO_KEYS = {
+    "scenario": {"label": ("scenario", "label", str),
+                 "seed": ("scenario", "seed", int),
+                 "reorder_removal": ("scenario", "reorder_removal", _parse_bool),
+                 "dedup_window": ("scenario", "dedup_window", int)},
+    "traffic": {"packet_size": ("traffic", "packet_size", int),
+                "interval": ("traffic", "interval", float),
+                "count": ("traffic", "count", int)},
+    "padding": {"enabled": ("padding", "enabled", _parse_bool),
+                "target_one_way": ("padding", "target_one_way", float)},
+    "shared.ID": {"rate": ("loss", "rate", float),
+                  "correlation": ("loss", "correlation", float)},
+    "paths.N": {"id": ("path", "id", str),
+                "shared": ("path", "shared", str),
+                "force_loss": ("path", "force_loss", _seq_list),
+                "rate": ("loss", "rate", float),
+                "correlation": ("loss", "correlation", float),
+                "delay": ("delay", "kind", str),
+                "mean": ("delay", "mean", float),
+                "stddev": ("delay", "stddev", float),
+                "delay_correlation": ("delay", "correlation", float),
+                "trace": ("delay", "trace", str),
+                "pareto_alpha": ("delay", "pareto_alpha", float),
+                "pareto_weight": ("delay", "pareto_weight", float)},
+}
+
+
+def _section_kwargs(cp, name, kind, problems) -> dict[str, dict]:
+    """The keys section ``name`` has, cast, as keyword arguments per target."""
+    kwargs: dict[str, dict] = {}
+    for key, raw in (cp[name].items() if cp.has_section(name) else ()):
+        if key not in SCENARIO_KEYS[kind]:
+            problems.append(f"[{name}] {key}: unknown key")
+            continue
+        target, attr, cast = SCENARIO_KEYS[kind][key]
+        try:
+            kwargs.setdefault(target, {})[attr] = cast(raw)
+        except ValueError:
+            problems.append(f"[{name}] {key}: invalid value {raw!r}")
+    return kwargs
 
 
 def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
     """Parse the scenario file format (see README for the schema)."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal (no % interpolation), and no header can name the
+    # empty default section, so a [DEFAULT] section is an unknown one
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as e:
@@ -364,111 +416,53 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
 
     base_dir = Path(base_dir)
     problems: list[str] = []
-
-    sc = cp["scenario"] if cp.has_section("scenario") else {}
-    tr = cp["traffic"] if cp.has_section("traffic") else {}
-    pad = cp["padding"] if cp.has_section("padding") else {}
-
-    known = {"scenario", "traffic", "padding"}
+    shared_sections, path_sections = [], []
     for name in cp.sections():
-        if name in known:
-            continue
         kind, _, suffix = name.partition(".")
         if kind == "shared" and suffix:
-            continue
-        if kind == "paths" and suffix.isdigit():
-            continue
-        problems.append(f"[{name}]: unknown section (expected [paths.N] or [shared.ID])")
+            shared_sections.append(name)
+        elif kind == "paths" and suffix.isdigit():
+            path_sections.append(name)
+        elif name not in ("scenario", "traffic", "padding"):
+            problems.append(f"[{name}]: unknown section (expected [paths.N] or [shared.ID])")
 
     shared = []
-    for name in cp.sections():
-        if not (name.startswith("shared.") and len(name) > len("shared.")):
-            continue
-        sec = cp[name]
-        shared.append(SharedSegmentSpec(
-            id=name.split(".", 1)[1],
-            loss=LossModel(
-                rate=_field(sec, "rate", 0.0, float, name, problems),
-                correlation=_field(sec, "correlation", 0.0, float, name, problems),
-            ),
-        ))
+    for name in shared_sections:
+        loss = _section_kwargs(cp, name, "shared.ID", problems).get("loss", {})
+        shared.append(SharedSegmentSpec(name.split(".", 1)[1], LossModel(**loss)))
 
     paths = []
     forced: dict[str, tuple[int, ...]] = {}
-    path_sections = sorted(
-        (name for name in cp.sections()
-         if name.startswith("paths.") and name.split(".", 1)[1].isdigit()),
-        key=lambda name: int(name.split(".", 1)[1]),
-    )
-    for name in path_sections:
-        sec = cp[name]
-        pid = sec.get("id", name.split(".", 1)[1])
-        kind = sec.get("delay", "constant")
-        trace = None
-        if kind == "trace":
-            trace_file = sec.get("trace", None)
-            if trace_file is None:
-                problems.append(f"[{name}]: delay = trace requires a trace file")
-            else:
-                trace_path = base_dir / trace_file
-                if not trace_path.exists():
-                    problems.append(f"[{name}]: trace file not found: {trace_path}")
-                else:
-                    trace = load_trace(read_text(trace_path, "trace file"))
-        delay = DelayModel(
-            kind=kind,
-            mean=_field(sec, "mean", 0.0, float, name, problems),
-            stddev=_field(sec, "stddev", 0.0, float, name, problems),
-            correlation=_field(sec, "delay_correlation", 0.0, float, name, problems),
-            trace=trace,
-            pareto_alpha=_field(sec, "pareto_alpha", 2.0, float, name, problems),
-            pareto_weight=_field(sec, "pareto_weight", 0.25, float, name, problems),
-        )
-        loss = LossModel(
-            rate=_field(sec, "rate", 0.0, float, name, problems),
-            correlation=_field(sec, "correlation", 0.0, float, name, problems),
-        )
-        paths.append(PathSpec(id=pid, loss=loss, delay=delay,
-                              shared=sec.get("shared", None)))
-        if sec.get("force_loss", "").strip():
-            def _seq_list(raw):
-                return tuple(int(x) for x in raw.split(","))
-            forced[pid] = _field(sec, "force_loss", (), _seq_list, name, problems)
+    for name in sorted(path_sections, key=lambda name: int(name.split(".", 1)[1])):
+        kw = _section_kwargs(cp, name, "paths.N", problems)
+        path, delay = kw.get("path", {}), kw.get("delay", {})
+        pid = path.setdefault("id", name.split(".", 1)[1])
+        if seqs := path.pop("force_loss", ()):
+            forced[pid] = seqs
+        trace_file = delay.pop("trace", None)
+        if delay.get("kind") != "trace":
+            if trace_file is not None:
+                problems.append(f"[{name}] trace: requires delay = trace")
+        elif trace_file is None:
+            problems.append(f"[{name}]: delay = trace requires a trace file")
+        elif not (trace_path := base_dir / trace_file).exists():
+            problems.append(f"[{name}]: trace file not found: {trace_path}")
+        else:
+            delay["trace"] = load_trace(read_text(trace_path, "trace file"))
+        paths.append(PathSpec(**path, loss=LossModel(**kw.get("loss", {})),
+                              delay=DelayModel(**delay)))
 
-    scenario = Scenario(
-        paths=paths,
-        shared_segments=shared,
-        traffic=TrafficSpec(
-            packet_size=_field(tr, "packet_size", 200, int, "traffic", problems),
-            interval=_field(tr, "interval", 20.0, float, "traffic", problems),
-            count=_field(tr, "count", 6000, int, "traffic", problems),
-        ),
-        padding=PaddingConfig(
-            enabled=_field(pad, "enabled", False, _parse_bool, "padding", problems),
-            target_one_way=_field(pad, "target_one_way", 0.0, float, "padding",
-                                  problems),
-        ),
-        reorder_removal=_field(sc, "reorder_removal", False, _parse_bool,
-                               "scenario", problems),
-        seed=_field(sc, "seed", 0, int, "scenario", problems),
-        label=sc.get("label", ""),
-        dedup_window=_field(sc, "dedup_window", DEFAULT_DEDUP_WINDOW, int,
-                            "scenario", problems),
-        forced_losses=forced,
-    )
+    top: dict[str, dict] = {}
+    for name in ("traffic", "padding", "scenario"):
+        top |= _section_kwargs(cp, name, name, problems)
+    scenario = Scenario(paths=paths, shared_segments=shared,
+                        traffic=TrafficSpec(**top.get("traffic", {})),
+                        padding=PaddingConfig(**top.get("padding", {})),
+                        forced_losses=forced, **top.get("scenario", {}))
     problems += validate_scenario(scenario)
     if problems:
         raise ValidationError(problems)
     return scenario
-
-
-def _parse_bool(text: str) -> bool:
-    v = str(text).strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def read_text(path: Path, what: str) -> str:

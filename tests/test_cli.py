@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from railsim import cli, report, suite
-from railsim.engine import (LOST_NS, NS_PER_MS, Counters, Scenario, SimResult,
-                            TrafficSpec)
+from railsim.engine import (LOST_NS, NS_PER_MS, SCENARIO_KEYS, Counters, Scenario,
+                            SimResult, TrafficSpec)
 from railsim.pathsim import PathSpec
 from railsim.report import ReportBundle, fmt_ms
 
@@ -96,6 +96,32 @@ def test_invalid_scenario_lists_problems(tmp_path, capsys):
     assert run(["simulate", "--scenario", bad]) == 1
     err = capsys.readouterr().err
     assert "count" in err and "rate" in err
+
+
+def test_unknown_keys_and_default_section_are_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text("[DEFAULT]\nrate = 0.5\n[scenario]\nsed = 1\n[traffic]\ncnt = 5\n"
+                   "[padding]\nenable = true\n[shared.core]\nrat = 0.1\n"
+                   "[paths.0]\nid = a\nrate = 7\nstdev = 30\n"
+                   "[paths.1]\ntrace = t.trace\n")
+    assert run(["simulate", "--scenario", bad, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario: ") and "Traceback" not in err
+    for fragment in ("[DEFAULT]: unknown section", "[scenario] sed: unknown key",
+                     "[traffic] cnt: unknown key", "[padding] enable: unknown key",
+                     "[shared.core] rat: unknown key", "[paths.0] stdev: unknown key",
+                     "[paths.1] trace: requires delay = trace", "paths[0].loss.rate"):
+        assert fragment in err, fragment
+    assert not (tmp_path / "o").exists()
+
+
+def test_percent_in_a_label_is_literal(tmp_path):
+    scenario = tmp_path / "pct.scenario"
+    scenario.write_text("[scenario]\nlabel = 50% loss\n[traffic]\ncount = 5\n"
+                        "[paths.0]\nrate = 0.5\n")
+    assert run(["simulate", "--scenario", scenario, "--out", tmp_path / "o"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["label"] == "50% loss"
 
 
 def _trace_scenario(tmp_path, trace_name):
@@ -460,13 +486,15 @@ def test_paper_suite_exit_zero_and_writes_bundle(monkeypatch, capsys, tmp_path):
 
 
 # values any key may take: NaN, infinities, a float at the edge of
-# overflow, empty and non-numeric text
-FUZZ_VALUES = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "", "x", "-1", "0.5"]
+# overflow, empty and non-numeric text, and text with a literal %
+FUZZ_VALUES = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "", "x", "-1", "0.5",
+               "50%", "%(seed)s"]
 # per key, values that keep a scenario valid (at most 200 packets; the
 # largest window is past the int64 range) and, in FUZZ_BAD, ones that
 # make it invalid beyond FUZZ_VALUES
 FUZZ_KEYS = {
-    "scenario": {"seed": ["0", "7"], "reorder_removal": ["false", "true"],
+    "scenario": {"label": ["fuzz", "50% loss"], "seed": ["0", "7"],
+                 "reorder_removal": ["false", "true"],
                  "dedup_window": ["1", "4", "4096", "99999999999999999999"]},
     "traffic": {"count": ["1", "37", "200"], "interval": ["0.5", "20"],
                 "packet_size": ["200"]},
@@ -481,6 +509,8 @@ FUZZ_KEYS = {
 }
 FUZZ_BAD = {"id": ["p0"], "delay": ["bogus"], "trace": ["missing.trace", "tracedir"],
             "shared": ["nowhere"], "force_loss": ["5,300", "1e308"]}
+# a key no section has, drawn like the others
+FUZZ_MISSPELLED = "stdev"
 FUZZ_TRACES = ["1,10\n2,0\n3,30\n", "1,nan\n", "1,inf\n", "1,1e308\n", "", "x\n",
                "2,1\n1,1\n"]
 
@@ -489,13 +519,22 @@ def _fuzz_keys(name):
     return FUZZ_KEYS["paths" if name.startswith("paths.") else name]
 
 
+def test_fuzz_keys_are_the_scenario_keys():
+    fuzzed = {"scenario": set(FUZZ_KEYS["scenario"]), "traffic": set(FUZZ_KEYS["traffic"]),
+              "padding": set(FUZZ_KEYS["padding"]),
+              "shared.ID": set(FUZZ_KEYS["shared.core"]),
+              "paths.N": set(FUZZ_KEYS["paths"]) | {"id"}}
+    assert fuzzed == {kind: set(keys) for kind, keys in SCENARIO_KEYS.items()}
+
+
 @st.composite
 def fuzz_scenarios(draw):
     """Scenario text and trace text.  Every section keeps a random subset
     of its keys at valid values; then up to three keys take a value from
     FUZZ_VALUES or from the key's FUZZ_BAD list: a duplicate path id, an
     unknown delay kind, a missing or directory trace path, an unknown
-    segment or a forced seq outside the run."""
+    segment or a forced seq outside the run.  The key may be
+    FUZZ_MISSPELLED, which no section has."""
     names = ["scenario", "traffic", "padding", "shared.core"]
     names += [f"paths.{i}" for i in range(draw(st.integers(0, 3)))]
     sections = {}
@@ -505,9 +544,12 @@ def fuzz_scenarios(draw):
                           if draw(st.booleans())}
         if name.startswith("paths."):
             sections[name]["id"] = "p" + name[len("paths."):]
+            if sections[name].get("delay") != "trace":  # a trace needs delay = trace
+                sections[name].pop("trace", None)
     for _ in range(draw(st.integers(0, 3))):
         name = draw(st.sampled_from(names))
-        keys = sorted(_fuzz_keys(name)) + (["id"] if name.startswith("paths.") else [])
+        keys = sorted(_fuzz_keys(name)) + [FUZZ_MISSPELLED]
+        keys += ["id"] if name.startswith("paths.") else []
         key = draw(st.sampled_from(keys))
         sections[name][key] = draw(st.sampled_from(FUZZ_VALUES + FUZZ_BAD.get(key, [])))
     text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())

@@ -2,6 +2,7 @@
 scenario files."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -810,6 +811,50 @@ def test_parse_scenario_reports_all_problems():
         parse_scenario(bad)
     text = "\n".join(err.value.problems)
     assert "rate" in text and "mean" in text and "count" in text
+
+
+def test_parse_scenario_rejects_unknown_keys():
+    bad = ("[DEFAULT]\nrate = 0.5\n[scenario]\nsed = 1\n[traffic]\ncnt = 5\n"
+           "[padding]\nenable = true\n[shared.core]\nrat = 0.1\n"
+           "[paths.0]\nid = a\nrate = 3.0\nstdev = 30\n")
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(bad)
+    problems = err.value.problems
+    for fragment in ("[DEFAULT]: unknown section", "[scenario] sed: unknown key",
+                     "[traffic] cnt: unknown key", "[padding] enable: unknown key",
+                     "[shared.core] rat: unknown key", "[paths.0] stdev: unknown key",
+                     "paths[0].loss.rate"):
+        assert any(p.startswith(fragment) for p in problems), fragment
+
+
+@pytest.mark.parametrize("delay", ["", "delay = constant\n", "delay = normal\n"])
+def test_trace_key_needs_a_trace_delay(delay):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(f"[paths.0]\n{delay}trace = t.trace\n")
+    assert err.value.problems == ["[paths.0] trace: requires delay = trace"]
+
+
+def test_left_out_keys_take_the_dataclass_defaults():
+    assert parse_scenario("[paths.0]\n") == Scenario(paths=[PathSpec("0")])
+
+
+def test_percent_is_a_literal_character():
+    assert parse_scenario("[scenario]\nlabel = 50% loss\n[paths.0]\n").label == "50% loss"
+    with pytest.raises(ValidationError) as err:
+        parse_scenario("[paths.0]\nmean = 5\nstddev = %(mean)s\n")
+    assert err.value.problems == ["[paths.0] stddev: invalid value '%(mean)s'"]
+
+
+def test_readme_scenario_example_parses_and_shows_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Scenario files", 1)[1].split("```ini\n", 1)[1]
+    example = example.split("```", 1)[0]
+    (tmp_path / "probe.trace").write_text("1,52.3\n2,0\n")
+    scenario = parse_scenario(example, base_dir=tmp_path)
+    assert [p.delay.kind for p in scenario.paths] == ["normal", "trace", "paretonormal"]
+    shown = {line.split("=", 1)[0].strip() for line in example.splitlines()
+             if "=" in line}
+    assert shown == {key for keys in engine.SCENARIO_KEYS.values() for key in keys}
 
 
 def test_parse_scenario_collects_malformed_values():

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railsim import report
@@ -39,6 +39,7 @@ def row_tables(draw):
     return header, rows, block_rows
 
 
+@settings(deadline=None)  # each example builds and writes whole tables
 @given(row_tables())
 def test_table_files_match_the_row_writers(table):
     header, rows, block_rows = table
