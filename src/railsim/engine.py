@@ -125,6 +125,11 @@ class SimResult:
 # validation
 
 
+def _is_int(value) -> bool:
+    """True for an int or a numpy integer; a bool or a float is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def validate_scenario(s: Scenario) -> list[str]:
     problems: list[str] = []
     if not s.paths:
@@ -140,22 +145,35 @@ def validate_scenario(s: Scenario) -> list[str]:
         problems += validate_delay_model(p.delay, f"paths[{i}].delay")
         if p.shared is not None and p.shared not in seg_ids:
             problems.append(f"paths[{i}].shared: unknown segment {p.shared!r}")
+    used = {p.shared for p in s.paths}
     for i, g in enumerate(s.shared_segments):
         problems += validate_loss_model(g.loss, f"shared_segments[{i}].loss")
+        if g.id not in used:
+            problems.append(f"shared_segments[{i}]: no path references "
+                            f"segment {g.id!r}")
+    integers = {"traffic.count": s.traffic.count,
+                "traffic.packet_size": s.traffic.packet_size,
+                "dedup_window": s.dedup_window, "seed": s.seed}
+    for name, value in integers.items():
+        if not _is_int(value):
+            problems.append(f"{name}: must be an integer, got {value!r}")
+    # an integer field's range is checked only once it is an integer
     interval, count = s.traffic.interval, s.traffic.count
+    count_ok = _is_int(count)
     if not interval > 0:
         problems.append(f"traffic.interval: must be > 0, got {interval}")
     elif not fits_clock(interval):
         problems.append(f"traffic.interval: {interval} ms overflows the int64 ns clock")
     elif ms_to_ns(interval) == 0:
         problems.append(f"traffic.interval: {interval} ms rounds to 0 ns")
-    elif count * ms_to_ns(interval) >= CLOCK_LIMIT_NS:
+    elif count_ok and count * ms_to_ns(interval) >= CLOCK_LIMIT_NS:
         problems.append(f"traffic: {count} packets at {interval} ms "
                         "overflow the int64 ns clock")
-    if count < 1:
+    if count_ok and count < 1:
         problems.append(f"traffic.count: must be >= 1, got {count}")
-    if s.traffic.packet_size < 1:
-        problems.append("traffic.packet_size: must be >= 1")
+    if _is_int(s.traffic.packet_size) and s.traffic.packet_size < 1:
+        problems.append(
+            f"traffic.packet_size: must be >= 1, got {s.traffic.packet_size}")
     target = s.padding.target_one_way
     if not fits_clock(target):
         problems.append(f"padding.target_one_way: must be finite and fit the "
@@ -169,13 +187,16 @@ def validate_scenario(s: Scenario) -> list[str]:
     elif s.reorder_removal and fits_clock(target) and ms_to_ns(target) == 0:
         problems.append(f"reorder_removal: padding.target_one_way {target} ms "
                         "(hold timeout) rounds to 0 ns")
-    if s.dedup_window < 1:
+    if _is_int(s.dedup_window) and s.dedup_window < 1:
         problems.append(f"dedup_window: must be >= 1, got {s.dedup_window}")
     for pid, seqs in s.forced_losses.items():
         if pid not in ids:
             problems.append(f"forced_losses: unknown path {pid!r}")
         for q in seqs:
-            if not 0 <= q < s.traffic.count:
+            if not _is_int(q):
+                problems.append(
+                    f"forced_losses[{pid}]: seq must be an integer, got {q!r}")
+            elif count_ok and not 0 <= q < count:
                 problems.append(f"forced_losses[{pid}]: seq {q} outside the run")
     return problems
 
@@ -195,12 +216,10 @@ def simulate(scenario: Scenario) -> SimResult:
     send_ns = np.arange(n, dtype=np.int64) * dt_ns
     warnings: list[str] = []
 
-    # shared segments: one loss column per segment actually referenced
-    referenced = {p.shared for p in scenario.paths if p.shared is not None}
+    # shared segments: one loss column per segment, each one referenced
     shared_lost = {seg.id: sample_path(PathSpec(seg.id, seg.loss),
                                        shared_key(scenario.seed, idx), n)[0]
-                   for idx, seg in enumerate(scenario.shared_segments)
-                   if seg.id in referenced}
+                   for idx, seg in enumerate(scenario.shared_segments)}
 
     arrival_ns = np.empty((len(scenario.paths), n), dtype=np.int64)
     lost_copies = shared_losses = forced_losses = trace_wraps = copy_max_ns = 0

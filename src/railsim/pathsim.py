@@ -19,7 +19,7 @@ bit for bit (see ``ar1_scan``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,7 +34,16 @@ _MASK64 = (1 << 64) - 1
 _PATH_STREAM = 1
 _SHARED_STREAM = 2
 
-DELAY_KINDS = ("constant", "normal", "paretonormal", "trace")
+# The DelayModel fields each delay kind reads, ``kind`` aside.  A field its
+# kind does not read must keep its dataclass default (validate_delay_model).
+DELAY_FIELDS = {
+    "constant": ("mean",),
+    "normal": ("mean", "stddev", "correlation"),
+    "paretonormal": ("mean", "stddev", "correlation", "pareto_alpha",
+                     "pareto_weight"),
+    "trace": ("trace",),
+}
+DELAY_KINDS = tuple(DELAY_FIELDS)
 
 
 # A seed outside [0, 2**64) is taken modulo 2**64 (SeedSequence rejects
@@ -72,12 +81,13 @@ class LossModel:
 class DelayModel:
     """One-way delay model for a path.
 
-    kind is one of constant | normal | paretonormal | trace.  The
-    paretonormal is a mixture: with weight ``pareto_weight`` the centred
-    deviate comes from a Pareto tail (shape ``pareto_alpha``, scale 1,
-    recentred to zero mean), otherwise from a standard normal; the deviate
-    is scaled by ``stddev`` and added to ``mean``.  ``correlation`` applies
-    an AR(1) filter to the pre-clamp deviates; samples are clamped to >= 0.
+    kind is one of constant | normal | paretonormal | trace, and reads
+    only the fields ``DELAY_FIELDS`` lists for it.  The paretonormal is a
+    mixture: with weight ``pareto_weight`` the centred deviate comes from
+    a Pareto tail (shape ``pareto_alpha``, scale 1, recentred to zero
+    mean), otherwise from a standard normal; the deviate is scaled by
+    ``stddev`` and added to ``mean``.  ``correlation`` applies an AR(1)
+    filter to the pre-clamp deviates; samples are clamped to >= 0.
     """
 
     kind: str = "constant"
@@ -132,8 +142,16 @@ def validate_loss_model(m: LossModel, where: str = "loss") -> list[str]:
 
 def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
     problems = []
-    if m.kind not in DELAY_KINDS:
+    if m.kind not in DELAY_FIELDS:
         problems.append(f"{where}.kind: unknown kind {m.kind!r}")
+    else:
+        # a field the kind does not read changes nothing, so a value other
+        # than its default is a mistake (NaN differs from every default)
+        for f in fields(m):
+            if (f.name not in ("kind", *DELAY_FIELDS[m.kind])
+                    and getattr(m, f.name) != f.default):
+                problems.append(f"{where}.{f.name}: kind {m.kind!r} does not "
+                                f"read it, so it must keep its default {f.default!r}")
     if not m.mean >= 0:
         problems.append(f"{where}.mean: must be >= 0, got {m.mean}")
     elif not fits_clock(m.mean):
@@ -148,7 +166,8 @@ def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
         problems.append(
             f"{where}.pareto_alpha: must be finite and > 1, got {m.pareto_alpha}")
     if not 0.0 <= m.pareto_weight <= 1.0:
-        problems.append(f"{where}.pareto_weight: must be in [0, 1]")
+        problems.append(
+            f"{where}.pareto_weight: must be in [0, 1], got {m.pareto_weight}")
     return problems
 
 

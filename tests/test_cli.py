@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from railsim import cli, report, suite
 from railsim.engine import (LOST_NS, NS_PER_MS, SCENARIO_KEYS, Counters, Scenario,
                             SimResult, TrafficSpec)
-from railsim.pathsim import PathSpec
+from railsim.pathsim import DELAY_FIELDS, PathSpec
 from railsim.report import ReportBundle, fmt_ms
 
 SCENARIO = """
@@ -341,6 +341,35 @@ def test_sweep_bad_values_are_errors(scenario_file, parameter, values, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+UNREAD = "[paths.0]\nmean = 10\nstddev = 30\ndelay_correlation = 0.5\npareto_alpha = 3\n"
+UNREAD_PROBLEM = "paths[0].delay.stddev: kind 'constant' does not read it"
+UNUSED = "[shared.unused]\nrate = 0.9\n[paths.0]\n"
+UNUSED_PROBLEM = "shared_segments[0]: no path references segment 'unused'"
+STDDEV_SWEEP = ["sweep", "--parameter", "paths.0.delay.stddev", "--values", "0,10,50"]
+
+
+# each of these ran with exit 0 and wrote output the unread field did not
+# change (identical sweep rows, a lossless run)
+@pytest.mark.parametrize("text, argv, problem", [
+    (UNREAD, ["simulate"], UNREAD_PROBLEM),
+    (UNREAD, STDDEV_SWEEP, UNREAD_PROBLEM),
+    ("[paths.0]\nmean = 10\n", STDDEV_SWEEP, UNREAD_PROBLEM),
+    (UNUSED, ["simulate"], UNUSED_PROBLEM),
+    (UNUSED, ["sweep", "--parameter", "shared_segments.0.loss.rate",
+              "--values", "0,0.5,1"], UNUSED_PROBLEM),
+], ids=["unread-simulate", "unread-sweep", "sweep-an-unread-field",
+        "unused-segment-simulate", "unused-segment-sweep"])
+def test_unread_fields_and_unused_segments_exit_one(text, argv, problem, tmp_path,
+                                                   capsys):
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(text)
+    out = tmp_path / "out"
+    assert run([*argv[:1], "--scenario", scenario, *argv[1:], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_range_point_cap_is_checked_before_expanding(monkeypatch, capsys):
     # 1e12 points would be terabytes as a list: the count is refused first
     assert run(["mos", "--grid", "--losses", "0:1e12:1", "--delays", "0"]) == 1
@@ -530,11 +559,14 @@ def test_fuzz_keys_are_the_scenario_keys():
 @st.composite
 def fuzz_scenarios(draw):
     """Scenario text and trace text.  Every section keeps a random subset
-    of its keys at valid values; then up to three keys take a value from
-    FUZZ_VALUES or from the key's FUZZ_BAD list: a duplicate path id, an
-    unknown delay kind, a missing or directory trace path, an unknown
-    segment or a forced seq outside the run.  The key may be
-    FUZZ_MISSPELLED, which no section has."""
+    of its keys at valid values: a path keeps only the delay keys its kind
+    reads, and [shared.core] is left out unless a path references it.
+    Then up to three keys take a value from FUZZ_VALUES or from the key's
+    FUZZ_BAD list: a duplicate path id, an unknown delay kind, a missing or
+    directory trace path, an unknown segment or a forced seq outside the
+    run.  The key may be FUZZ_MISSPELLED, which no section has, a delay
+    key the path's kind does not read, or a key of an unreferenced
+    [shared.core]."""
     names = ["scenario", "traffic", "padding", "shared.core"]
     names += [f"paths.{i}" for i in range(draw(st.integers(0, 3)))]
     sections = {}
@@ -543,15 +575,22 @@ def fuzz_scenarios(draw):
                           for key, values in _fuzz_keys(name).items()
                           if draw(st.booleans())}
         if name.startswith("paths."):
-            sections[name]["id"] = "p" + name[len("paths."):]
-            if sections[name].get("delay") != "trace":  # a trace needs delay = trace
-                sections[name].pop("trace", None)
+            body = sections[name]
+            body["id"] = "p" + name[len("paths."):]
+            reads = DELAY_FIELDS[body.get("delay", "constant")]
+            for key in list(body):
+                target, attr, _ = SCENARIO_KEYS["paths.N"][key]
+                if target == "delay" and attr not in ("kind", *reads):
+                    del body[key]
+    if not any(sections[name].get("shared") == "core" for name in names):
+        del sections["shared.core"]
     for _ in range(draw(st.integers(0, 3))):
         name = draw(st.sampled_from(names))
         keys = sorted(_fuzz_keys(name)) + [FUZZ_MISSPELLED]
         keys += ["id"] if name.startswith("paths.") else []
         key = draw(st.sampled_from(keys))
-        sections[name][key] = draw(st.sampled_from(FUZZ_VALUES + FUZZ_BAD.get(key, [])))
+        sections.setdefault(name, {})[key] = draw(
+            st.sampled_from(FUZZ_VALUES + FUZZ_BAD.get(key, [])))
     text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
                    for name, body in sections.items())
     return text, draw(st.sampled_from(FUZZ_TRACES[:1] * 3 + FUZZ_TRACES[1:]))

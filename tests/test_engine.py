@@ -15,7 +15,7 @@ from railsim.engine import (Scenario, TrafficSpec, load_scenario,
 from railsim.errors import ConfigurationError, ValidationError
 from railsim.metrics import reorder_stats
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
-                             Trace, load_trace)
+                             Trace, load_trace, validate_delay_model)
 from railsim.quality import rail_loss_independent, rail_loss_shared
 from railsim.railedge import PaddingConfig, window_miss_duplicates
 
@@ -383,7 +383,8 @@ def test_a_constant_path_losing_every_copy_adds_nothing_to_the_bound(
                               delay=DelayModel("constant", mean=10.0)),
                PathSpec("c", loss=LossModel(0.2),
                         delay=DelayModel("constant", mean=30.0))],
-        shared_segments=[SharedSegmentSpec("core", LossModel(1.0))],
+        shared_segments=([SharedSegmentSpec("core", LossModel(1.0))]
+                         if lost == "shared" else []),
         traffic=TrafficSpec(interval=20.0, count=300),
         dedup_window=4, seed=12,
         forced_losses={"gone": tuple(range(300))} if lost == "forced" else {})
@@ -502,6 +503,106 @@ def test_validation_rejects_unknown_shared_and_bad_forced_seq():
         simulate(scenario)
     text = "\n".join(err.value.problems)
     assert "nope" in text and "ghost" in text and "99" in text
+
+
+# a constant path with three fields it never reads: it ran every packet at
+# exactly 10 ms
+UNREAD_TEXT = "[paths.0]\nmean = 10\nstddev = 30\ndelay_correlation = 0.5\npareto_alpha = 3\n"
+UNREAD_PROBLEMS = [
+    f"paths[0].delay.{name}: kind 'constant' does not read it, so it must keep "
+    f"its default {default}"
+    for name, default in (("stddev", 0.0), ("correlation", 0.0), ("pareto_alpha", 2.0))]
+
+
+def test_a_delay_field_its_kind_does_not_read_is_a_problem():
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(UNREAD_TEXT)
+    assert err.value.problems == UNREAD_PROBLEMS
+    delay = DelayModel(mean=10.0, stddev=30.0, correlation=0.5, pareto_alpha=3.0)
+    with pytest.raises(ValidationError) as err:
+        simulate(Scenario(paths=[PathSpec("0", delay=delay)]))
+    assert err.value.problems == UNREAD_PROBLEMS
+    # a sweep over the field runs its default and stops at the first other value
+    base = Scenario(paths=[PathSpec("0", delay=DelayModel(mean=10.0))],
+                    traffic=TrafficSpec(count=5))
+    with pytest.raises(ValidationError) as err:
+        run_sweep(base, "paths.0.delay.stddev", [0, 10, 50])
+    assert err.value.problems == UNREAD_PROBLEMS[:1]
+    # a field given its default changes nothing and passes
+    parse_scenario("[paths.0]\nmean = 10\nstddev = 0\npareto_alpha = 2\n")
+
+
+# the fields each kind reads, stated apart from pathsim's table
+KIND_READS = {"constant": {"mean"},
+              "normal": {"mean", "stddev", "correlation"},
+              "paretonormal": {"mean", "stddev", "correlation", "pareto_alpha",
+                               "pareto_weight"},
+              "trace": {"trace"}}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_READS))
+def test_each_delay_kind_accepts_only_the_fields_it_reads(kind):
+    trace = Trace([1], [5.0])
+    given = [("mean", 5.0), ("mean", math.nan), ("stddev", 1.0), ("correlation", 0.5),
+             ("trace", trace), ("pareto_alpha", 3.0), ("pareto_weight", 0.5)]
+    for name, value in given:
+        fields = {name: value} | ({"trace": trace} if kind == "trace" else {})
+        problems = [p for p in validate_delay_model(DelayModel(kind, **fields))
+                    if "does not read" in p]
+        assert (problems == []) == (name in KIND_READS[kind]), (name, problems)
+
+
+def test_a_segment_no_path_references_is_a_problem():
+    # it was never sampled: a 90 % loss rate gave a lossless run
+    problem = "shared_segments[0]: no path references segment 'unused'"
+    with pytest.raises(ValidationError) as err:
+        parse_scenario("[shared.unused]\nrate = 0.9\n[paths.0]\n")
+    assert err.value.problems == [problem]
+    base = Scenario(paths=[PathSpec("0")],
+                    shared_segments=[SharedSegmentSpec("unused", LossModel(0.9))],
+                    traffic=TrafficSpec(count=5))
+    with pytest.raises(ValidationError) as err:
+        simulate(base)
+    assert err.value.problems == [problem]
+    with pytest.raises(ValidationError) as err:
+        run_sweep(base, "shared_segments.0.loss.rate", [0, 0.5, 1])
+    assert err.value.problems == [problem]
+
+
+# before, a float or bool seq forced another seq, a float window ran as its
+# floor (and raised a bare TypeError with the hold on), and a float count
+# raised a bare TypeError
+@pytest.mark.parametrize("field, value, problem", [
+    ("traffic.count", 10.0, "traffic.count: must be an integer, got 10.0"),
+    ("traffic.count", True, "traffic.count: must be an integer, got True"),
+    ("traffic.packet_size", 200.0, "traffic.packet_size: must be an integer, got 200.0"),
+    ("dedup_window", 64.5, "dedup_window: must be an integer, got 64.5"),
+    ("seed", 1.0, "seed: must be an integer, got 1.0"),
+    ("seed", False, "seed: must be an integer, got False"),
+    ("forced_losses", 2.5, "forced_losses[a]: seq must be an integer, got 2.5"),
+    ("forced_losses", True, "forced_losses[a]: seq must be an integer, got True"),
+    ("traffic.count", "10", "traffic.count: must be an integer, got '10'"),
+    # numpy integers are integers
+    ("traffic.count", np.int32(10), None),
+    ("traffic.packet_size", np.int64(200), None),
+    ("dedup_window", np.uint8(64), None),
+    ("seed", np.uint64(2**64 - 1), None),
+    ("forced_losses", np.int64(2), None),
+])
+def test_integer_fields_given_through_the_api_must_be_ints(field, value, problem):
+    scenario = two_const_paths(count=10, dedup_window=64, reorder_removal=True,
+                               padding=PaddingConfig(True, target_one_way=100.0))
+    if field == "forced_losses":
+        scenario.forced_losses = {"a": (value,)}
+    else:
+        obj = scenario.traffic if field.startswith("traffic.") else scenario
+        setattr(obj, field.rsplit(".", 1)[-1], value)
+    if problem is None:
+        simulate(scenario)
+    else:
+        with pytest.raises(ValidationError) as err:
+            simulate(scenario)
+        assert err.value.problems == [problem]
 
 
 def test_reorder_removal_requires_hold_timeout():

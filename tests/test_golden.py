@@ -14,16 +14,21 @@ where int64 nanoseconds stop being exact float64 values.  The padded
 scenario's manifest is pinned too: it carries the scenario hash, which
 covers the trace the scenario replays.  The trace-analyze bundle is
 pinned in both table formats.
+
+Every digest rests on numpy's random streams, which numpy's policy (NEP
+19) lets a feature release change.  Their first values are pinned too, so
+a numpy that changes one fails a test that names the stream.
 """
 
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from railsim import cli, railedge, suite
 from railsim.engine import NS_PER_MS, load_scenario, simulate
-from railsim.pathsim import CHUNK
+from railsim.pathsim import CHUNK, path_key
 
 PAPER_SUITE_SHA256 = "4183b08667e37815151419683ddbe0c7df4cd6513b7cd3ba018259754516d132"
 
@@ -304,3 +309,51 @@ def test_paper_suite_bundle_matches_golden(tmp_path, monkeypatch):
     assert all(g.passed for g in gates)
     bundle.write(tmp_path)
     assert bundle_digest(tmp_path) == PAPER_SUITE_SHA256
+
+
+def _path_stream(advance: int = 0) -> np.random.Generator:
+    bit_gen = np.random.PCG64(path_key(7, 1))
+    bit_gen.advance(advance)
+    return np.random.Generator(bit_gen)
+
+
+def _suite_draws(method: str, *args, k: int) -> list:
+    """``k`` scalar draws, one call each, as the suite makes them."""
+    rng = np.random.default_rng(suite.SEED_CDF_RUNS)
+    return [getattr(rng, method)(*args) for _ in range(k)]
+
+
+# Each stream the digests read: pathsim's PCG64 per path key (uniform and
+# ziggurat normal columns, and the skip past a chunk's unread rows) and the
+# suite's default_rng draws of random delay models.  The normals pin the
+# 1000th value too, which a change in the ziggurat's slow path would move.
+NUMPY_STREAMS = {
+    "PCG64(path_key(7, 1)).random": (
+        lambda: _path_stream().random(3),
+        ["0x1.7d5636941fd69p-1", "0x1.3f78655842512p-1", "0x1.ce66557c48800p-4"]),
+    "PCG64(path_key(7, 1)).standard_normal": (
+        lambda: _path_stream().standard_normal(1000)[[0, 1, 2, -1]],
+        ["-0x1.2fc2118acfd08p+1", "-0x1.3614bc695a368p+1", "0x1.42632fb92891dp+0",
+         "-0x1.0f4a893862983p+0"]),
+    "PCG64(path_key(7, 1)).advance(CHUNK) then random": (
+        lambda: _path_stream(CHUNK).random(2),
+        ["0x1.648ad4c9c92d4p-1", "0x1.92096684faa55p-1"]),
+    "default_rng(SEED_CDF_RUNS).random": (
+        lambda: _suite_draws("random", k=3),
+        ["0x1.2faaa04aa9e00p-6", "0x1.2b60ed6ac9f17p-1", "0x1.ee048327a46f3p-1"]),
+    "default_rng(SEED_CDF_RUNS).uniform(30.0, 120.0)": (
+        lambda: _suite_draws("uniform", 30.0, 120.0, k=3),
+        ["0x1.fab07f168fee3p+4", "0x1.4a8026ef15fdcp+6", "0x1.d35b2c37df9e3p+6"]),
+    "default_rng(SEED_CDF_RUNS).choice([0.0, 0.3, 0.6])": (
+        lambda: _suite_draws("choice", [0.0, 0.3, 0.6], k=6),
+        ["0x0.0p+0", "0x0.0p+0", "0x1.3333333333333p-2", "0x1.3333333333333p-2",
+         "0x1.3333333333333p-1", "0x1.3333333333333p-1"]),
+}
+
+
+@pytest.mark.parametrize("method", sorted(NUMPY_STREAMS))
+def test_numpy_random_stream_matches_its_pin(method):
+    draw, pinned = NUMPY_STREAMS[method]
+    got = [float(v).hex() for v in draw()]
+    assert got == pinned, (f"numpy {np.__version__} changed the stream of {method}: "
+                           "every golden digest that reads it moves with it")

@@ -11,8 +11,8 @@ from test_kernels import loop_ar1_scan, loop_sticky_scan
 from railsim import pathsim
 from railsim.engine import Scenario, TrafficSpec, simulate
 from railsim.errors import ConfigurationError, TraceParseError
-from railsim.pathsim import (CHUNK, DELAY_KINDS, DelayModel, LossModel, PathSpec,
-                             SharedSegmentSpec, Trace, load_trace,
+from railsim.pathsim import (CHUNK, DELAY_FIELDS, DELAY_KINDS, DelayModel, LossModel,
+                             PathSpec, SharedSegmentSpec, Trace, load_trace,
                              path_key, sample_path, shared_key)
 
 N = 100_000
@@ -206,11 +206,14 @@ def eager_sample(kind, loss, delay, key, n):
 
 
 def _delay(kind, delay_corr):
-    """The delay model sampled for ``kind``; None for a bare loss model."""
+    """The delay model sampled for ``kind``, given only the fields the kind
+    reads; None for a bare loss model."""
     if kind == "loss":
         return None
-    return DelayModel(kind, mean=60.0, stddev=15.0, correlation=delay_corr,
-                      trace=WRAP_TRACE)
+    given = {"mean": 60.0, "stddev": 15.0, "correlation": delay_corr,
+             "trace": WRAP_TRACE}
+    return DelayModel(kind, **{name: value for name, value in given.items()
+                               if name in DELAY_FIELDS[kind]})
 
 
 def _sample(kind, loss, delay, key, n):

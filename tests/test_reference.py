@@ -214,10 +214,9 @@ class Reference:
 def reference_simulate(s: Scenario) -> Reference:
     n = s.traffic.count
     dt = int(round(s.traffic.interval * NS))
-    referenced = {p.shared for p in s.paths}
     shared = {seg.id: sample_path(PathSpec(seg.id, seg.loss),
                                   shared_key(s.seed, i), n)[0]
-              for i, seg in enumerate(s.shared_segments) if seg.id in referenced}
+              for i, seg in enumerate(s.shared_segments)}
     columns = [sample_path(p, path_key(s.seed, i), n) for i, p in enumerate(s.paths)]
     ref = Reference(send_ns=[seq * dt for seq in range(n)],
                     arrival_ns=[[] for _ in s.paths])
@@ -305,13 +304,14 @@ correlations = st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.95)
 @st.composite
 def paths(draw, pid):
     kind = draw(st.sampled_from(["constant", "normal", "paretonormal", "trace"]))
-    delay = DelayModel(
-        kind=kind,
-        mean=draw(st.sampled_from([0.0, 10.0, 50.0]) | st.floats(0.0, 200.0)),
-        stddev=draw(st.floats(0.0, 60.0)),
-        correlation=draw(correlations),
-        trace=TRACE if kind == "trace" else None,
-    )
+    if kind == "trace":  # a replay reads the trace alone
+        delay = DelayModel(kind, trace=TRACE)
+    else:
+        delay = DelayModel(kind, mean=draw(st.sampled_from([0.0, 10.0, 50.0])
+                                           | st.floats(0.0, 200.0)))
+    if kind in ("normal", "paretonormal"):
+        delay.stddev = draw(st.floats(0.0, 60.0))
+        delay.correlation = draw(correlations)
     return PathSpec(pid, loss=LossModel(draw(rates), draw(correlations)),
                     delay=delay, shared=draw(st.sampled_from([None, "core", "edge"])))
 
@@ -327,10 +327,12 @@ def scenarios(draw):
         if seqs:
             forced[spec.id] = tuple(sorted(seqs))
     hold = draw(st.booleans())
+    # declared only where a path references them
+    segments = [SharedSegmentSpec(sid, LossModel(draw(rates), draw(correlations)))
+                for sid in ("core", "edge") if sid in {spec.shared for spec in specs}]
     return Scenario(
         paths=specs,
-        shared_segments=[SharedSegmentSpec("core", LossModel(draw(rates), draw(correlations))),
-                         SharedSegmentSpec("edge", LossModel(draw(rates), draw(correlations)))],
+        shared_segments=segments,
         traffic=TrafficSpec(
             interval=draw(st.sampled_from([0.5, 1.0, 20.0]) | st.floats(0.01, 50.0)),
             count=count),
