@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, PathSpec,
-                      SharedSegmentSpec, Trace, fits_clock, load_trace, path_key,
-                      sample_path, shared_key, validate_delay_model,
-                      validate_loss_model)
+                      SharedSegmentSpec, Trace, fits_clock, is_number, load_trace,
+                      not_numbers, path_key, sample_path, shared_key,
+                      validate_delay_model, validate_loss_model)
 from .railedge import DEFAULT_DEDUP_WINDOW, LOST_NS, PaddingConfig, receive
 
 NS_PER_MS = 1_000_000
@@ -157,10 +157,12 @@ def validate_scenario(s: Scenario) -> list[str]:
     for name, value in integers.items():
         if not _is_int(value):
             problems.append(f"{name}: must be an integer, got {value!r}")
-    # an integer field's range is checked only once it is an integer
+    # a field's range is checked only once it is an integer or a number
     interval, count = s.traffic.interval, s.traffic.count
     count_ok = _is_int(count)
-    if not interval > 0:
+    if not is_number(interval):
+        problems += not_numbers("traffic", s.traffic, ("interval",))
+    elif not interval > 0:
         problems.append(f"traffic.interval: must be > 0, got {interval}")
     elif not fits_clock(interval):
         problems.append(f"traffic.interval: {interval} ms overflows the int64 ns clock")
@@ -175,16 +177,19 @@ def validate_scenario(s: Scenario) -> list[str]:
         problems.append(
             f"traffic.packet_size: must be >= 1, got {s.traffic.packet_size}")
     target = s.padding.target_one_way
-    if not fits_clock(target):
+    target_ok = is_number(target)
+    if not target_ok:
+        problems += not_numbers("padding", s.padding, ("target_one_way",))
+    elif not fits_clock(target):
         problems.append(f"padding.target_one_way: must be finite and fit the "
                         f"int64 ns clock, got {target}")
     elif s.padding.enabled and target < 0:
         problems.append("padding.target_one_way: must be >= 0 when enabled")
-    if s.reorder_removal and target <= 0:
+    if s.reorder_removal and target_ok and target <= 0:
         problems.append(
             "reorder_removal: requires padding.target_one_way > 0 (hold timeout)"
         )
-    elif s.reorder_removal and fits_clock(target) and ms_to_ns(target) == 0:
+    elif s.reorder_removal and target_ok and fits_clock(target) and ms_to_ns(target) == 0:
         problems.append(f"reorder_removal: padding.target_one_way {target} ms "
                         "(hold timeout) rounds to 0 ns")
     if _is_int(s.dedup_window) and s.dedup_window < 1:

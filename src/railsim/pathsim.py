@@ -130,9 +130,26 @@ def fits_clock(ms: float) -> bool:
     return math.isfinite(ms) and abs(ms) * 1e6 < CLOCK_LIMIT_NS
 
 
+_REALS = (float, int, np.floating, np.integer)
+
+
+def is_number(value) -> bool:
+    """True for an int, a float or a numpy real; a bool is not a number."""
+    return isinstance(value, _REALS) and type(value) is not bool
+
+
+def not_numbers(where: str, m, names: tuple[str, ...]) -> list[str]:
+    """A problem for each field of ``m`` in ``names`` that is not a number."""
+    return [f"{where}.{name}: must be a number, got {getattr(m, name)!r}"
+            for name in names if not is_number(getattr(m, name))]
+
+
 def validate_loss_model(m: LossModel, where: str = "loss") -> list[str]:
-    problems = []
-    # the range checks also reject NaN: every comparison with it is false
+    # the range checks run only on numbers, and they also reject NaN:
+    # every comparison with it is false
+    problems = not_numbers(where, m, ("rate", "correlation"))
+    if problems:
+        return problems
     if not 0.0 <= m.rate <= 1.0:
         problems.append(f"{where}.rate: must be in [0, 1], got {m.rate}")
     if not 0.0 <= m.correlation < 1.0:
@@ -152,6 +169,13 @@ def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
                     and getattr(m, f.name) != f.default):
                 problems.append(f"{where}.{f.name}: kind {m.kind!r} does not "
                                 f"read it, so it must keep its default {f.default!r}")
+    if m.kind == "trace" and m.trace is None:
+        problems.append(f"{where}.trace: kind 'trace' requires a trace")
+    # the range checks run only on numbers
+    not_real = not_numbers(where, m, ("mean", "stddev", "correlation",
+                                      "pareto_alpha", "pareto_weight"))
+    if not_real:
+        return problems + not_real
     if not m.mean >= 0:
         problems.append(f"{where}.mean: must be >= 0, got {m.mean}")
     elif not fits_clock(m.mean):
@@ -160,8 +184,6 @@ def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
         problems.append(f"{where}.stddev: must be finite and >= 0, got {m.stddev}")
     if not 0.0 <= m.correlation < 1.0:
         problems.append(f"{where}.correlation: must be in [0, 1), got {m.correlation}")
-    if m.kind == "trace" and m.trace is None:
-        problems.append(f"{where}.trace: kind 'trace' requires a trace")
     if not 1.0 < m.pareto_alpha < math.inf:
         problems.append(
             f"{where}.pareto_alpha: must be finite and > 1, got {m.pareto_alpha}")

@@ -149,7 +149,7 @@ def _dedup_pass(arrival_ns: np.ndarray, rail_delay_ns: np.ndarray, dt_ns: int,
     at = np.flatnonzero(copies < LOST_NS)
     t, s_idx = copies[at], at // arrival_ns.shape[0]
     del copies, at
-    order = _stable_argsort(t)
+    order = _stable_order(t)
     t, s_idx = t[order], s_idx[order]
     del order
     # a seq's first copy arrives at its first arrival time, and a second
@@ -159,35 +159,41 @@ def _dedup_pass(arrival_ns: np.ndarray, rail_delay_ns: np.ndarray, dt_ns: int,
     forwarded[tied[s_idx[tied] == s_idx[tied - 1]]] = False
     if padding_ns is not None:
         t[forwarded] += padding_ns[s_idx[forwarded]]
-    forwarded[window_miss_duplicates(s_idx, arrival_ns.shape[1], window)] = True
+    # A copy at most `window` copies after its seq's first has at most
+    # window - 1 forwards between them, so it is suppressed whatever they
+    # are, and a suppressed copy changes nothing: the loop walks the rest.
+    firsts = np.flatnonzero(forwarded)
+    decided_until = np.empty(arrival_ns.shape[1], dtype=np.int64)
+    decided_until[s_idx[firsts]] = firsts + window
+    kept = np.flatnonzero(forwarded | (np.arange(len(t)) > decided_until[s_idx]))
+    del firsts, decided_until
+    forwarded[kept[window_miss_duplicates(s_idx[kept], arrival_ns.shape[1], window)]] = True
     at = np.flatnonzero(forwarded)
     return t[at], s_idx[at]
 
 
-def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` from numpy's default sort, which
-    runs SIMD code where the CPU has it but leaves each run of equal keys
-    in an order of its own: those entries are put back in index order.
+def _stable_order(t: np.ndarray) -> np.ndarray:
+    """``np.argsort(t, kind="stable")`` for int64 ``t``.
 
-    On a CPU without AVX2 and AVX-512 the default sort has no SIMD loop,
-    and the helper is slower than the stable sort: the seven copy
-    orderings of a sim-hold perfbench pass took 34.2 ms with it against
-    27.3 ms (2-core VM), about 7 ms more a pass.  With SIMD they take
-    15.2 ms against 29.8, so the helper stays the one sort."""
-    order = np.argsort(keys)
-    ranked = keys[order]
-    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
-    if len(tied):
-        # the positions in runs of equal keys and the run of each; runs
-        # keep their positions, so one sort of run * n + index (below
-        # n * n, which fits int64 for any array numpy can sort here) puts
-        # each run's indices in order
-        in_run = np.zeros(len(keys), dtype=bool)
-        in_run[tied] = in_run[tied + 1] = True
-        at = np.flatnonzero(in_run)
-        run = np.cumsum(np.r_[0, ranked[at[1:]] != ranked[at[:-1]]]) * len(keys)
-        order[at] = np.sort(run + order[at]) - run
-    return order
+    Each time is packed with its index into one int64 key, ``(t - t.min())
+    << bits | index`` with ``bits`` the bit length of ``len(t) - 1``; the
+    keys are distinct, so sorting them by value (numpy's default sort, SIMD
+    where the CPU has it) gives the stable order on every CPU.  Times
+    spanning ``2**(63 - bits)`` or more do not fit and take the stable
+    sort, as does an array of fewer than two."""
+    n = len(t)
+    if n < 2:
+        return np.argsort(t, kind="stable")
+    bits = (n - 1).bit_length()
+    low = int(t.min())
+    if int(t.max()) - low >= 1 << (63 - bits):
+        return np.argsort(t, kind="stable")
+    keys = t - low
+    keys <<= bits
+    keys |= np.arange(n, dtype=np.int64)
+    keys.sort()
+    keys &= (1 << bits) - 1
+    return keys
 
 
 def window_miss_duplicates(seqs: np.ndarray, count: int, window: int) -> np.ndarray:
@@ -209,7 +215,7 @@ def window_miss_duplicates(seqs: np.ndarray, count: int, window: int) -> np.ndar
     remembered_until = [-1] * count
     f = 0
     misses: list[int] = []
-    for i, s in enumerate(seqs.tolist()):
+    for i, s in enumerate(memoryview(seqs)):
         if f > remembered_until[s]:
             if remembered_until[s] >= 0:
                 misses.append(i)

@@ -493,6 +493,48 @@ def test_validation_collects_every_violation():
     assert len(err.value.problems) >= 5
 
 
+_VALID = object()
+
+
+def _with_value(field, value=_VALID):
+    """A valid scenario, with ``value`` in the float field ``field`` when
+    given, else that field's valid value as a numpy float."""
+    fields = {"paths[0].delay": {"mean": 5.0, "stddev": 1.0, "correlation": 0.5,
+                                 "pareto_alpha": 3.0, "pareto_weight": 0.5},
+              "paths[0].loss": {"rate": 0.1, "correlation": 0.2},
+              "shared_segments[0].loss": {"rate": 0.1, "correlation": 0.2},
+              "traffic": {"interval": 20.0}, "padding": {"target_one_way": 20.0}}
+    where, _, name = field.rpartition(".")
+    given = fields[where]
+    given[name] = np.float64(given[name]) if value is _VALID else value
+    return Scenario(
+        paths=[PathSpec("a", loss=LossModel(**fields["paths[0].loss"]),
+                        delay=DelayModel("paretonormal", **fields["paths[0].delay"]),
+                        shared="core")],
+        shared_segments=[SharedSegmentSpec(
+            "core", LossModel(**fields["shared_segments[0].loss"]))],
+        traffic=TrafficSpec(count=10, **fields["traffic"]),
+        padding=PaddingConfig(**fields["padding"]), reorder_removal=True)
+
+
+@pytest.mark.parametrize("field", [
+    "traffic.interval", "padding.target_one_way", "paths[0].loss.rate",
+    "paths[0].loss.correlation", "shared_segments[0].loss.rate",
+    "shared_segments[0].loss.correlation", "paths[0].delay.mean",
+    "paths[0].delay.stddev", "paths[0].delay.correlation",
+    "paths[0].delay.pareto_alpha", "paths[0].delay.pareto_weight"])
+@pytest.mark.parametrize("value", ["3", None, True, [1.0]],
+                         ids=["str", "none", "bool", "list"])
+def test_a_float_field_holding_no_number_is_a_problem(field, value):
+    """Given through the API, a value other than an int, a float or a numpy
+    real is a problem naming its field, not a TypeError from a range
+    check; a bool is not a number."""
+    simulate(_with_value(field))
+    with pytest.raises(ValidationError) as err:
+        simulate(_with_value(field, value))
+    assert err.value.problems == [f"{field}: must be a number, got {value!r}"]
+
+
 def test_validation_rejects_unknown_shared_and_bad_forced_seq():
     scenario = Scenario(
         paths=[PathSpec("a", shared="nope")],
@@ -778,23 +820,59 @@ def test_the_sort_helper_is_the_stable_argsort(keys, shape):
     elif shape != "as drawn":
         keys.sort()
         keys = keys if shape == "sorted" else keys[::-1].copy()
-    got = railedge._stable_argsort(keys)
+    got = railedge._stable_order(keys)
     assert got.tolist() == np.argsort(keys, kind="stable").tolist()
 
 
 _RNG = np.random.default_rng(8)
 
 
-@pytest.mark.parametrize("keys", [
-    [], [7], [7, 7], [2, 1], [1, 1, 0, 0, 1],
+@pytest.mark.parametrize("keys, falls_back", [
+    ([], True), ([7], True), ([7, 7], False), ([2, 1], False),
+    ([1, 1, 0, 0, 1], False),
     # long enough for the SIMD sort: every key tied three ways, few keys
-    np.repeat(_RNG.integers(0, 2**40, 10_000), 3)[_RNG.permutation(30_000)],
-    _RNG.integers(0, 50, 30_000),
-], ids=["empty", "one", "pair", "two", "five", "three-way", "few-keys"])
-def test_the_sort_helper_on_fixed_arrays(keys):
+    (np.repeat(_RNG.integers(0, 2**40, 10_000), 3)[_RNG.permutation(30_000)], False),
+    (_RNG.integers(0, 50, 30_000), False),
+    # two keys pack their index into one bit: a span of 2**62 does not fit
+    ([0, 2**62], True), ([2**62 - 1, 0, 2**62 - 1], True), ([2**62 - 1, 0], False),
+    ([np.iinfo(np.int64).max, np.iinfo(np.int64).min], True),
+], ids=["empty", "one", "pair", "two", "five", "three-way", "few-keys",
+        "span-2**62", "three-keys-span-2**62-1", "span-2**62-1", "int64-range"])
+def test_the_sort_helper_on_fixed_arrays(monkeypatch, keys, falls_back):
     keys = np.array(keys, dtype=np.int64)
-    assert (railedge._stable_argsort(keys).tolist()
-            == np.argsort(keys, kind="stable").tolist())
+    want = np.argsort(keys, kind="stable")
+    stable_sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: stable_sorts.append(kw)
+                        or argsort(*a, **kw))
+    assert railedge._stable_order(keys).tolist() == want.tolist()
+    assert stable_sorts == ([{"kind": "stable"}] if falls_back else [])
+
+
+@pytest.mark.parametrize("after, missed", [(3, False), (4, True)],
+                         ids=["window-after", "window-plus-one-after"])
+def test_a_copy_within_the_window_of_its_first_is_left_out_of_the_loop(
+        monkeypatch, after, missed):
+    """Seq 0's second copy comes `after` + 1 copies after its first, with
+    only other seqs' first copies between.  At `window` copies after, it is
+    suppressed whatever those forwards are, and the loop never sees it;
+    one copy further it is a window-miss duplicate."""
+    window, n = 4, 8
+    send = np.arange(n, dtype=np.int64) * 10
+    arrival = np.vstack([send, np.full(n, engine.LOST_NS)])
+    arrival[1, 0] = send[after] + 5
+    calls = _spy_loop(monkeypatch)
+    rail_delay = arrival.min(axis=0) - send
+    t, seqs = railedge._dedup_pass(arrival, rail_delay, 10, window, None)
+    walked = calls[0][0].tolist()
+    assert walked == list(range(after + 1)) + [0] * missed + list(range(after + 1, n))
+    miss_s, miss_t = _misses_in_arrival_order(arrival, window)
+    assert miss_s.tolist() == [0] * missed
+    want_s = np.concatenate([np.arange(n), miss_s])
+    want_t = np.concatenate([send, miss_t])
+    order = np.lexsort((want_s, want_t))
+    assert seqs.tolist() == want_s[order].tolist()
+    assert t.tolist() == want_t[order].tolist()
 
 
 def test_set_parameter_rejects_non_integer_for_integer_field():
