@@ -18,6 +18,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,7 @@ class Counters:
     trace_wraps: int = 0
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     scenario: Scenario
     forwarded_order: np.ndarray  # int64[forwarded] seqs in release order
     counters: Counters

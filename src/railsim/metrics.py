@@ -5,8 +5,7 @@ combination.  Pure functions over immutable inputs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,8 +57,7 @@ def rail_cdf(f1: CdfLike, f2: CdfLike, t: float) -> float:
     return 1.0 - (1.0 - f1(t)) * (1.0 - f2(t))
 
 
-@dataclass
-class BurstStats:
+class BurstStats(NamedTuple):
     """Loss burstiness; a burst is a maximal run of >= 2 consecutive losses.
 
     ``max_burst`` reports the longest loss run of any length, so an
@@ -89,13 +87,12 @@ def burst_stats(loss_sequence: Iterable[bool]) -> BurstStats:
     )
 
 
-@dataclass
-class ReorderStats:
+class ReorderStats(NamedTuple):
     """Out-of-order forwards; the gap of a late packet is the distance to
     the highest seq already forwarded when it went out."""
 
-    out_of_order_count: int = 0
-    gaps: dict[int, int] = field(default_factory=dict)
+    out_of_order_count: int
+    gaps: dict[int, int]
 
 
 def reorder_stats(forwarded_order: Sequence[int]) -> ReorderStats:

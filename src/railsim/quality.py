@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +29,7 @@ DELAY_SLOPE_LOW = 0.024  # R units per ms
 DELAY_SLOPE_HIGH = 0.11  # R units per ms past the knee
 
 
-@dataclass(frozen=True, slots=True)
-class QualityScore:
+class QualityScore(NamedTuple):
     r_factor: float
     mos: float
 
@@ -146,8 +145,7 @@ def mos(loss: float, one_way_delay: float) -> QualityScore:
 # playout curves
 
 
-@dataclass(frozen=True, slots=True)
-class MosPoint:
+class MosPoint(NamedTuple):
     deadline: float             # network-delay playout deadline (ms)
     one_way: float              # end-system + deadline budget (ms)
     effective_loss: float
@@ -247,8 +245,7 @@ def path_mos_curve(sim, path_index: int, deadlines,
 # TCP throughput
 
 
-@dataclass(frozen=True, slots=True)
-class TcpPath:
+class TcpPath(NamedTuple):
     loss_rate: float
     rtt: float  # ms
 
@@ -278,8 +275,7 @@ class TcpPathSet:
                          for loss, rtt in sorted(pairs, key=lambda x: x[1])))
 
 
-@dataclass(frozen=True, slots=True)
-class TcpPrediction:
+class TcpPrediction(NamedTuple):
     expected_rtt: float  # ms
     throughput: float    # packets / s
 

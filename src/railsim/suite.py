@@ -10,7 +10,7 @@ are fixed module constants so every run is bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ PADDING_STDDEV1 = 20.0
 PADDING_QUANTILE = 0.95
 
 
-@dataclass
-class Gate:
+class Gate(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -78,12 +77,11 @@ def downtime_table() -> list[tuple[float, float]]:
     return [(b, downtime_combine(b, b)) for b in DOWNTIME_ROWS]
 
 
-@dataclass
-class LossSweepPoint:
+class LossSweepPoint(NamedTuple):
     rate: float
     measured_single: tuple[float, float]
     measured_rail: float
-    count: int
+    count: int  # packets per run; shadows tuple.count, so pt.count is this field
 
 
 def loss_sweep(count: int = 100_000) -> list[LossSweepPoint]:
@@ -119,8 +117,7 @@ def loss_sweep_gate(points: list[LossSweepPoint]) -> Gate:
     return Gate("loss-squaring", ok, worst or "every point within 3 sigma")
 
 
-@dataclass
-class BurstCell:
+class BurstCell(NamedTuple):
     rate: float
     correlation: float
     single: object
@@ -268,8 +265,7 @@ def fast_path_loss_gate(res: dict) -> Gate:
                 f"held delivered {res['held_delivered']}/{res['count']}")
 
 
-@dataclass
-class PaddingResult:
+class PaddingResult(NamedTuple):
     label: str
     target: float
     std_without: float
@@ -312,8 +308,7 @@ def padding_gate(res: PaddingResult) -> Gate:
                 f"delivered {res.delivered_without} -> {res.delivered_with}")
 
 
-@dataclass
-class MosRun:
+class MosRun(NamedTuple):
     label: str
     deadlines: tuple[float, ...]
     mos_rail: list[float]

@@ -1,6 +1,11 @@
-"""The package namespace: what ``from railsim import *`` exports."""
+"""The package namespace: what ``from railsim import *`` exports, and the
+contract of its value records."""
 
+import dataclasses
+import importlib
 import types
+
+import pytest
 
 import railsim
 
@@ -37,8 +42,87 @@ def test_removed_per_packet_api_is_gone():
     trace = railsim.pathsim.load_trace("1,5")
     assert not hasattr(trace, "_by_seq")
     assert sorted(vars(trace)) == ["delay_ms", "seq"]  # no tuple list, no copies
-    # dataclass fields are not on the class
+    # a removed field is checked on an instance
     sim = railsim.simulate(railsim.Scenario(paths=[railsim.PathSpec("a")],
                                             traffic=railsim.TrafficSpec(count=2)))
     assert not hasattr(sim, "per_path_outcomes")
     assert len(railsim.__all__) == 41
+
+
+# The immutable value records are NamedTuples: field order and defaults are
+# part of the API, since a record compares equal to the plain tuple.
+RECORD_FIELDS = {
+    "metrics.BurstStats": (("lost_in_burst", "num_bursts", "avg_burst", "max_burst"),
+                           {"lost_in_burst": 0, "num_bursts": 0, "avg_burst": 0.0,
+                            "max_burst": 0}),
+    "metrics.ReorderStats": (("out_of_order_count", "gaps"), {}),
+    "quality.QualityScore": (("r_factor", "mos"), {}),
+    "quality.MosPoint": (("deadline", "one_way", "effective_loss",
+                          "representative_delay", "score"), {}),
+    "quality.TcpPath": (("loss_rate", "rtt"), {}),
+    "quality.TcpPrediction": (("expected_rtt", "throughput"), {}),
+    "suite.Gate": (("name", "passed", "detail"), {"detail": ""}),
+    "suite.LossSweepPoint": (("rate", "measured_single", "measured_rail", "count"), {}),
+    "suite.BurstCell": (("rate", "correlation", "single", "rail"), {}),
+    "suite.PaddingResult": (("label", "target", "std_without", "std_with",
+                             "delivered_without", "delivered_with"), {}),
+    "suite.MosRun": (("label", "deadlines", "mos_rail", "mos_paths"), {}),
+    "engine.SimResult": (("scenario", "forwarded_order", "counters", "warnings",
+                          "send_ns", "arrival_ns", "rail_delay_ns", "forward_ns",
+                          "padding_ns"), {}),
+}
+
+
+def _record(qualname):
+    module, name = qualname.split(".")
+    return getattr(importlib.import_module(f"railsim.{module}"), name)
+
+
+@pytest.mark.parametrize("qualname", sorted(RECORD_FIELDS))
+def test_value_records_keep_field_order_and_defaults(qualname):
+    cls = _record(qualname)
+    names, defaults = RECORD_FIELDS[qualname]
+    assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls)
+    assert cls._fields == names
+    assert cls._field_defaults == defaults
+
+
+@pytest.mark.parametrize("qualname", sorted(RECORD_FIELDS))
+def test_value_records_are_immutable(qualname):
+    cls = _record(qualname)
+    record = cls(*range(len(cls._fields)))
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, -1)
+    with pytest.raises(AttributeError):
+        record.extra = -1  # no instance dict either
+
+
+def test_burst_stats_defaults_and_repr():
+    from railsim.metrics import BurstStats
+    from railsim.suite import BurstCell, burst_grid_gate
+
+    assert BurstStats() == BurstStats(0, 0, 0.0, 0)
+    single = BurstStats(2, 1, 2.0, 2)
+    rail = BurstStats(lost_in_burst=3, num_bursts=1, avg_burst=3.0, max_burst=3)
+    assert repr(rail) == ("BurstStats(lost_in_burst=3, num_bursts=1, "
+                          "avg_burst=3.0, max_burst=3)")
+    # the burst-dominance gate's failure detail embeds both reprs
+    gate = burst_grid_gate([BurstCell(0.1, 0.2, single, rail)])
+    assert not gate.passed
+    assert gate.detail == (
+        "rate=0.1 corr=0.2: rail BurstStats(lost_in_burst=3, num_bursts=1, "
+        "avg_burst=3.0, max_burst=3) vs single BurstStats(lost_in_burst=2, "
+        "num_bursts=1, avg_burst=2.0, max_burst=2)")
+
+
+def test_scenario_types_stay_dataclasses():
+    # scenario_sha256 hashes asdict(scenario), which recurses into dataclasses
+    # only; validate_delay_model reads fields() and set_parameter assigns
+    from railsim.engine import Scenario, TrafficSpec
+    from railsim.pathsim import DelayModel, LossModel, PathSpec, SharedSegmentSpec
+    from railsim.railedge import PaddingConfig
+
+    for cls in (Scenario, TrafficSpec, PathSpec, SharedSegmentSpec, DelayModel,
+                LossModel, PaddingConfig):
+        assert dataclasses.is_dataclass(cls), cls.__name__
