@@ -11,8 +11,8 @@ a VoIP MOS model and a TCP throughput model.
 
 __version__ = "0.1.0"
 
-from .engine import (Scenario, SimResult, TrafficSpec, load_scenario, run_sweep,
-                     simulate)
+from .engine import (PaddingConfig, Scenario, SimResult, TrafficSpec,
+                     load_scenario, run_sweep, simulate)
 from .errors import (ConfigurationError, DomainError, RailSimError,
                      TraceParseError, ValidationError)
 from .metrics import (BurstStats, DelayCdf, ReorderStats, burst_stats,
@@ -24,11 +24,10 @@ from .quality import (MosPoint, QualityScore, TcpPath, TcpPathSet,
                       optimal_playout, path_mos_curve, rail_loss_independent,
                       rail_loss_shared, rail_mos_curve, tcp_throughput_rail,
                       tcp_throughput_single)
-from .railedge import PaddingConfig
 
 __all__ = [
     # engine
-    "Scenario", "SimResult", "TrafficSpec", "load_scenario", "run_sweep",
+    "PaddingConfig", "Scenario", "SimResult", "TrafficSpec", "load_scenario", "run_sweep",
     "simulate",
     # errors
     "ConfigurationError", "DomainError", "RailSimError", "TraceParseError",
@@ -44,6 +43,4 @@ __all__ = [
     "effective_loss", "mos", "mos_curve", "optimal_playout", "path_mos_curve",
     "rail_loss_independent", "rail_loss_shared", "rail_mos_curve",
     "tcp_throughput_rail", "tcp_throughput_single",
-    # railedge
-    "PaddingConfig",
 ]

@@ -12,28 +12,41 @@ from __future__ import annotations
 
 import configparser
 import copy
+import functools
 import hashlib
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .pathsim import (CLOCK_LIMIT_NS, DelayModel, LossModel, PathSpec,
-                      SharedSegmentSpec, Trace, fits_clock, is_number, load_trace,
-                      not_numbers, path_key, sample_path, shared_key,
-                      validate_delay_model, validate_loss_model)
-from .railedge import DEFAULT_DEDUP_WINDOW, LOST_NS, PaddingConfig, receive
+from .pathsim import (DELAY_FIELDS, DelayModel, LossModel, PathSpec,
+                      SharedSegmentSpec, Trace, load_trace, path_key, sample_path,
+                      shared_key)
+from .railedge import LOST_NS, receive
 
 NS_PER_MS = 1_000_000
+
+# The engine's clock is int64 nanoseconds.  Each time it takes in (run
+# length, delay, padding target) stays below 2**60 ns, about 36 years, so
+# the sums it forms (send + delay + padding + hold timeout) stay inside
+# int64 and below the reorder hold's 2**62 sentinel.
+CLOCK_LIMIT_NS = 2 ** 60
+
+DEFAULT_DEDUP_WINDOW = 4096
 
 
 def ms_to_ns(ms: float) -> int:
     return int(round(ms * NS_PER_MS))
+
+
+def fits_clock(ms: float) -> bool:
+    """True when ``ms`` is finite and within the engine's clock range."""
+    return math.isfinite(ms) and abs(ms) * 1e6 < CLOCK_LIMIT_NS
 
 
 @dataclass
@@ -43,6 +56,15 @@ class TrafficSpec:
     packet_size: int = 200   # bytes
     interval: float = 20.0   # ms between packets
     count: int = 6000        # 2 minutes at the default interval
+
+
+@dataclass
+class PaddingConfig:
+    """Delay padding: hold early copies so the one-way delay presented to
+    the LAN is a roughly constant ``target_one_way`` (never drops)."""
+
+    enabled: bool = False
+    target_one_way: float = 0.0  # ms; also the reorder-removal hold timeout
 
 
 @dataclass
@@ -125,83 +147,165 @@ class SimResult(NamedTuple):
 # validation
 
 
-def _is_int(value) -> bool:
-    """True for an int or a numpy integer; a bool or a float is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# What a scenario field declared int, float or bool takes: an int field an
+# int or a numpy integer, a float field those or a float or a numpy float,
+# a bool field a bool or a numpy bool.  A bool is never a number.
+_ACCEPTS = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating),
+            "bool": (bool, np.bool_)}
+_WANTED = {"int": "an integer", "float": "a number", "bool": "a bool"}
+
+
+@functools.cache
+def declared_types(cls) -> dict[str, str]:
+    """The int, float and bool fields of the dataclass ``cls``, name to type
+    (annotations are postponed, so a type is its annotation's text)."""
+    return {f.name: f.type for f in fields(cls) if f.type in _ACCEPTS}
+
+
+def _fits(value, kind: str) -> bool:
+    return isinstance(value, _ACCEPTS[kind]) and (type(value) is not bool or kind == "bool")
+
+
+def _type_problems(obj, where: str) -> list[str]:
+    """A problem for each int, float or bool field of ``obj`` (named
+    ``where``, "" for the scenario) that does not fit its declared type."""
+    prefix = f"{where}." if where else ""
+    return [f"{prefix}{name}: must be {_WANTED[kind]}, got {getattr(obj, name)!r}"
+            for name, kind in declared_types(type(obj)).items()
+            if not _fits(getattr(obj, name), kind)]
+
+
+def _object_problems(obj, cls, where: str) -> list[str]:
+    """The problem when ``obj`` is not a ``cls``, else its fields' type problems."""
+    if not isinstance(obj, cls):
+        return [f"{where}: must be a {cls.__name__}, got {obj!r}"]
+    return _type_problems(obj, where)
+
+
+def _specs(items, cls, where: str, problems: list[str]) -> list[tuple[int, object]]:
+    """The ``cls`` items of a list field with their indices; a problem for
+    each other item, or for the field when it is not a list."""
+    if not isinstance(items, (list, tuple)):
+        problems.append(f"{where}: must be a list of {cls.__name__}, got {items!r}")
+        return []
+    for i, item in enumerate(items):
+        problems += _object_problems(item, cls, f"{where}[{i}]")
+    return [(i, item) for i, item in enumerate(items) if isinstance(item, cls)]
+
+
+def validate_loss_model(m: LossModel, where: str = "loss") -> list[str]:
+    # the range checks also reject NaN: every comparison with it is false
+    problems = _object_problems(m, LossModel, where)
+    if problems:
+        return problems
+    if not 0.0 <= m.rate <= 1.0:
+        problems.append(f"{where}.rate: must be in [0, 1], got {m.rate}")
+    if not 0.0 <= m.correlation < 1.0:
+        problems.append(f"{where}.correlation: must be in [0, 1), got {m.correlation}")
+    return problems
+
+
+def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
+    problems = _object_problems(m, DelayModel, where)
+    if problems:
+        return problems
+    if m.kind not in DELAY_FIELDS:
+        problems.append(f"{where}.kind: unknown kind {m.kind!r}")
+    else:
+        # a field the kind does not read changes nothing, so a value other
+        # than its default is a mistake (NaN differs from every default)
+        for f in fields(m):
+            if (f.name not in ("kind", *DELAY_FIELDS[m.kind])
+                    and getattr(m, f.name) != f.default):
+                problems.append(f"{where}.{f.name}: kind {m.kind!r} does not "
+                                f"read it, so it must keep its default {f.default!r}")
+    if m.kind == "trace" and m.trace is None:
+        problems.append(f"{where}.trace: kind 'trace' requires a trace")
+    if not m.mean >= 0:
+        problems.append(f"{where}.mean: must be >= 0, got {m.mean}")
+    elif not fits_clock(m.mean):
+        problems.append(f"{where}.mean: {m.mean} ms overflows the int64 ns clock")
+    if not 0 <= m.stddev < math.inf:
+        problems.append(f"{where}.stddev: must be finite and >= 0, got {m.stddev}")
+    if not 0.0 <= m.correlation < 1.0:
+        problems.append(f"{where}.correlation: must be in [0, 1), got {m.correlation}")
+    if not 1.0 < m.pareto_alpha < math.inf:
+        problems.append(f"{where}.pareto_alpha: must be finite and > 1, got {m.pareto_alpha}")
+    if not 0.0 <= m.pareto_weight <= 1.0:
+        problems.append(f"{where}.pareto_weight: must be in [0, 1], got {m.pareto_weight}")
+    return problems
 
 
 def validate_scenario(s: Scenario) -> list[str]:
     problems: list[str] = []
-    if not s.paths:
+    if isinstance(s.paths, (list, tuple)) and not s.paths:
         problems.append("paths: at least one path is required")
-    ids = [p.id for p in s.paths]
+    paths = _specs(s.paths, PathSpec, "paths", problems)
+    segments = _specs(s.shared_segments, SharedSegmentSpec, "shared_segments", problems)
+    ids = [p.id for _, p in paths]
     if len(set(ids)) != len(ids):
         problems.append("paths: ids must be unique")
-    seg_ids = [g.id for g in s.shared_segments]
+    seg_ids = [g.id for _, g in segments]
     if len(set(seg_ids)) != len(seg_ids):
         problems.append("shared_segments: ids must be unique")
-    for i, p in enumerate(s.paths):
+    for i, p in paths:
         problems += validate_loss_model(p.loss, f"paths[{i}].loss")
         problems += validate_delay_model(p.delay, f"paths[{i}].delay")
         if p.shared is not None and p.shared not in seg_ids:
             problems.append(f"paths[{i}].shared: unknown segment {p.shared!r}")
-    used = {p.shared for p in s.paths}
-    for i, g in enumerate(s.shared_segments):
+    used = {p.shared for _, p in paths}
+    for i, g in segments:
         problems += validate_loss_model(g.loss, f"shared_segments[{i}].loss")
         if g.id not in used:
-            problems.append(f"shared_segments[{i}]: no path references "
-                            f"segment {g.id!r}")
-    integers = {"traffic.count": s.traffic.count,
-                "traffic.packet_size": s.traffic.packet_size,
-                "dedup_window": s.dedup_window, "seed": s.seed}
-    for name, value in integers.items():
-        if not _is_int(value):
-            problems.append(f"{name}: must be an integer, got {value!r}")
-    # a field's range is checked only once it is an integer or a number
-    interval, count = s.traffic.interval, s.traffic.count
-    count_ok = _is_int(count)
-    if not is_number(interval):
-        problems += not_numbers("traffic", s.traffic, ("interval",))
-    elif not interval > 0:
-        problems.append(f"traffic.interval: must be > 0, got {interval}")
-    elif not fits_clock(interval):
-        problems.append(f"traffic.interval: {interval} ms overflows the int64 ns clock")
-    elif ms_to_ns(interval) == 0:
-        problems.append(f"traffic.interval: {interval} ms rounds to 0 ns")
-    elif count_ok and count * ms_to_ns(interval) >= CLOCK_LIMIT_NS:
-        problems.append(f"traffic: {count} packets at {interval} ms "
-                        "overflow the int64 ns clock")
-    if count_ok and count < 1:
-        problems.append(f"traffic.count: must be >= 1, got {count}")
-    if _is_int(s.traffic.packet_size) and s.traffic.packet_size < 1:
-        problems.append(
-            f"traffic.packet_size: must be >= 1, got {s.traffic.packet_size}")
-    target = s.padding.target_one_way
-    target_ok = is_number(target)
-    if not target_ok:
-        problems += not_numbers("padding", s.padding, ("target_one_way",))
-    elif not fits_clock(target):
-        problems.append(f"padding.target_one_way: must be finite and fit the "
-                        f"int64 ns clock, got {target}")
-    elif s.padding.enabled and target < 0:
-        problems.append("padding.target_one_way: must be >= 0 when enabled")
-    if s.reorder_removal and target_ok and target <= 0:
-        problems.append(
-            "reorder_removal: requires padding.target_one_way > 0 (hold timeout)"
-        )
-    elif s.reorder_removal and target_ok and fits_clock(target) and ms_to_ns(target) == 0:
-        problems.append(f"reorder_removal: padding.target_one_way {target} ms "
-                        "(hold timeout) rounds to 0 ns")
-    if _is_int(s.dedup_window) and s.dedup_window < 1:
+            problems.append(f"shared_segments[{i}]: no path references segment {g.id!r}")
+    # each object's ranges are checked only once its fields fit their types
+    own = _type_problems(s, "")
+    traffic = _object_problems(s.traffic, TrafficSpec, "traffic")
+    padding = _object_problems(s.padding, PaddingConfig, "padding")
+    problems += own + traffic + padding
+    own_ok, traffic_ok, padding_ok = not own, not traffic, not padding
+    if traffic_ok:
+        interval, count = s.traffic.interval, s.traffic.count
+        if not interval > 0:
+            problems.append(f"traffic.interval: must be > 0, got {interval}")
+        elif not fits_clock(interval):
+            problems.append(f"traffic.interval: {interval} ms overflows the int64 ns clock")
+        elif ms_to_ns(interval) == 0:
+            problems.append(f"traffic.interval: {interval} ms rounds to 0 ns")
+        elif count * ms_to_ns(interval) >= CLOCK_LIMIT_NS:
+            problems.append(f"traffic: {count} packets at {interval} ms "
+                            "overflow the int64 ns clock")
+        if count < 1:
+            problems.append(f"traffic.count: must be >= 1, got {count}")
+        if s.traffic.packet_size < 1:
+            problems.append(f"traffic.packet_size: must be >= 1, got {s.traffic.packet_size}")
+    if padding_ok:
+        target = s.padding.target_one_way
+        if not fits_clock(target):
+            problems.append(f"padding.target_one_way: must be finite and fit the "
+                            f"int64 ns clock, got {target}")
+        elif s.padding.enabled and target < 0:
+            problems.append("padding.target_one_way: must be >= 0 when enabled")
+        if own_ok and s.reorder_removal and target <= 0:
+            problems.append("reorder_removal: requires padding.target_one_way > 0 "
+                            "(hold timeout)")
+        elif own_ok and s.reorder_removal and fits_clock(target) and ms_to_ns(target) == 0:
+            problems.append(f"reorder_removal: padding.target_one_way {target} ms "
+                            "(hold timeout) rounds to 0 ns")
+    if own_ok and s.dedup_window < 1:
         problems.append(f"dedup_window: must be >= 1, got {s.dedup_window}")
+    if not isinstance(s.forced_losses, dict):
+        return problems + [f"forced_losses: must be a dict, got {s.forced_losses!r}"]
     for pid, seqs in s.forced_losses.items():
         if pid not in ids:
             problems.append(f"forced_losses: unknown path {pid!r}")
+        if not isinstance(seqs, Sequence):
+            problems.append(f"forced_losses[{pid}]: must be a sequence of seqs, got {seqs!r}")
+            continue
         for q in seqs:
-            if not _is_int(q):
-                problems.append(
-                    f"forced_losses[{pid}]: seq must be an integer, got {q!r}")
-            elif count_ok and not 0 <= q < count:
+            if not _fits(q, "int"):
+                problems.append(f"forced_losses[{pid}]: seq must be an integer, got {q!r}")
+            elif traffic_ok and not 0 <= q < s.traffic.count:
                 problems.append(f"forced_losses[{pid}]: seq {q} outside the run")
     return problems
 
@@ -293,43 +397,41 @@ def simulate(scenario: Scenario) -> SimResult:
 # parameter sweeps
 
 
-def _resolve_parent(scenario: Scenario, parameter: str):
+def _has_field(obj, name: str) -> bool:
+    return is_dataclass(obj) and name in {f.name for f in fields(obj)}
+
+
+def set_parameter(scenario: Scenario, parameter: str, value) -> None:
+    """Assign an int or float scenario field addressed by a dotted path of
+    field names and list indices, e.g. ``paths.0.loss.rate`` or
+    ``traffic.interval``, cast to the field's declared type."""
     obj = scenario
-    parts = parameter.split(".")
-    for part in parts[:-1]:
+    *parents, leaf = parameter.split(".")
+    for part in parents:
         if part.isdigit() and isinstance(obj, (list, tuple)):
             idx = int(part)
             if idx >= len(obj):
                 raise ConfigurationError(f"parameter {parameter!r}: index {idx} out of range")
             obj = obj[idx]
-        elif hasattr(obj, part):
+        elif _has_field(obj, part):
             obj = getattr(obj, part)
         else:
             raise ConfigurationError(f"unknown parameter path {parameter!r}")
-    return obj, parts[-1]
-
-
-def set_parameter(scenario: Scenario, parameter: str, value) -> None:
-    """Assign a numeric scenario field addressed by a dotted path,
-    e.g. ``paths.0.loss.rate`` or ``traffic.interval``."""
-    obj, leaf = _resolve_parent(scenario, parameter)
-    if not hasattr(obj, leaf):
+    if not _has_field(obj, leaf):
         raise ConfigurationError(f"unknown parameter path {parameter!r}")
-    current = getattr(obj, leaf)
-    if isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise ConfigurationError(
-            f"parameter {parameter!r} does not address a numeric field"
-        )
+    kind = declared_types(type(obj)).get(leaf)
+    if kind not in ("int", "float"):
+        raise ConfigurationError(f"parameter {parameter!r} does not address a numeric field")
     try:
-        if not isinstance(current, int):
+        if kind == "float":
             value = float(value)
-        elif isinstance(value, float) and not value.is_integer():
-            raise ValueError  # int() would run 20.5 as 20
-        else:
+        elif float(value).is_integer():  # int() would run 20.5 as 20
             value = int(value)
-    except (ValueError, OverflowError):
+        else:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(
-            f"parameter {parameter!r}: {value!r} is not an integer") from None
+            f"parameter {parameter!r}: {value!r} is not {_WANTED[kind]}") from None
     setattr(obj, leaf, value)
 
 

@@ -19,11 +19,11 @@ bit for bit (see ``ar1_scan``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, TraceParseError
+from .errors import TraceParseError
 
 # Randomness is laid out in chunks of this many rows, one column after
 # another, so that packet i sees the same draws no matter how many packets
@@ -34,8 +34,8 @@ _MASK64 = (1 << 64) - 1
 _PATH_STREAM = 1
 _SHARED_STREAM = 2
 
-# The DelayModel fields each delay kind reads, ``kind`` aside.  A field its
-# kind does not read must keep its dataclass default (validate_delay_model).
+# The DelayModel fields each delay kind reads, ``kind`` aside.  A field its kind
+# does not read must keep its dataclass default (engine.validate_delay_model).
 DELAY_FIELDS = {
     "constant": ("mean",),
     "normal": ("mean", "stddev", "correlation"),
@@ -94,7 +94,7 @@ class DelayModel:
     mean: float = 0.0
     stddev: float = 0.0
     correlation: float = 0.0
-    trace: "Trace | None" = None
+    trace: Trace | None = None
     pareto_alpha: float = 2.0
     pareto_weight: float = 0.25
 
@@ -116,86 +116,6 @@ class PathSpec:
     loss: LossModel = field(default_factory=LossModel)
     delay: DelayModel = field(default_factory=DelayModel)
     shared: str | None = None
-
-
-# The engine's clock is int64 nanoseconds.  Each time it takes in (run
-# length, delay, padding target) stays below 2**60 ns, about 36 years, so
-# the sums it forms (send + delay + padding + hold timeout) stay inside
-# int64 and below the reorder hold's 2**62 sentinel.
-CLOCK_LIMIT_NS = 2 ** 60
-
-
-def fits_clock(ms: float) -> bool:
-    """True when ``ms`` is finite and within the engine's clock range."""
-    return math.isfinite(ms) and abs(ms) * 1e6 < CLOCK_LIMIT_NS
-
-
-_REALS = (float, int, np.floating, np.integer)
-
-
-def is_number(value) -> bool:
-    """True for an int, a float or a numpy real; a bool is not a number."""
-    return isinstance(value, _REALS) and type(value) is not bool
-
-
-def not_numbers(where: str, m, names: tuple[str, ...]) -> list[str]:
-    """A problem for each field of ``m`` in ``names`` that is not a number."""
-    return [f"{where}.{name}: must be a number, got {getattr(m, name)!r}"
-            for name in names if not is_number(getattr(m, name))]
-
-
-def validate_loss_model(m: LossModel, where: str = "loss") -> list[str]:
-    # the range checks run only on numbers, and they also reject NaN:
-    # every comparison with it is false
-    problems = not_numbers(where, m, ("rate", "correlation"))
-    if problems:
-        return problems
-    if not 0.0 <= m.rate <= 1.0:
-        problems.append(f"{where}.rate: must be in [0, 1], got {m.rate}")
-    if not 0.0 <= m.correlation < 1.0:
-        problems.append(f"{where}.correlation: must be in [0, 1), got {m.correlation}")
-    return problems
-
-
-def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
-    problems = []
-    if m.kind not in DELAY_FIELDS:
-        problems.append(f"{where}.kind: unknown kind {m.kind!r}")
-    else:
-        # a field the kind does not read changes nothing, so a value other
-        # than its default is a mistake (NaN differs from every default)
-        for f in fields(m):
-            if (f.name not in ("kind", *DELAY_FIELDS[m.kind])
-                    and getattr(m, f.name) != f.default):
-                problems.append(f"{where}.{f.name}: kind {m.kind!r} does not "
-                                f"read it, so it must keep its default {f.default!r}")
-    if m.kind == "trace" and m.trace is None:
-        problems.append(f"{where}.trace: kind 'trace' requires a trace")
-    # the range checks run only on numbers
-    not_real = not_numbers(where, m, ("mean", "stddev", "correlation",
-                                      "pareto_alpha", "pareto_weight"))
-    if not_real:
-        return problems + not_real
-    if not m.mean >= 0:
-        problems.append(f"{where}.mean: must be >= 0, got {m.mean}")
-    elif not fits_clock(m.mean):
-        problems.append(f"{where}.mean: {m.mean} ms overflows the int64 ns clock")
-    if not 0 <= m.stddev < math.inf:
-        problems.append(f"{where}.stddev: must be finite and >= 0, got {m.stddev}")
-    if not 0.0 <= m.correlation < 1.0:
-        problems.append(f"{where}.correlation: must be in [0, 1), got {m.correlation}")
-    if not 1.0 < m.pareto_alpha < math.inf:
-        problems.append(
-            f"{where}.pareto_alpha: must be finite and > 1, got {m.pareto_alpha}")
-    if not 0.0 <= m.pareto_weight <= 1.0:
-        problems.append(
-            f"{where}.pareto_weight: must be in [0, 1], got {m.pareto_weight}")
-    return problems
-
-
-def _check(problems: list[str]) -> None:
-    if problems:
-        raise ConfigurationError("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +413,10 @@ def sample_path(spec: PathSpec, key: np.random.SeedSequence,
     else), so the caller may write into them, as ``engine.simulate`` does.
     Only the path's own loss process is sampled here; the caller samples a
     shared segment as a constant-delay path.
+
+    ``spec`` must be one that ``engine.validate_scenario`` accepts, as
+    ``engine.simulate`` guarantees: the sampler does not check it again.
     """
-    _check(validate_loss_model(spec.loss, f"path {spec.id}: loss"))
-    _check(validate_delay_model(spec.delay, f"path {spec.id}: delay"))
     m, d = spec.loss, spec.delay
     loss_layout = _loss_layout(m)
     # hit stays all False when u_fresh is skipped (rate 0)

@@ -6,23 +6,12 @@ arrivals that ``engine.simulate`` builds."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 LOST_NS = np.iinfo(np.int64).max  # arrival_ns of a lost copy
-DEFAULT_DEDUP_WINDOW = 4096
-
-
-@dataclass
-class PaddingConfig:
-    """Delay padding: hold early copies so the one-way delay presented to
-    the LAN is a roughly constant ``target_one_way`` (never drops)."""
-
-    enabled: bool = False
-    target_one_way: float = 0.0  # ms; also the reorder-removal hold timeout
 
 
 def receive(arrival_ns: np.ndarray, send_ns: np.ndarray, dt_ns: int,

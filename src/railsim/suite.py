@@ -10,19 +10,19 @@ are fixed module constants so every run is bit-identical.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .engine import Scenario, TrafficSpec, simulate
+from .engine import PaddingConfig, Scenario, TrafficSpec, simulate
 from .metrics import (DelayCdf, burst_stats, downtime_combine, empirical_cdf,
                       reorder_stats)
 from .pathsim import DelayModel, LossModel, PathSpec
 from .quality import (TcpPathSet, _rating, mos, optimal_playout,
                       path_mos_curve, rail_mos_curve, tcp_throughput_rail,
                       tcp_throughput_single)
-from .railedge import PaddingConfig
 from .report import ReportBundle, fmt_ms, fmt_num
 
 SEED_LOSS_SWEEP = 20260101
@@ -55,15 +55,13 @@ class Gate(NamedTuple):
 def two_path_scenario(delay1: DelayModel, delay2: DelayModel, *,
                       rate1: float = 0.0, rate2: float = 0.0,
                       corr1: float = 0.0, corr2: float = 0.0,
-                      count: int = 3000, seed: int = 0, label: str = "",
-                      padding: PaddingConfig | None = None) -> Scenario:
+                      count: int = 3000, seed: int = 0, label: str = "") -> Scenario:
     return Scenario(
         paths=[
             PathSpec(id="p0", loss=LossModel(rate1, corr1), delay=delay1),
             PathSpec(id="p1", loss=LossModel(rate2, corr2), delay=delay2),
         ],
         traffic=TrafficSpec(interval=TWO_PATH_INTERVAL, count=count),
-        padding=padding or PaddingConfig(),
         seed=seed,
         label=label,
     )
@@ -236,14 +234,9 @@ def fast_path_loss_check() -> dict:
         label="forced fast-path loss",
     )
     plain = simulate(base)
-    held = Scenario(
-        paths=base.paths,
-        traffic=base.traffic,
-        forced_losses=base.forced_losses,
-        padding=PaddingConfig(enabled=False, target_one_way=60.0),
-        reorder_removal=True,
-        label="forced fast-path loss + reorder removal",
-    )
+    held = replace(base, padding=PaddingConfig(enabled=False, target_one_way=60.0),
+                   reorder_removal=True,
+                   label="forced fast-path loss + reorder removal")
     fixed = simulate(held)
     return {
         "plain_stats": reorder_stats(plain.forwarded_order),
@@ -284,11 +277,8 @@ def padding_check(mean2: float = 50.0, stddev2: float = 20.0,
     )
     plain = simulate(base)
     target = DelayCdf(plain.rail_delays_ms()).quantile(PADDING_QUANTILE)
-    padded_scenario = two_path_scenario(
-        base.paths[0].delay, base.paths[1].delay,
-        count=count, seed=SEED_PADDING, label=label + " padded",
-        padding=PaddingConfig(enabled=True, target_one_way=target),
-    )
+    padded_scenario = replace(base, label=label + " padded",
+                              padding=PaddingConfig(enabled=True, target_one_way=target))
     padded = simulate(padded_scenario)
     return PaddingResult(
         label=label,

@@ -1,6 +1,7 @@
 """Simulation engine: event ordering, dedup accounting, padding, sweeps,
 scenario files."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -10,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railsim import engine, railedge
-from railsim.engine import (Scenario, TrafficSpec, load_scenario,
-                            parse_scenario, run_sweep, set_parameter, simulate)
+from railsim.engine import (PaddingConfig, Scenario, TrafficSpec, load_scenario,
+                            parse_scenario, run_sweep, set_parameter, simulate,
+                            validate_delay_model)
 from railsim.errors import ConfigurationError, ValidationError
 from railsim.metrics import reorder_stats
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
-                             Trace, load_trace, validate_delay_model)
+                             Trace, load_trace)
 from railsim.quality import rail_loss_independent, rail_loss_shared
-from railsim.railedge import PaddingConfig, window_miss_duplicates
+from railsim.railedge import window_miss_duplicates
 
 
 def two_const_paths(d1=30.0, d2=50.0, count=10, **kw):
@@ -651,6 +653,134 @@ def test_reorder_removal_requires_hold_timeout():
     scenario = two_const_paths(reorder_removal=True)
     with pytest.raises(ValidationError, match="target_one_way"):
         simulate(scenario)
+
+
+# before, "false" padded every packet and "no" turned the hold on: a
+# non-empty string is true
+@pytest.mark.parametrize("field", ["padding.enabled", "reorder_removal"])
+@pytest.mark.parametrize("value", ["no", "false", 1])
+def test_a_bool_field_holding_no_bool_is_a_problem(field, value):
+    scenario = two_const_paths(padding=PaddingConfig(target_one_way=100.0))
+    obj = scenario.padding if field.startswith("padding.") else scenario
+    setattr(obj, field.rsplit(".", 1)[-1], value)
+    with pytest.raises(ValidationError) as err:
+        simulate(scenario)
+    assert err.value.problems == [f"{field}: must be a bool, got {value!r}"]
+
+
+def test_numpy_bools_are_bools():
+    sim = simulate(two_const_paths(reorder_removal=np.True_, padding=PaddingConfig(
+        enabled=np.True_, target_one_way=100.0)))
+    assert sim.counters.padded == 10
+    sim = simulate(two_const_paths(padding=PaddingConfig(np.False_, 100.0)))
+    assert sim.counters.padded == 0
+
+
+# each of these crashed simulate with a TypeError or an AttributeError
+@pytest.mark.parametrize("kw, problems", [
+    ({"forced_losses": {"a": 5}}, ["forced_losses[a]: must be a sequence of seqs, got 5"]),
+    ({"forced_losses": {"a": np.array([1, 2])}},
+     ["forced_losses[a]: must be a sequence of seqs, got array([1, 2])"]),
+    ({"forced_losses": None}, ["forced_losses: must be a dict, got None"]),
+    ({"paths": [PathSpec("a", loss=None)]}, ["paths[0].loss: must be a LossModel, got None"]),
+    ({"paths": [PathSpec("a", delay=None)]},
+     ["paths[0].delay: must be a DelayModel, got None"]),
+    ({"paths": None}, ["paths: must be a list of PathSpec, got None"]),
+    ({"paths": [PathSpec("a"), "b"]}, ["paths[1]: must be a PathSpec, got 'b'"]),
+    ({"shared_segments": [SharedSegmentSpec("core", loss=0.1)]},
+     ["shared_segments[0].loss: must be a LossModel, got 0.1",
+      "shared_segments[0]: no path references segment 'core'"]),
+    ({"traffic": None}, ["traffic: must be a TrafficSpec, got None"]),
+    ({"padding": 100.0}, ["padding: must be a PaddingConfig, got 100.0"]),
+])
+def test_a_wrong_spec_object_is_a_problem(kw, problems):
+    scenario = two_const_paths()
+    for name, value in kw.items():
+        setattr(scenario, name, value)
+    with pytest.raises(ValidationError) as err:
+        simulate(scenario)
+    assert err.value.problems == problems
+
+
+def test_an_object_with_a_misfit_field_skips_its_range_checks():
+    # count 0 and interval -1 are out of range, but the count is no integer
+    scenario = two_const_paths()
+    scenario.traffic = TrafficSpec(interval=-1.0, count=0.0)
+    with pytest.raises(ValidationError) as err:
+        simulate(scenario)
+    assert err.value.problems == ["traffic.count: must be an integer, got 0.0"]
+
+
+# the types validation and sweeps check; losing postponed annotations
+# would turn every type into a class and empty this set
+DECLARED = {
+    ("TrafficSpec", "packet_size", "int"), ("TrafficSpec", "interval", "float"),
+    ("TrafficSpec", "count", "int"),
+    ("PaddingConfig", "enabled", "bool"), ("PaddingConfig", "target_one_way", "float"),
+    ("Scenario", "reorder_removal", "bool"), ("Scenario", "seed", "int"),
+    ("Scenario", "dedup_window", "int"),
+    ("LossModel", "rate", "float"), ("LossModel", "correlation", "float"),
+    ("DelayModel", "mean", "float"), ("DelayModel", "stddev", "float"),
+    ("DelayModel", "correlation", "float"), ("DelayModel", "pareto_alpha", "float"),
+    ("DelayModel", "pareto_weight", "float"),
+}
+
+
+def test_the_declared_types_of_the_scenario_fields():
+    got = {(cls.__name__, name, kind)
+           for cls in (Scenario, TrafficSpec, PaddingConfig, PathSpec,
+                       SharedSegmentSpec, LossModel, DelayModel)
+           for name, kind in engine.declared_types(cls).items()}
+    assert got == DECLARED
+
+
+def test_each_scenario_key_casts_to_its_fields_declared_type():
+    targets = {"scenario": Scenario, "traffic": TrafficSpec, "padding": PaddingConfig,
+               "path": PathSpec, "loss": LossModel, "delay": DelayModel}
+    casts = {"int": int, "float": float, "bool": engine._parse_bool, "str": str,
+             "str | None": str}
+    for kind, keys in engine.SCENARIO_KEYS.items():
+        for key, (target, attr, cast) in keys.items():
+            if (target, attr) == ("path", "force_loss"):
+                assert cast is engine._seq_list  # into Scenario.forced_losses
+            elif (target, attr) == ("delay", "trace"):
+                assert cast is str  # a file name, loaded into a Trace
+            else:
+                declared = {f.name: f.type for f in dataclasses.fields(targets[target])}
+                assert cast is casts[declared[attr]], (kind, key)
+
+
+# before, the type came from the current value: an int-valued float field
+# rejected 20.5, and a numpy scalar field was "not numeric"
+@pytest.mark.parametrize("base, parameter, value", [
+    (Scenario(paths=[PathSpec("a")], traffic=TrafficSpec(interval=20, count=5)),
+     "traffic.interval", 20.5),
+    (Scenario(paths=[PathSpec("a", delay=DelayModel(mean=50))], traffic=TrafficSpec(count=5)),
+     "paths.0.delay.mean", 50.5),
+    (Scenario(paths=[PathSpec("a")], traffic=TrafficSpec(count=np.int64(10))),
+     "traffic.count", 7),
+    (Scenario(paths=[PathSpec("a", delay=DelayModel(mean=np.float32(5)))],
+              traffic=TrafficSpec(count=5)), "paths.0.delay.mean", 6.5),
+], ids=["int-valued-interval", "int-valued-mean", "numpy-count", "numpy-mean"])
+def test_a_sweep_casts_to_the_fields_declared_type(base, parameter, value):
+    [(_, sim)] = run_sweep(base, parameter, [value])
+    scenario = sim.scenario
+    got = (scenario.traffic if parameter.startswith("traffic.")
+           else scenario.paths[0].delay)
+    got = getattr(got, parameter.rsplit(".", 1)[-1])
+    assert got == value and type(got) is type(value)
+
+
+def test_a_sweep_rejects_a_non_integral_numpy_float_for_an_int_field():
+    # int() ran np.float32(20.5) as 20
+    with pytest.raises(ConfigurationError, match="is not an integer"):
+        set_parameter(two_const_paths(), "traffic.count", np.float32(20.5))
+
+
+def test_a_sweep_walks_only_fields_and_list_indices():
+    for parameter in ("paths.append", "traffic.__class__.count", "paths.0"):
+        with pytest.raises(ConfigurationError, match="unknown parameter path"):
+            set_parameter(two_const_paths(), parameter, 1)
 
 
 # each of these used to run and report every packet lost, raise a bare

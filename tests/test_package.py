@@ -118,11 +118,33 @@ def test_burst_stats_defaults_and_repr():
 
 def test_scenario_types_stay_dataclasses():
     # scenario_sha256 hashes asdict(scenario), which recurses into dataclasses
-    # only; validate_delay_model reads fields() and set_parameter assigns
-    from railsim.engine import Scenario, TrafficSpec
+    # only; validation and sweeps read each field's declared type from
+    # fields(), and set_parameter assigns
+    from railsim.engine import PaddingConfig, Scenario, TrafficSpec
     from railsim.pathsim import DelayModel, LossModel, PathSpec, SharedSegmentSpec
-    from railsim.railedge import PaddingConfig
 
     for cls in (Scenario, TrafficSpec, PathSpec, SharedSegmentSpec, DelayModel,
                 LossModel, PaddingConfig):
         assert dataclasses.is_dataclass(cls), cls.__name__
+
+
+def test_the_scenario_rules_live_in_engine():
+    # pathsim keeps the path models and the sampler, which does not validate
+    # again; railedge keeps only the receiver
+    import railsim.engine
+    import railsim.pathsim
+    import railsim.railedge
+
+    moved = {railsim.pathsim: ["validate_loss_model", "validate_delay_model",
+                               "fits_clock", "CLOCK_LIMIT_NS"],
+             railsim.railedge: ["PaddingConfig", "DEFAULT_DEDUP_WINDOW"]}
+    for owner, names in moved.items():
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+            assert hasattr(railsim.engine, name), name
+    # the hand-listed type checks that engine.declared_types replaced
+    for owner, name in ((railsim.pathsim, "is_number"), (railsim.pathsim, "not_numbers"),
+                        (railsim.pathsim, "_check"), (railsim.engine, "_is_int")):
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    assert not any(dataclasses.is_dataclass(v) for v in vars(railsim.railedge).values())
+    assert railsim.PaddingConfig is railsim.engine.PaddingConfig

@@ -10,7 +10,7 @@ from test_kernels import loop_ar1_scan, loop_sticky_scan
 
 from railsim import pathsim
 from railsim.engine import Scenario, TrafficSpec, simulate
-from railsim.errors import ConfigurationError, TraceParseError
+from railsim.errors import TraceParseError, ValidationError
 from railsim.pathsim import (CHUNK, DELAY_FIELDS, DELAY_KINDS, DelayModel, LossModel,
                              PathSpec, SharedSegmentSpec, Trace, load_trace,
                              path_key, sample_path, shared_key)
@@ -347,16 +347,15 @@ def test_ar1_delay_correlation_and_scale():
 
 
 def test_model_validation():
-    with pytest.raises(ConfigurationError, match="rate"):
-        _path(PathSpec("a", loss=LossModel(rate=1.5)), 1)
-    with pytest.raises(ConfigurationError, match="correlation"):
-        _path(PathSpec("a", loss=LossModel(rate=0.1, correlation=1.0)), 1)
-    with pytest.raises(ConfigurationError, match="kind"):
-        _path(PathSpec("a", delay=DelayModel("weird")), 1)
-    with pytest.raises(ConfigurationError, match="stddev"):
-        _path(PathSpec("a", delay=DelayModel("normal", mean=10, stddev=-1)), 1)
-    with pytest.raises(ConfigurationError, match="trace"):
-        _path(PathSpec("a", delay=DelayModel("trace")), 1)
+    # the sampler does not validate: simulate checks each spec, once
+    for spec, match in [
+            (PathSpec("a", loss=LossModel(rate=1.5)), "rate"),
+            (PathSpec("a", loss=LossModel(rate=0.1, correlation=1.0)), "correlation"),
+            (PathSpec("a", delay=DelayModel("weird")), "kind"),
+            (PathSpec("a", delay=DelayModel("normal", mean=10, stddev=-1)), "stddev"),
+            (PathSpec("a", delay=DelayModel("trace")), "trace")]:
+        with pytest.raises(ValidationError, match=match):
+            simulate(Scenario(paths=[spec], traffic=TrafficSpec(count=1)))
 
 
 # ---------------------------------------------------------------------------

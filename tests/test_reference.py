@@ -33,12 +33,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railsim import engine, railedge
-from railsim.engine import Counters, Scenario, TrafficSpec, simulate
+from railsim.engine import (Counters, PaddingConfig, Scenario, TrafficSpec,
+                            simulate)
 from railsim.metrics import reorder_stats
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
                              load_trace, path_key, sample_path, shared_key)
-from railsim.railedge import (LOST_NS, PaddingConfig, receive,
-                              reorder_hold_schedule, window_miss_duplicates)
+from railsim.railedge import (LOST_NS, receive, reorder_hold_schedule,
+                              window_miss_duplicates)
 
 NS = 1_000_000  # ns per ms
 
