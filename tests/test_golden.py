@@ -12,8 +12,8 @@ loop feeding the reorder hold, padding with a shared segment, forced
 losses and a trace replay that wraps, and a run whose times pass 2^53 ns,
 where int64 nanoseconds stop being exact float64 values.  The padded
 scenario's manifest is pinned too: it carries the scenario hash, which
-covers the trace the scenario replays.  The trace-analyze bundle is
-pinned in both table formats.
+covers the trace the scenario replays.  The trace-analyze and
+paper-suite bundles are pinned in both table formats.
 
 Every digest rests on numpy's random streams, which numpy's policy (NEP
 19) lets a feature release change.  Their first values are pinned too, so
@@ -31,6 +31,11 @@ from railsim.engine import NS_PER_MS, load_scenario, simulate
 from railsim.pathsim import CHUNK, path_key
 
 PAPER_SUITE_SHA256 = "4183b08667e37815151419683ddbe0c7df4cd6513b7cd3ba018259754516d132"
+
+# The same bundle written with fmt="json": its tables hold floats,
+# strings, bools and None, which the records tables do not.
+PAPER_SUITE_JSON_SHA256 = (
+    "f4df9b8e60f626af94706b34b00020bf3d5c7dad87290d52a76f12693374df7f")
 
 CORRELATED = f"""
 [scenario]
@@ -309,6 +314,12 @@ def test_paper_suite_bundle_matches_golden(tmp_path, monkeypatch):
     assert all(g.passed for g in gates)
     bundle.write(tmp_path)
     assert bundle_digest(tmp_path) == PAPER_SUITE_SHA256
+
+
+def test_paper_suite_json_bundle_matches_golden(tmp_path):
+    bundle, _ = suite.run_paper_suite()
+    bundle.write(tmp_path, fmt="json")
+    assert bundle_digest(tmp_path) == PAPER_SUITE_JSON_SHA256
 
 
 def _path_stream(advance: int = 0) -> np.random.Generator:
