@@ -17,8 +17,10 @@ from .engine import NS_PER_MS
 
 
 # Tables are spelled and written this many rows at a time, so writing a
-# table needs memory for one block, not for the whole file.
-BLOCK_ROWS = 65_536
+# table needs memory for one block, not for the whole file.  A block of
+# records rows as words (about 1 MiB) and its column temporaries fit in
+# a 2 MiB L2 cache.
+BLOCK_ROWS = 8_192
 
 
 def fmt_ms(value) -> str:
@@ -36,8 +38,8 @@ def fmt_num(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# cells: a block of one column as a uint8 matrix, one row per cell, padded
-# with NUL bytes that the row assembler drops
+# words: each row of a block is laid out as four-byte words, each cell
+# right-aligned or padded with NUL bytes that the row assembler drops
 
 
 # Below 2^33 ms the float64 nearest ns / NS_PER_MS lies within 2^-21 ms
@@ -81,17 +83,13 @@ def _digit_words(q: np.ndarray) -> list[np.ndarray]:
     return words
 
 
-def _word_cells(words: list[np.ndarray]) -> np.ndarray:
-    return np.stack(words, axis=1).view(np.uint8)
-
-
-def _text_cells(texts: list[str]) -> np.ndarray:
+def _text_words(texts: list[str]) -> np.ndarray:
+    """Texts as rows of words, NUL-padded to the widest."""
     encoded = [t.encode() for t in texts]
-    cells = np.array(encoded, dtype=bytes)
-    cells = cells.view(np.uint8).reshape(len(encoded), cells.itemsize)
-    if np.count_nonzero(cells) != sum(map(len, encoded)):
+    cells = np.array(encoded, dtype=f"S{-(-max(map(len, encoded)) // 4) * 4 or 4}")
+    if np.count_nonzero(cells.view(np.uint8)) != sum(map(len, encoded)):
         raise ValueError("table cells cannot hold NUL characters")
-    return cells
+    return cells.view(np.uint32).reshape(len(encoded), -1)
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,8 @@ class IntColumn:
     def __len__(self) -> int:
         return len(self.values)
 
-    def cells(self, rows: slice, fmt: str) -> np.ndarray:
-        return _word_cells(_digit_words(self.values[rows]))
+    def words(self, rows: slice, tail: str) -> tuple[list[np.ndarray], list]:
+        return _digit_words(self.values[rows]), []
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,9 @@ class MsColumn:
     def __len__(self) -> int:
         return len(self.ns)
 
-    def cells(self, rows: slice, fmt: str) -> np.ndarray:
+    def words(self, rows: slice, tail: str) -> tuple[list[np.ndarray], list]:
+        """The cells' words, ``tail`` in the fraction word's spare byte,
+        and (rows, texts) for the cells that are written over them."""
         ns = self.ns[rows]
         missing = None if self.missing is None else self.missing[rows]
         # negative ns wrap to the top of uint64, so one unsigned test finds
@@ -146,31 +146,20 @@ class MsColumn:
         r = decimal - q * NS_PER_MS
         frac_hi = r // 1000
         frac_lo = r - frac_hi * 1000
-        cells = _word_cells(_digit_words(q) + [_DOT3[frac_hi], _FRAC3[frac_lo]])
+        texts = []
         if any_odd:
             if missing is not None and missing.any():
-                cells = _put(cells, missing, _text_cells([self.word]))
+                texts.append((np.flatnonzero(missing), [self.word]))
                 odd &= ~missing
             if odd.any():
-                cells = _put(cells, odd, _text_cells(self._printed(ns[odd])))
-        if fmt == "json":
-            return np.pad(cells, ((0, 0), (1, 1)), constant_values=ord('"'))
-        return cells
+                texts.append((np.flatnonzero(odd), self._printed(ns[odd])))
+        frac = _FRAC3 | np.frombuffer(b"\0\0\0" + tail.encode(), np.uint32)
+        return _digit_words(q) + [_DOT3[frac_hi], frac[frac_lo]], texts
 
     def _printed(self, ns: np.ndarray) -> list[str]:
         quotients = ([t / NS_PER_MS for t in ns.tolist()] if self.int_division
                      else (ns / NS_PER_MS).tolist())
         return [f"{t:.6f}" for t in quotients]
-
-
-def _put(cells: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``cells`` with the rows where ``at`` is true replaced by the rows of
-    ``new`` (or by its one row), widened if ``new`` is wider."""
-    if new.shape[1] > cells.shape[1]:
-        cells = np.pad(cells, ((0, 0), (0, new.shape[1] - cells.shape[1])))
-    new = np.pad(new, ((0, 0), (0, cells.shape[1] - new.shape[1])))
-    cells[np.flatnonzero(at)] = new
-    return cells
 
 
 def _csv_cell(value) -> str:
@@ -182,32 +171,6 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _column_cells(column, rows: slice, fmt: str) -> np.ndarray:
-    """A column is a list of Python values, or an IntColumn or MsColumn."""
-    if isinstance(column, list):
-        return _text_cells([json.dumps(v) for v in column[rows]] if fmt == "json"
-                           else [_csv_cell(v) for v in column[rows]])
-    return column.cells(rows, fmt)
-
-
-def _join_rows(seps: list[str], cells: list[np.ndarray], end: str) -> bytearray:
-    """Rows of ``seps[0] cells[0] seps[1] cells[1] ... end``, the cells'
-    NUL padding dropped.  The rows are laid out in one bytearray, seen
-    through a numpy view, so dropping the NULs is the only copy."""
-    template, starts = bytearray(), []
-    for sep, column in zip(seps, cells):
-        template += sep.encode()
-        starts.append(len(template))
-        template += bytes(column.shape[1])
-    template += end.encode()
-    block = bytearray(len(cells[0]) * len(template))
-    rows = np.frombuffer(block, dtype=np.uint8).reshape(-1, len(template))
-    rows[:] = np.frombuffer(template, dtype=np.uint8)
-    for at, column in zip(starts, cells):
-        rows[:, at:at + column.shape[1]] = column
-    return block.translate(None, b"\0")
-
-
 class Table(NamedTuple):
     """A header plus one column per header name."""
 
@@ -215,36 +178,65 @@ class Table(NamedTuple):
     columns: list
 
 
-def _table_blocks(table: Table, fmt: str) -> Iterator[bytes | bytearray]:
+def _table_blocks(table: Table, fmt: str) -> Iterator[bytes]:
     """The bytes of a CSV or JSON table file, BLOCK_ROWS rows at a time.
 
     JSON is what ``json.dumps(rows, sort_keys=True, indent=2)`` prints for
-    one dict per row.
+    one dict per row.  A block is one uint32 matrix of words, a row of
+    the text between cells and each cell's words.
     """
     header, columns = table
     n = len(columns[0]) if columns else 0
     if fmt == "json":
         keys = {name: j for j, name in enumerate(header)}  # a dict keeps the last
-        order = [keys[k] for k in sorted(keys)]
+        columns = [columns[keys[k]] for k in sorted(keys)]
         seps = [("  {\n" if i == 0 else ",\n") + f"    {json.dumps(k)}: "
-                for i, k in enumerate(sorted(keys))]
-        end = "\n  },\n"
+                for i, k in enumerate(sorted(keys))] + ["\n  },\n"]
         yield b"[\n" if n else b"[]\n"
     else:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(header)
         yield buf.getvalue().encode()
-        order = range(len(columns))
-        seps, end = [""] + [","] * (len(columns) - 1), "\n"
+        seps = [""] + [","] * (len(columns) - 1) + ["\n"]
+    # MsColumn cells are quoted in JSON, and the byte that follows one (a
+    # separator, a line end or the closing quote) is its tail: it fills
+    # the fraction word's spare byte
+    quote, tails = '"' if fmt == "json" else "", []
+    for i, column in enumerate(columns):
+        ms = isinstance(column, MsColumn)
+        seps[i] += quote * ms
+        after = quote * ms + seps[i + 1]
+        tails.append(after[:ms])
+        seps[i + 1] = after[ms:]
+    size = min(n, BLOCK_ROWS)
+    consts = [[np.full(size, w) for w in _text_words([s])[0] if w] for s in seps]
+    zero = np.zeros(size, np.uint32)
+    # csv.writer quotes the lone empty cell of a one-column row
+    empty = '""' if fmt != "json" and len(columns) == 1 else ""
     for start in range(0, n, BLOCK_ROWS):
         rows = slice(start, min(start + BLOCK_ROWS, n))
-        cells = [_column_cells(columns[j], rows, fmt) for j in order]
-        if fmt != "json" and len(cells) == 1:
-            # csv.writer quotes the lone empty cell of a one-column row
-            lone = np.pad(cells[0], ((0, 0), (0, max(0, 2 - cells[0].shape[1]))))
-            lone[~lone.any(axis=1), :2] = ord('"')
-            cells = [lone]
-        block = _join_rows(seps, cells, end)
+        k = rows.stop - start
+        words, fixes = [], []
+        for const, column, tail in zip(consts, columns, tails):
+            words += [w[:k] for w in const]
+            if isinstance(column, list):
+                cell = list(_text_words(
+                    [json.dumps(v) for v in column[rows]] if fmt == "json"
+                    else [_csv_cell(v) or empty for v in column[rows]]).T)
+                texts = []
+            else:
+                cell, texts = column.words(rows, tail)
+                texts = [(at, _text_words([(t or empty) + tail for t in ts]))
+                         for at, ts in texts]
+            width = max([len(cell)] + [t.shape[1] for _, t in texts])
+            fixes += [(len(words), width, at, t) for at, t in texts]
+            words += cell + [zero[:k]] * (width - len(cell))
+        words += [w[:k] for w in consts[-1]]
+        matrix = np.stack(words, axis=1)
+        for a, width, at, t in fixes:
+            matrix[at, a:a + width] = 0
+            matrix[at, a:a + t.shape[1]] = t
+        block = matrix.tobytes().translate(None, b"\0")
         yield block[:-2] + b"\n]\n" if fmt == "json" and rows.stop == n else block
 
 
