@@ -147,18 +147,20 @@ class SimResult(NamedTuple):
 # validation
 
 
-# What a scenario field declared int, float or bool takes: an int field an
-# int or a numpy integer, a float field those or a float or a numpy float,
-# a bool field a bool or a numpy bool.  A bool is never a number.
+# What a scenario field declared int, float, bool or str takes: an int
+# field an int or a numpy integer, a float field those or a float or a
+# numpy float, a bool field a bool or a numpy bool, a str field a str (or
+# None when the field is optional).  A bool is never a number.
 _ACCEPTS = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating),
-            "bool": (bool, np.bool_)}
-_WANTED = {"int": "an integer", "float": "a number", "bool": "a bool"}
+            "bool": (bool, np.bool_), "str": str, "str | None": (str, type(None))}
+_WANTED = {"int": "an integer", "float": "a number", "bool": "a bool",
+           "str": "a str", "str | None": "a str or None"}
 
 
 @functools.cache
 def declared_types(cls) -> dict[str, str]:
-    """The int, float and bool fields of the dataclass ``cls``, name to type
-    (annotations are postponed, so a type is its annotation's text)."""
+    """The int, float, bool and str fields of the dataclass ``cls``, name to
+    type (annotations are postponed, so a type is its annotation's text)."""
     return {f.name: f.type for f in fields(cls) if f.type in _ACCEPTS}
 
 
@@ -167,7 +169,7 @@ def _fits(value, kind: str) -> bool:
 
 
 def _type_problems(obj, where: str) -> list[str]:
-    """A problem for each int, float or bool field of ``obj`` (named
+    """A problem for each int, float, bool or str field of ``obj`` (named
     ``where``, "" for the scenario) that does not fit its declared type."""
     prefix = f"{where}." if where else ""
     return [f"{prefix}{name}: must be {_WANTED[kind]}, got {getattr(obj, name)!r}"
@@ -183,14 +185,19 @@ def _object_problems(obj, cls, where: str) -> list[str]:
 
 
 def _specs(items, cls, where: str, problems: list[str]) -> list[tuple[int, object]]:
-    """The ``cls`` items of a list field with their indices; a problem for
-    each other item, or for the field when it is not a list."""
+    """The ``cls`` items of a list field whose fields fit their types, with
+    their indices (so their ids can be hashed); a problem for each other
+    item, or for the field when it is not a list."""
     if not isinstance(items, (list, tuple)):
         problems.append(f"{where}: must be a list of {cls.__name__}, got {items!r}")
         return []
+    kept = []
     for i, item in enumerate(items):
-        problems += _object_problems(item, cls, f"{where}[{i}]")
-    return [(i, item) for i, item in enumerate(items) if isinstance(item, cls)]
+        found = _object_problems(item, cls, f"{where}[{i}]")
+        problems += found
+        if not found:
+            kept.append((i, item))
+    return kept
 
 
 def validate_loss_model(m: LossModel, where: str = "loss") -> list[str]:
@@ -219,8 +226,8 @@ def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
                     and getattr(m, f.name) != f.default):
                 problems.append(f"{where}.{f.name}: kind {m.kind!r} does not "
                                 f"read it, so it must keep its default {f.default!r}")
-    if m.kind == "trace" and m.trace is None:
-        problems.append(f"{where}.trace: kind 'trace' requires a trace")
+    if m.kind == "trace" and not isinstance(m.trace, Trace):
+        problems.append(f"{where}.trace: kind 'trace' requires a Trace, got {m.trace!r}")
     if not m.mean >= 0:
         problems.append(f"{where}.mean: must be >= 0, got {m.mean}")
     elif not fits_clock(m.mean):

@@ -711,6 +711,26 @@ def test_an_object_with_a_misfit_field_skips_its_range_checks():
     assert err.value.problems == ["traffic.count: must be an integer, got 0.0"]
 
 
+# each of these raised a TypeError or AttributeError inside the run, or
+# (the label) ran and wrote a number where the bundle holds a string
+@pytest.mark.parametrize("scenario, problem", [
+    (Scenario(paths=[PathSpec(["a"])]), "paths[0].id: must be a str, got ['a']"),
+    (Scenario(paths=[PathSpec("a", shared=7)]),
+     "paths[0].shared: must be a str or None, got 7"),
+    (Scenario(paths=[PathSpec("a")], shared_segments=[SharedSegmentSpec(["s"])]),
+     "shared_segments[0].id: must be a str, got ['s']"),
+    (Scenario(paths=[PathSpec("a", delay=DelayModel(["constant"]))]),
+     "paths[0].delay.kind: must be a str, got ['constant']"),
+    (Scenario(paths=[PathSpec("a")], label=7), "label: must be a str, got 7"),
+    (Scenario(paths=[PathSpec("a", delay=DelayModel("trace", trace=[5.0, 6.0]))]),
+     "paths[0].delay.trace: kind 'trace' requires a Trace, got [5.0, 6.0]"),
+], ids=["path-id", "path-shared", "segment-id", "delay-kind", "label", "delay-trace"])
+def test_a_misfit_str_or_trace_field_is_a_validation_error(scenario, problem):
+    with pytest.raises(ValidationError) as err:
+        simulate(scenario)
+    assert err.value.problems == [problem]
+
+
 # the types validation and sweeps check; losing postponed annotations
 # would turn every type into a class and empty this set
 DECLARED = {
@@ -722,7 +742,9 @@ DECLARED = {
     ("LossModel", "rate", "float"), ("LossModel", "correlation", "float"),
     ("DelayModel", "mean", "float"), ("DelayModel", "stddev", "float"),
     ("DelayModel", "correlation", "float"), ("DelayModel", "pareto_alpha", "float"),
-    ("DelayModel", "pareto_weight", "float"),
+    ("DelayModel", "pareto_weight", "float"), ("DelayModel", "kind", "str"),
+    ("Scenario", "label", "str"), ("PathSpec", "id", "str"),
+    ("PathSpec", "shared", "str | None"), ("SharedSegmentSpec", "id", "str"),
 }
 
 
