@@ -232,7 +232,9 @@ def _table_blocks(table: Table, fmt: str) -> Iterator[bytes]:
             fixes += [(len(words), width, at, t) for at, t in texts]
             words += cell + [zero[:k]] * (width - len(cell))
         words += [w[:k] for w in consts[-1]]
-        matrix = np.stack(words, axis=1)
+        # stacked as rows, each a contiguous copy; tobytes lays out the
+        # transpose in one pass, faster than stacking into columns
+        matrix = np.stack(words).T
         for a, width, at, t in fixes:
             matrix[at, a:a + width] = 0
             matrix[at, a:a + t.shape[1]] = t
