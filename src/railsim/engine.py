@@ -247,7 +247,10 @@ def validate_scenario(s: Scenario) -> list[str]:
     problems: list[str] = []
     if isinstance(s.paths, (list, tuple)) and not s.paths:
         problems.append("paths: at least one path is required")
+    before = len(problems)
     paths = _specs(s.paths, PathSpec, "paths", problems)
+    # forced_losses may name a path left out here for a misfit field
+    all_paths_kept = len(problems) == before
     segments = _specs(s.shared_segments, SharedSegmentSpec, "shared_segments", problems)
     ids = [p.id for _, p in paths]
     if len(set(ids)) != len(ids):
@@ -304,7 +307,7 @@ def validate_scenario(s: Scenario) -> list[str]:
     if not isinstance(s.forced_losses, dict):
         return problems + [f"forced_losses: must be a dict, got {s.forced_losses!r}"]
     for pid, seqs in s.forced_losses.items():
-        if pid not in ids:
+        if all_paths_kept and pid not in ids:
             problems.append(f"forced_losses: unknown path {pid!r}")
         if not isinstance(seqs, Sequence):
             problems.append(f"forced_losses[{pid}]: must be a sequence of seqs, got {seqs!r}")

@@ -223,13 +223,13 @@ def _table_blocks(table: Table, fmt: str) -> Iterator[bytes]:
                 cell = list(_text_words(
                     [json.dumps(v) for v in column[rows]] if fmt == "json"
                     else [_csv_cell(v) or empty for v in column[rows]]).T)
-                texts = []
+                over = []
             else:
                 cell, texts = column.words(rows, tail)
-                texts = [(at, _text_words([(t or empty) + tail for t in ts]))
-                         for at, ts in texts]
-            width = max([len(cell)] + [t.shape[1] for _, t in texts])
-            fixes += [(len(words), width, at, t) for at, t in texts]
+                over = [(at, _text_words([(t or empty) + tail for t in ts]))
+                        for at, ts in texts]
+            width = max([len(cell)] + [t.shape[1] for _, t in over])
+            fixes += [(len(words), width, at, t) for at, t in over]
             words += cell + [zero[:k]] * (width - len(cell))
         words += [w[:k] for w in consts[-1]]
         # stacked as rows, each a contiguous copy; tobytes lays out the

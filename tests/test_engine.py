@@ -715,7 +715,8 @@ def test_an_object_with_a_misfit_field_skips_its_range_checks():
 # (the label) ran and wrote a number where the bundle holds a string
 @pytest.mark.parametrize("scenario, problem", [
     (Scenario(paths=[PathSpec(["a"])]), "paths[0].id: must be a str, got ['a']"),
-    (Scenario(paths=[PathSpec("a", shared=7)]),
+    # the path left out of the id checks is no unknown path to forced_losses
+    (Scenario(paths=[PathSpec("a", shared=7)], forced_losses={"a": (1,)}),
      "paths[0].shared: must be a str or None, got 7"),
     (Scenario(paths=[PathSpec("a")], shared_segments=[SharedSegmentSpec(["s"])]),
      "shared_segments[0].id: must be a str, got ['s']"),
