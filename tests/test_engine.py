@@ -711,8 +711,9 @@ def test_an_object_with_a_misfit_field_skips_its_range_checks():
     assert err.value.problems == ["traffic.count: must be an integer, got 0.0"]
 
 
-# each of these raised a TypeError or AttributeError inside the run, or
-# (the label) ran and wrote a number where the bundle holds a string
+# each of these raised a TypeError or AttributeError inside the run, gave
+# a misleading problem (the shared segment 7 was "unknown"), or (the
+# label) ran and wrote a number where the bundle holds a string
 @pytest.mark.parametrize("scenario, problem", [
     (Scenario(paths=[PathSpec(["a"])]), "paths[0].id: must be a str, got ['a']"),
     # the path left out of the id checks is no unknown path to forced_losses
