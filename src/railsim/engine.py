@@ -147,64 +147,75 @@ class SimResult(NamedTuple):
 # validation
 
 
-# What a scenario field declared int, float, bool or str takes: an int
-# field an int or a numpy integer, a float field those or a float or a
-# numpy float, a bool field a bool or a numpy bool, a str field a str (or
-# None when the field is optional).  A bool is never a number.
+# What a scenario field declared int, float, bool, str or Trace takes: an
+# int field an int or a numpy integer, a float field those or a float or a
+# numpy float, a bool field a bool or a numpy bool, a str field a str, and
+# an optional field also None.  A bool is never a number.
 _ACCEPTS = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating),
-            "bool": (bool, np.bool_), "str": str, "str | None": (str, type(None))}
-_WANTED = {"int": "an integer", "float": "a number", "bool": "a bool",
-           "str": "a str", "str | None": "a str or None"}
+            "bool": (bool, np.bool_), "str": str, "str | None": (str, type(None)),
+            "Trace | None": (Trace, type(None))}
+_WANTED = {"int": "an integer", "float": "a number", "bool": "a bool", "str": "a str",
+           "str | None": "a str or None", "Trace | None": "a Trace or None"}
+# The spec objects a scenario field holds, alone or in a list, by annotation.
+_SPECS = {cls.__name__: cls for cls in (TrafficSpec, PaddingConfig, PathSpec,
+                                        SharedSegmentSpec, LossModel, DelayModel)}
+_LISTS = {"list[PathSpec]": PathSpec, "list[SharedSegmentSpec]": SharedSegmentSpec}
 
 
 @functools.cache
+def _field_types(cls) -> tuple[tuple[str, str], ...]:
+    """(name, annotation text) of each field of ``cls``; annotations are postponed."""
+    return tuple((f.name, f.type) for f in fields(cls))
+
+
 def declared_types(cls) -> dict[str, str]:
-    """The int, float, bool and str fields of the dataclass ``cls``, name to
-    type (annotations are postponed, so a type is its annotation's text)."""
-    return {f.name: f.type for f in fields(cls) if f.type in _ACCEPTS}
+    """The int, float, bool, str and Trace fields of ``cls``, name to type."""
+    return {name: kind for name, kind in _field_types(cls) if kind in _ACCEPTS}
 
 
 def _fits(value, kind: str) -> bool:
     return isinstance(value, _ACCEPTS[kind]) and (type(value) is not bool or kind == "bool")
 
 
-def _type_problems(obj, where: str) -> list[str]:
-    """A problem for each int, float, bool or str field of ``obj`` (named
-    ``where``, "" for the scenario) that does not fit its declared type."""
-    prefix = f"{where}." if where else ""
-    return [f"{prefix}{name}: must be {_WANTED[kind]}, got {getattr(obj, name)!r}"
-            for name, kind in declared_types(type(obj)).items()
-            if not _fits(getattr(obj, name), kind)]
-
-
-def _object_problems(obj, cls, where: str) -> list[str]:
-    """The problem when ``obj`` is not a ``cls``, else its fields' type problems."""
+def _type_problems(obj, cls, where: str, problems: list[str]) -> None:
+    """Append a problem for ``obj`` (named ``where``, "" for the scenario)
+    when it is not a ``cls``, else for each field at any depth that does
+    not fit its declared type.  A numpy scalar that fits is replaced by
+    its Python value, so later checks and the run see plain values."""
     if not isinstance(obj, cls):
-        return [f"{where}: must be a {cls.__name__}, got {obj!r}"]
-    return _type_problems(obj, where)
-
-
-def _specs(items, cls, where: str, problems: list[str]) -> list[tuple[int, object]]:
-    """The ``cls`` items of a list field whose fields fit their types, with
-    their indices (so their ids can be hashed); a problem for each other
-    item, or for the field when it is not a list."""
-    if not isinstance(items, (list, tuple)):
-        problems.append(f"{where}: must be a list of {cls.__name__}, got {items!r}")
-        return []
-    kept = []
-    for i, item in enumerate(items):
-        found = _object_problems(item, cls, f"{where}[{i}]")
-        problems += found
-        if not found:
-            kept.append((i, item))
-    return kept
+        problems.append(f"{where or 'scenario'}: must be a {cls.__name__}, got {obj!r}")
+        return
+    for name, kind in _field_types(cls):
+        value = getattr(obj, name)
+        if kind in _ACCEPTS and _fits(value, kind):
+            if isinstance(value, np.generic):
+                setattr(obj, name, value.item())
+            continue
+        at = f"{where}.{name}" if where else name
+        if kind in _ACCEPTS:
+            problems.append(f"{at}: must be {_WANTED[kind]}, got {value!r}")
+        elif kind in _SPECS:
+            _type_problems(value, _SPECS[kind], at, problems)
+        elif kind in _LISTS and isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                _type_problems(item, _LISTS[kind], f"{at}[{i}]", problems)
+        elif kind in _LISTS:
+            problems.append(f"{at}: must be a list of {_LISTS[kind].__name__}, got {value!r}")
+        elif not isinstance(value, dict):  # forced_losses
+            problems.append(f"{at}: must be a dict, got {value!r}")
+        else:
+            for pid, seqs in value.items():
+                if not isinstance(seqs, (list, tuple)):
+                    problems.append(f"{at}[{pid}]: must be a sequence of seqs, got {seqs!r}")
+                    continue
+                problems += [f"{at}[{pid}]: seq must be an integer, got {q!r}"
+                             for q in seqs if not _fits(q, "int")]
 
 
 def validate_loss_model(m: LossModel, where: str = "loss") -> list[str]:
+    """Range problems of a loss model whose fields fit their declared types."""
     # the range checks also reject NaN: every comparison with it is false
-    problems = _object_problems(m, LossModel, where)
-    if problems:
-        return problems
+    problems = []
     if not 0.0 <= m.rate <= 1.0:
         problems.append(f"{where}.rate: must be in [0, 1], got {m.rate}")
     if not 0.0 <= m.correlation < 1.0:
@@ -213,9 +224,8 @@ def validate_loss_model(m: LossModel, where: str = "loss") -> list[str]:
 
 
 def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
-    problems = _object_problems(m, DelayModel, where)
-    if problems:
-        return problems
+    """Kind and range problems of a delay model whose fields fit their types."""
+    problems = []
     if m.kind not in DELAY_FIELDS:
         problems.append(f"{where}.kind: unknown kind {m.kind!r}")
     else:
@@ -226,8 +236,8 @@ def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
                     and getattr(m, f.name) != f.default):
                 problems.append(f"{where}.{f.name}: kind {m.kind!r} does not "
                                 f"read it, so it must keep its default {f.default!r}")
-    if m.kind == "trace" and not isinstance(m.trace, Trace):
-        problems.append(f"{where}.trace: kind 'trace' requires a Trace, got {m.trace!r}")
+    if m.kind == "trace" and m.trace is None:
+        problems.append(f"{where}.trace: kind 'trace' requires a Trace, got None")
     if not m.mean >= 0:
         problems.append(f"{where}.mean: must be >= 0, got {m.mean}")
     elif not fits_clock(m.mean):
@@ -244,79 +254,63 @@ def validate_delay_model(m: DelayModel, where: str = "delay") -> list[str]:
 
 
 def validate_scenario(s: Scenario) -> list[str]:
+    """Every problem of ``s``, [] when it can run.  Type problems come alone:
+    the range and reference checks run only once every field fits its
+    declared type, each numpy scalar replaced in place by its Python value."""
     problems: list[str] = []
-    if isinstance(s.paths, (list, tuple)) and not s.paths:
+    _type_problems(s, Scenario, "", problems)
+    if problems:
+        return problems
+    if not s.paths:
         problems.append("paths: at least one path is required")
-    before = len(problems)
-    paths = _specs(s.paths, PathSpec, "paths", problems)
-    # forced_losses may name a path left out here for a misfit field
-    all_paths_kept = len(problems) == before
-    segments = _specs(s.shared_segments, SharedSegmentSpec, "shared_segments", problems)
-    ids = [p.id for _, p in paths]
+    ids = [p.id for p in s.paths]
     if len(set(ids)) != len(ids):
         problems.append("paths: ids must be unique")
-    seg_ids = [g.id for _, g in segments]
+    seg_ids = [g.id for g in s.shared_segments]
     if len(set(seg_ids)) != len(seg_ids):
         problems.append("shared_segments: ids must be unique")
-    for i, p in paths:
+    for i, p in enumerate(s.paths):
         problems += validate_loss_model(p.loss, f"paths[{i}].loss")
         problems += validate_delay_model(p.delay, f"paths[{i}].delay")
         if p.shared is not None and p.shared not in seg_ids:
             problems.append(f"paths[{i}].shared: unknown segment {p.shared!r}")
-    used = {p.shared for _, p in paths}
-    for i, g in segments:
+    used = {p.shared for p in s.paths}
+    for i, g in enumerate(s.shared_segments):
         problems += validate_loss_model(g.loss, f"shared_segments[{i}].loss")
         if g.id not in used:
             problems.append(f"shared_segments[{i}]: no path references segment {g.id!r}")
-    # each object's ranges are checked only once its fields fit their types
-    own = _type_problems(s, "")
-    traffic = _object_problems(s.traffic, TrafficSpec, "traffic")
-    padding = _object_problems(s.padding, PaddingConfig, "padding")
-    problems += own + traffic + padding
-    own_ok, traffic_ok, padding_ok = not own, not traffic, not padding
-    if traffic_ok:
-        interval, count = s.traffic.interval, s.traffic.count
-        if not interval > 0:
-            problems.append(f"traffic.interval: must be > 0, got {interval}")
-        elif not fits_clock(interval):
-            problems.append(f"traffic.interval: {interval} ms overflows the int64 ns clock")
-        elif ms_to_ns(interval) == 0:
-            problems.append(f"traffic.interval: {interval} ms rounds to 0 ns")
-        elif count * ms_to_ns(interval) >= CLOCK_LIMIT_NS:
-            problems.append(f"traffic: {count} packets at {interval} ms "
-                            "overflow the int64 ns clock")
-        if count < 1:
-            problems.append(f"traffic.count: must be >= 1, got {count}")
-        if s.traffic.packet_size < 1:
-            problems.append(f"traffic.packet_size: must be >= 1, got {s.traffic.packet_size}")
-    if padding_ok:
-        target = s.padding.target_one_way
-        if not fits_clock(target):
-            problems.append(f"padding.target_one_way: must be finite and fit the "
-                            f"int64 ns clock, got {target}")
-        elif s.padding.enabled and target < 0:
-            problems.append("padding.target_one_way: must be >= 0 when enabled")
-        if own_ok and s.reorder_removal and target <= 0:
-            problems.append("reorder_removal: requires padding.target_one_way > 0 "
-                            "(hold timeout)")
-        elif own_ok and s.reorder_removal and fits_clock(target) and ms_to_ns(target) == 0:
-            problems.append(f"reorder_removal: padding.target_one_way {target} ms "
-                            "(hold timeout) rounds to 0 ns")
-    if own_ok and s.dedup_window < 1:
+    interval, count = s.traffic.interval, s.traffic.count
+    if not interval > 0:
+        problems.append(f"traffic.interval: must be > 0, got {interval}")
+    elif not fits_clock(interval):
+        problems.append(f"traffic.interval: {interval} ms overflows the int64 ns clock")
+    elif ms_to_ns(interval) == 0:
+        problems.append(f"traffic.interval: {interval} ms rounds to 0 ns")
+    elif count * ms_to_ns(interval) >= CLOCK_LIMIT_NS:
+        problems.append(f"traffic: {count} packets at {interval} ms "
+                        "overflow the int64 ns clock")
+    if count < 1:
+        problems.append(f"traffic.count: must be >= 1, got {count}")
+    if s.traffic.packet_size < 1:
+        problems.append(f"traffic.packet_size: must be >= 1, got {s.traffic.packet_size}")
+    target = s.padding.target_one_way
+    if not fits_clock(target):
+        problems.append(f"padding.target_one_way: must be finite and fit the "
+                        f"int64 ns clock, got {target}")
+    elif s.padding.enabled and target < 0:
+        problems.append("padding.target_one_way: must be >= 0 when enabled")
+    if s.reorder_removal and target <= 0:
+        problems.append("reorder_removal: requires padding.target_one_way > 0 (hold timeout)")
+    elif s.reorder_removal and fits_clock(target) and ms_to_ns(target) == 0:
+        problems.append(f"reorder_removal: padding.target_one_way {target} ms "
+                        "(hold timeout) rounds to 0 ns")
+    if s.dedup_window < 1:
         problems.append(f"dedup_window: must be >= 1, got {s.dedup_window}")
-    if not isinstance(s.forced_losses, dict):
-        return problems + [f"forced_losses: must be a dict, got {s.forced_losses!r}"]
     for pid, seqs in s.forced_losses.items():
-        if all_paths_kept and pid not in ids:
+        if pid not in ids:
             problems.append(f"forced_losses: unknown path {pid!r}")
-        if not isinstance(seqs, Sequence):
-            problems.append(f"forced_losses[{pid}]: must be a sequence of seqs, got {seqs!r}")
-            continue
-        for q in seqs:
-            if not _fits(q, "int"):
-                problems.append(f"forced_losses[{pid}]: seq must be an integer, got {q!r}")
-            elif traffic_ok and not 0 <= q < s.traffic.count:
-                problems.append(f"forced_losses[{pid}]: seq {q} outside the run")
+        problems += [f"forced_losses[{pid}]: seq {q} outside the run"
+                     for q in map(int, seqs) if not 0 <= q < count]
     return problems
 
 
@@ -325,7 +319,9 @@ def validate_scenario(s: Scenario) -> list[str]:
 
 
 def simulate(scenario: Scenario) -> SimResult:
-    """Run one scenario and return the complete per-packet ledger."""
+    """Run one scenario and return the complete per-packet ledger.  The
+    scenario must pass ``validate_scenario`` (else ValidationError), which
+    also turns its numpy scalars into Python values in place."""
     problems = validate_scenario(scenario)
     if problems:
         raise ValidationError(problems)
@@ -451,6 +447,10 @@ def run_sweep(base: Scenario, parameter: str,
     if parameter == "seed":  # the loop below would overwrite every value
         raise ConfigurationError("parameter 'seed' cannot be swept: run i uses "
                                  "the base seed + i (set it with --seed)")
+    problems: list[str] = []
+    _type_problems(base, Scenario, "", problems)  # the seeds and labels read it
+    if problems:
+        raise ValidationError(problems)
     results = []
     for i, value in enumerate(values):
         scenario = copy.deepcopy(base)

@@ -1,6 +1,7 @@
 """Simulation engine: event ordering, dedup accounting, padding, sweeps,
 scenario files."""
 
+import copy
 import dataclasses
 import math
 from pathlib import Path
@@ -14,7 +15,7 @@ from railsim import engine, railedge
 from railsim.engine import (PaddingConfig, Scenario, TrafficSpec, load_scenario,
                             parse_scenario, run_sweep, set_parameter, simulate,
                             validate_delay_model)
-from railsim.errors import ConfigurationError, ValidationError
+from railsim.errors import ConfigurationError, RailSimError, ValidationError
 from railsim.metrics import reorder_stats
 from railsim.pathsim import (DelayModel, LossModel, PathSpec, SharedSegmentSpec,
                              Trace, load_trace)
@@ -687,9 +688,9 @@ def test_numpy_bools_are_bools():
      ["paths[0].delay: must be a DelayModel, got None"]),
     ({"paths": None}, ["paths: must be a list of PathSpec, got None"]),
     ({"paths": [PathSpec("a"), "b"]}, ["paths[1]: must be a PathSpec, got 'b'"]),
+    # type problems come alone: the unused segment is not reported
     ({"shared_segments": [SharedSegmentSpec("core", loss=0.1)]},
-     ["shared_segments[0].loss: must be a LossModel, got 0.1",
-      "shared_segments[0]: no path references segment 'core'"]),
+     ["shared_segments[0].loss: must be a LossModel, got 0.1"]),
     ({"traffic": None}, ["traffic: must be a TrafficSpec, got None"]),
     ({"padding": 100.0}, ["padding: must be a PaddingConfig, got 100.0"]),
 ])
@@ -725,13 +726,25 @@ def test_an_object_with_a_misfit_field_skips_its_range_checks():
      "paths[0].delay.kind: must be a str, got ['constant']"),
     (Scenario(paths=[PathSpec("a")], label=7), "label: must be a str, got 7"),
     (Scenario(paths=[PathSpec("a", delay=DelayModel("trace", trace=[5.0, 6.0]))]),
-     "paths[0].delay.trace: kind 'trace' requires a Trace, got [5.0, 6.0]"),
-], ids=["path-id", "path-shared", "segment-id", "delay-kind", "label", "delay-trace"])
+     "paths[0].delay.trace: must be a Trace or None, got [5.0, 6.0]"),
+    # the array raised a ValueError from the unread-field check
+    (Scenario(paths=[PathSpec("a", delay=DelayModel(trace=np.array([1.0, 2.0])))]),
+     "paths[0].delay.trace: must be a Trace or None, got array([1., 2.])"),
+    # a problem before too: the trace check left to the delay model
+    (Scenario(paths=[PathSpec("a", delay=DelayModel("trace"))]),
+     "paths[0].delay.trace: kind 'trace' requires a Trace, got None"),
+    # an AttributeError
+    (None, "scenario: must be a Scenario, got None"),
+], ids=["path-id", "path-shared", "segment-id", "delay-kind", "label", "delay-trace",
+        "unread-trace-array", "trace-kind-without-trace", "no-scenario"])
 def test_a_misfit_str_or_trace_field_is_a_validation_error(scenario, problem):
     with pytest.raises(ValidationError) as err:
         simulate(scenario)
     assert err.value.problems == [problem]
 
+
+SCENARIO_TYPES = (Scenario, TrafficSpec, PaddingConfig, PathSpec, SharedSegmentSpec,
+                  LossModel, DelayModel)
 
 # the types validation and sweeps check; losing postponed annotations
 # would turn every type into a class and empty this set
@@ -747,15 +760,166 @@ DECLARED = {
     ("DelayModel", "pareto_weight", "float"), ("DelayModel", "kind", "str"),
     ("Scenario", "label", "str"), ("PathSpec", "id", "str"),
     ("PathSpec", "shared", "str | None"), ("SharedSegmentSpec", "id", "str"),
+    ("DelayModel", "trace", "Trace | None"),
 }
 
 
 def test_the_declared_types_of_the_scenario_fields():
-    got = {(cls.__name__, name, kind)
-           for cls in (Scenario, TrafficSpec, PaddingConfig, PathSpec,
-                       SharedSegmentSpec, LossModel, DelayModel)
+    got = {(cls.__name__, name, kind) for cls in SCENARIO_TYPES
            for name, kind in engine.declared_types(cls).items()}
     assert got == DECLARED
+
+
+def test_the_type_walk_handles_every_field_annotation():
+    # a field with any other annotation would be walked as forced_losses,
+    # so a new field cannot slip past validation unchecked
+    handled = {*engine._ACCEPTS, *engine._SPECS, *engine._LISTS}
+    for cls in SCENARIO_TYPES:
+        for name, kind in engine._field_types(cls):
+            assert kind in handled or (cls, name, kind) == (
+                Scenario, "forced_losses", "dict[str, tuple[int, ...]]"), (cls.__name__, name)
+
+
+def _ledger(sim):
+    return (sim.send_ns, sim.arrival_ns, sim.rail_delay_ns, sim.forward_ns,
+            sim.padding_ns, sim.forwarded_order)
+
+
+def _same_run(sim, twin):
+    return (sim.counters == twin.counters
+            and all(np.array_equal(a, b) for a, b in zip(_ledger(sim), _ledger(twin))))
+
+
+# before, the int64 count passed validation and its clock product wrapped
+# (send_ns went negative), the int8 values and the largest counts raised
+# an OverflowError or a numpy overflow, and the uint64 window a TypeError
+@pytest.mark.parametrize("assign, problem", [
+    ([("traffic.interval", 1e7), ("traffic.count", np.int64(1_000_000))],
+     "traffic: 1000000 packets at 10000000.0 ms overflow the int64 ns clock"),
+    ([("traffic.count", np.int8(10))], None),
+    ([("traffic.interval", np.int8(20))], None),
+    ([("padding.target_one_way", np.int8(100))], None),
+    ([("traffic.count", np.int64(2**63 - 1))],
+     "traffic: 9223372036854775807 packets at 20.0 ms overflow the int64 ns clock"),
+    ([("traffic.count", np.uint64(2**64 - 1))],
+     "traffic: 18446744073709551615 packets at 20.0 ms overflow the int64 ns clock"),
+    ([("dedup_window", np.uint64(4))], None),
+], ids=["int64-count-wrap", "int8-count", "int8-interval", "int8-target", "int64-count",
+        "uint64-count", "uint64-window"])
+def test_a_numpy_scalar_runs_as_its_python_value(assign, problem):
+    def scenario(plain):
+        s = two_const_paths(count=10, reorder_removal=True,
+                            padding=PaddingConfig(True, target_one_way=100.0))
+        for field, value in assign:
+            where, _, name = field.rpartition(".")
+            if plain and isinstance(value, np.generic):
+                value = value.item()
+            setattr(getattr(s, where) if where else s, name, value)
+        return s
+
+    if problem is not None:
+        for plain in (True, False):
+            with pytest.raises(ValidationError) as err:
+                simulate(scenario(plain))
+            assert err.value.problems == [problem]
+        return
+    sim = simulate(scenario(plain=False))
+    assert _same_run(sim, simulate(scenario(plain=True)))
+    # the run's scenario holds the Python value, replaced in place
+    for field, value in assign:
+        where, _, name = field.rpartition(".")
+        held = getattr(getattr(sim.scenario, where) if where else sim.scenario, name)
+        assert type(held) is type(value.item())
+
+
+# before, a seed that is no int raised a TypeError from base.seed + i, and
+# an array label a ValueError from base.label or 'sweep'
+@pytest.mark.parametrize("field, value, problem", [
+    ("seed", None, "seed: must be an integer, got None"),
+    ("seed", "1", "seed: must be an integer, got '1'"),
+    ("seed", LossModel(), "seed: must be an integer, got LossModel(rate=0.0, correlation=0.0)"),
+    ("label", np.array(["x"]), "label: must be a str, got array(['x'], dtype='<U1')"),
+], ids=["seed-none", "seed-str", "seed-spec", "label-array"])
+def test_a_sweep_checks_the_base_types_first(field, value, problem):
+    base = two_const_paths()
+    setattr(base, field, value)
+    with pytest.raises(ValidationError) as err:
+        run_sweep(base, "traffic.interval", [10.0, 20.0])
+    assert err.value.problems == [problem]
+
+
+def _zoo_base():
+    """A valid two-path scenario with a shared segment, forced losses,
+    padding and the hold: each delay kind but constant, and a trace."""
+    return Scenario(
+        paths=[PathSpec("a", LossModel(0.1, 0.2),
+                        DelayModel("paretonormal", mean=30.0, stddev=5.0, correlation=0.3,
+                                   pareto_alpha=3.0, pareto_weight=0.5), shared="core"),
+               PathSpec("b", LossModel(0.05), DelayModel(
+                   "trace", trace=Trace([0, 1, 2], [40.0, math.nan, 45.0])))],
+        shared_segments=[SharedSegmentSpec("core", LossModel(0.02))],
+        traffic=TrafficSpec(packet_size=200, interval=20.0, count=50),
+        padding=PaddingConfig(True, target_one_way=60.0), reorder_removal=True,
+        seed=3, label="zoo", dedup_window=16, forced_losses={"a": [2, 7], "b": [4]})
+
+
+def _slots(obj, at=()):
+    """The key path of every value in ``obj``: dataclass fields, list
+    items, forced-loss entries and their seqs, at any depth."""
+    if dataclasses.is_dataclass(obj):
+        items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield at + (key,)
+        yield from _slots(value, at + (key,))
+
+
+def _zoo_scenario(slot, value):
+    scenario = _zoo_base()
+    *parents, key = slot
+    obj = scenario
+    for part in parents:
+        obj = getattr(obj, part) if dataclasses.is_dataclass(obj) else obj[part]
+    if dataclasses.is_dataclass(obj):
+        setattr(obj, key, copy.deepcopy(value))
+    else:
+        obj[key] = copy.deepcopy(value)
+    return scenario
+
+
+ZOO_SLOTS = list(_slots(_zoo_base()))
+ZOO = [None, "x", b"x", [1], (1,), {"a": 1}, np.array(3), np.array([1, 2]),
+       np.int8(3), np.uint64(3), np.uint64(2**64 - 1), np.int64(3), np.int64(2**63 - 1),
+       np.float32(0.5), np.float64(0.5), np.bool_(True), True, math.nan, 2**80, -1, 1.5,
+       object(), Trace([0], [5.0]), LossModel()]
+
+
+def _result(call, scenario):
+    """What ``call`` returns, or None when it raises a RailSimError; any
+    other exception fails the test."""
+    try:
+        return call(scenario)
+    except RailSimError:
+        return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(slot=st.sampled_from(ZOO_SLOTS), value=st.sampled_from(ZOO))
+def test_any_value_at_any_depth_runs_or_is_a_railsim_error(slot, value):
+    # numpy warnings are errors (pyproject), so a numpy overflow fails too
+    _result(engine.scenario_sha256, _zoo_scenario(slot, value))
+    _result(lambda s: run_sweep(s, "traffic.interval", [20.0, 10.0]),
+            _zoo_scenario(slot, value))
+    sim = _result(simulate, _zoo_scenario(slot, value))
+    if isinstance(value, np.generic):  # it runs exactly when its twin runs, as its twin
+        twin = _result(simulate, _zoo_scenario(slot, value.item()))
+        assert (sim is None) == (twin is None)
+        assert sim is None or _same_run(sim, twin)
 
 
 def test_each_scenario_key_casts_to_its_fields_declared_type():

@@ -142,9 +142,11 @@ def test_the_scenario_rules_live_in_engine():
         for name in names:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
             assert hasattr(railsim.engine, name), name
-    # the hand-listed type checks that engine.declared_types replaced
+    # the hand-listed type checks that engine.declared_types replaced, and
+    # the per-object checks that the one type walk replaced
     for owner, name in ((railsim.pathsim, "is_number"), (railsim.pathsim, "not_numbers"),
-                        (railsim.pathsim, "_check"), (railsim.engine, "_is_int")):
+                        (railsim.pathsim, "_check"), (railsim.engine, "_is_int"),
+                        (railsim.engine, "_specs"), (railsim.engine, "_object_problems")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     assert not any(dataclasses.is_dataclass(v) for v in vars(railsim.railedge).values())
     assert railsim.PaddingConfig is railsim.engine.PaddingConfig
