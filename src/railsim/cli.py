@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, engine, metrics, quality, suite
+from . import __version__, engine, metrics, quality
 from .engine import load_scenario, run_sweep, simulate
 from .errors import RailSimError
 from .pathsim import load_trace
@@ -25,6 +26,29 @@ from .report import IntColumn, MsColumn, ReportBundle, fmt_ms, fmt_num
 
 ENV_OUT_DIR = "RAILSIM_OUT"
 MAX_RANGE_POINTS = 1_000_000  # points an 'a:b:step' range may expand to
+
+
+def _lazy_import(name: str):
+    """Module ``name``, registered in ``sys.modules`` and on its package as
+    an import would, but compiled and run on first attribute access; an
+    already imported module is returned as it is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    package, _, attr = name.rpartition(".")
+    setattr(sys.modules[package], attr, module)
+    return module
+
+
+# Only paper-suite runs the suite, railsim's largest module, so the other
+# verbs start without compiling it.  It is bound here, not imported inside
+# cmd_paper_suite, because callers reach it as ``railsim.cli.suite`` or
+# ``sys.modules["railsim.suite"]`` before the verb runs (to patch it).
+suite = _lazy_import(f"{__package__}.suite")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -174,7 +175,11 @@ def declared_types(cls) -> dict[str, str]:
 
 
 def _fits(value, kind: str) -> bool:
-    return isinstance(value, _ACCEPTS[kind]) and (type(value) is not bool or kind == "bool")
+    """``value`` fits a field declared ``kind``; a float field's int must
+    not exceed the largest float, as every use converts it to one."""
+    if not isinstance(value, _ACCEPTS[kind]) or (type(value) is bool and kind != "bool"):
+        return False
+    return kind != "float" or not isinstance(value, int) or abs(value) <= sys.float_info.max
 
 
 def _type_problems(obj, cls, where: str, problems: list[str]) -> None:
@@ -192,7 +197,10 @@ def _type_problems(obj, cls, where: str, problems: list[str]) -> None:
                 setattr(obj, name, value.item())
             continue
         at = f"{where}.{name}" if where else name
-        if kind in _ACCEPTS:
+        if kind == "float" and _fits(value, "int"):  # past the largest float
+            problems.append(f"{at}: must be a number a float can hold, "
+                            f"got an int of {value.bit_length()} bits")
+        elif kind in _ACCEPTS:
             problems.append(f"{at}: must be {_WANTED[kind]}, got {value!r}")
         elif kind in _SPECS:
             _type_problems(value, _SPECS[kind], at, problems)
@@ -467,10 +475,13 @@ def run_sweep(base: Scenario, parameter: str,
 
 def _hashed(value):
     """A trace as its ``[seq, delay or null]`` entries (a printed array
-    elides the middle of a long one), anything else as ``str``."""
+    elides the middle of a long one), a numpy scalar as its Python value,
+    which ``simulate`` puts in its place, anything else as ``str``."""
     if isinstance(value, Trace):
         return {"entries": [[s, None if math.isnan(d) else d] for s, d
                             in zip(value.seq.tolist(), value.delay_ms.tolist())]}
+    if isinstance(value, np.generic):
+        return value.item()
     return str(value)
 
 

@@ -514,6 +514,43 @@ def test_paper_suite_exit_zero_and_writes_bundle(monkeypatch, capsys, tmp_path):
     assert (out / "demo.csv").exists()
 
 
+def fresh_python(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports railsim from this
+    checkout; it fails the test by failing an assert."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_cli_binds_suite_without_running_it():
+    # the suite's body runs on first attribute access, so simulate and the
+    # other verbs never compile it
+    fresh_python("""
+import sys
+import railsim.cli
+m = sys.modules["railsim.suite"]
+assert "run_paper_suite" not in object.__getattribute__(m, "__dict__")
+import railsim
+import railsim.suite
+assert railsim.cli.suite is railsim.suite is sys.modules["railsim.suite"] is m
+assert callable(m.run_paper_suite)
+""")
+
+
+def test_cli_binds_an_already_imported_suite():
+    fresh_python("""
+import sys
+import railsim.suite
+m = sys.modules["railsim.suite"]
+import railsim.cli
+assert railsim.cli.suite is railsim.suite is m
+assert "run_paper_suite" in object.__getattribute__(m, "__dict__")
+""")
+
+
 # values any key may take: NaN, infinities, a float at the edge of
 # overflow, empty and non-numeric text, and text with a literal %
 FUZZ_VALUES = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "", "x", "-1", "0.5",

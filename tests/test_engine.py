@@ -895,8 +895,8 @@ def _zoo_scenario(slot, value):
 ZOO_SLOTS = list(_slots(_zoo_base()))
 ZOO = [None, "x", b"x", [1], (1,), {"a": 1}, np.array(3), np.array([1, 2]),
        np.int8(3), np.uint64(3), np.uint64(2**64 - 1), np.int64(3), np.int64(2**63 - 1),
-       np.float32(0.5), np.float64(0.5), np.bool_(True), True, math.nan, 2**80, -1, 1.5,
-       object(), Trace([0], [5.0]), LossModel()]
+       np.float32(0.5), np.float64(0.5), np.bool_(True), True, math.nan, 2**80, 10**400,
+       -1, 1.5, object(), Trace([0], [5.0]), LossModel()]
 
 
 def _result(call, scenario):
@@ -915,11 +915,17 @@ def test_any_value_at_any_depth_runs_or_is_a_railsim_error(slot, value):
     _result(engine.scenario_sha256, _zoo_scenario(slot, value))
     _result(lambda s: run_sweep(s, "traffic.interval", [20.0, 10.0]),
             _zoo_scenario(slot, value))
-    sim = _result(simulate, _zoo_scenario(slot, value))
+    scenario = _zoo_scenario(slot, value)
+    sim = _result(simulate, scenario)
     if isinstance(value, np.generic):  # it runs exactly when its twin runs, as its twin
-        twin = _result(simulate, _zoo_scenario(slot, value.item()))
+        twin_scenario = _zoo_scenario(slot, value.item())
+        twin = _result(simulate, twin_scenario)
         assert (sim is None) == (twin is None)
         assert sim is None or _same_run(sim, twin)
+        # and hashes as its twin, before and after simulate puts the twin in its place
+        twin_hash = _result(engine.scenario_sha256, twin_scenario)
+        assert _result(engine.scenario_sha256, _zoo_scenario(slot, value)) == twin_hash
+        assert _result(engine.scenario_sha256, scenario) == twin_hash
 
 
 def test_each_scenario_key_casts_to_its_fields_declared_type():

@@ -21,6 +21,9 @@ a numpy that changes one fails a test that names the stream.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +316,18 @@ def test_paper_suite_bundle_matches_golden(tmp_path, monkeypatch):
     assert loops == []
     assert all(g.passed for g in gates)
     bundle.write(tmp_path)
+    assert bundle_digest(tmp_path) == PAPER_SUITE_SHA256
+
+
+def test_paper_suite_verb_in_a_fresh_interpreter_matches_golden(tmp_path):
+    """The verb itself, with the suite loaded on first use by railsim.cli."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, railsim.cli; sys.exit(railsim.cli.main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, "paper-suite", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
     assert bundle_digest(tmp_path) == PAPER_SUITE_SHA256
 
 
