@@ -48,7 +48,7 @@ def _lazy_import(name: str):
 # verbs start without compiling it.  It is bound here, not imported inside
 # cmd_paper_suite, because callers reach it as ``railsim.cli.suite`` or
 # ``sys.modules["railsim.suite"]`` before the verb runs (to patch it).
-suite = _lazy_import(f"{__package__}.suite")
+suite = _lazy_import("railsim.suite")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -55,6 +55,14 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+def checkout_env() -> dict:
+    """The environment for a new interpreter that imports railsim from
+    this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_simulate_writes_bundle(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["simulate", "--scenario", scenario_file, "--out", out]) == 0
@@ -192,9 +200,7 @@ def test_calls_in_one_process_behave_as_fresh_processes(tmp_path, monkeypatch,
                                                         capsys):
     # main keeps one parser per process: each call must still read
     # RAILSIM_OUT afresh, and an earlier usage error must leave no trace
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = checkout_env()
     grid = ["mos", "--grid", "--losses", "0,0.01", "--delays", "0,150"]
     for argv, name, want in [(grid, "first", 0), (["mos", "--loss", "nope"], "bad", 1),
                              (grid, "second", 0)]:
@@ -316,9 +322,7 @@ def test_out_of_memory_is_an_error_not_a_traceback(tmp_path):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = checkout_env()
     proc = subprocess.run(
         [sys.executable, "-m", "railsim.cli", "simulate", "--scenario", str(scenario)],
         capture_output=True, text=True, env=env, preexec_fn=cap_address_space,
@@ -517,11 +521,8 @@ def test_paper_suite_exit_zero_and_writes_bundle(monkeypatch, capsys, tmp_path):
 def fresh_python(code: str) -> None:
     """Run ``code`` in a new interpreter that imports railsim from this
     checkout; it fails the test by failing an assert."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=checkout_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
