@@ -5,8 +5,6 @@ paper-suite.  Exit codes: 0 success, 1 usage/configuration error,
 2 paper-suite property failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import importlib.util
@@ -141,12 +139,6 @@ def _records_table(sim: engine.SimResult) -> tuple[list[str], list]:
     return header, columns
 
 
-def _burst_summary(lost_mask) -> dict:
-    b = metrics.burst_stats(lost_mask)
-    return {"lost_in_burst": b.lost_in_burst, "num_bursts": b.num_bursts,
-            "avg_burst": b.avg_burst, "max_burst": b.max_burst}
-
-
 def _stream_summary(n_sent: int, lost_mask, delays) -> dict:
     delays = np.asarray(delays, dtype=float)
     return {
@@ -154,7 +146,7 @@ def _stream_summary(n_sent: int, lost_mask, delays) -> dict:
         "delivered": int(n_sent - np.count_nonzero(lost_mask)),
         "mean_delay_ms": float(np.mean(delays)) if delays.size else None,
         "std_delay_ms": float(np.std(delays)) if delays.size else None,
-        "burst": _burst_summary(lost_mask),
+        "burst": metrics.burst_stats(lost_mask)._asdict(),
     }
 
 
@@ -213,13 +205,10 @@ def cmd_sweep(args) -> int:
     results = run_sweep(base, args.parameter, values)
     rows = []
     for value, sim in results:
-        n = sim.scenario.traffic.count
-        rail_loss = float(np.count_nonzero(sim.rail_lost_mask())) / n
-        fwd = sim.forwarded_delays_ms()
-        rows.append([fmt_num(value), fmt_num(rail_loss),
-                     fmt_num(1.0 - rail_loss),
-                     fmt_ms(float(np.mean(fwd))) if fwd.size else "",
-                     fmt_ms(float(np.std(fwd))) if fwd.size else "",
+        rail = _stream_summary(sim.scenario.traffic.count, sim.rail_lost_mask(),
+                               sim.forwarded_delays_ms())
+        rows.append([fmt_num(value), fmt_num(rail["loss"]), fmt_num(1.0 - rail["loss"]),
+                     fmt_ms(rail["mean_delay_ms"]), fmt_ms(rail["std_delay_ms"]),
                      metrics.reorder_stats(sim.forwarded_order).out_of_order_count])
     bundle = ReportBundle(manifest={
         "tool": "railsim", "version": __version__,
@@ -324,7 +313,7 @@ def cmd_trace_analyze(args) -> int:
         "loss": float(np.count_nonzero(lost)) / len(trace),
         "mean_delay_ms": float(np.mean(delivered)) if delivered.size else None,
         "std_delay_ms": float(np.std(delivered)) if delivered.size else None,
-        "burst": _burst_summary(lost),
+        "burst": metrics.burst_stats(lost)._asdict(),
     }
     if delivered.size:
         cdf = metrics.empirical_cdf(delivered)

@@ -33,9 +33,10 @@ from .railedge import LOST_NS, receive
 NS_PER_MS = 1_000_000
 
 # The engine's clock is int64 nanoseconds.  Each time it takes in (run
-# length, delay, padding target) stays below 2**60 ns, about 36 years, so
-# the sums it forms (send + delay + padding + hold timeout) stay inside
-# int64 and below the reorder hold's 2**62 sentinel.
+# length, delay, padding target, which is also the hold timeout) stays
+# below 2**60 ns, about 36 years, so the sums it forms (send + delay +
+# padding + hold timeout) stay below 2**62: inside int64, and below the
+# 2**63 ns at which the reorder hold rejects a deadline.
 CLOCK_LIMIT_NS = 2 ** 60
 
 DEFAULT_DEDUP_WINDOW = 4096

@@ -2,8 +2,6 @@
 composition, burst-loss statistics, reordering statistics and downtime
 combination.  Pure functions over immutable inputs."""
 
-from __future__ import annotations
-
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 

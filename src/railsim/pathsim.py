@@ -12,8 +12,10 @@ skips the loss columns the loss model cannot read.  Each chunk is
 reduced to what the sequential recurrences (sticky loss, AR(1) delay)
 read as it is drawn, and each recurrence then runs once over the whole
 run: sticky loss as a running maximum, the AR(1) delay filter as a
-verified lockstep of row blocks that equals the one-row-at-a-time loop
-bit for bit (see ``ar1_scan``).
+lockstep of row blocks, each started from a guess that is checked bit for
+bit; a block whose guess missed runs again, whole, with the
+one-row-at-a-time loop, so the scan equals that loop bit for bit (see
+``ar1_scan``).
 """
 
 from __future__ import annotations
@@ -123,15 +125,32 @@ class PathSpec:
 
 
 class Trace:
-    """Recorded one-way delays: int64 ``seq``, float64 ``delay_ms`` (NaN: lost)."""
+    """Recorded one-way delays: int64 ``seq``, float64 ``delay_ms`` (NaN: lost).
+
+    The columns obey a trace file's rules (``load_trace``): seqs are
+    integers within int64 (a bool is not one) and strictly increase, and
+    delays are numbers, finite and >= 0 or NaN."""
 
     def __init__(self, seq, delay_ms):
-        self.seq = np.asarray(seq, dtype=np.int64)
-        self.delay_ms = np.asarray(delay_ms, dtype=np.float64)
-        if self.seq.ndim != 1 or self.seq.shape != self.delay_ms.shape:
+        seqs, delays = np.asarray(seq), np.asarray(delay_ms)
+        if seqs.ndim != 1 or seqs.shape != delays.shape:
             raise TraceParseError("seq and delay_ms must be 1-D columns of one length")
-        if not len(self.seq):
+        if not len(seqs):
             raise TraceParseError("empty trace")
+        if seqs.dtype.kind != "i":  # a seq that is not an integer, or past int64
+            for v in seq:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise TraceParseError(f"seq must be an integer, got {v!r}")
+                if not -2 ** 63 <= v < 2 ** 63:
+                    raise TraceParseError(f"seq {v} outside the int64 range")
+        if delays.dtype.kind not in "iuf":
+            raise TraceParseError(f"delay_ms must be numbers, got dtype {delays.dtype}")
+        self.seq = seqs.astype(np.int64, copy=False)
+        self.delay_ms = delays.astype(np.float64, copy=False)
+        back = np.flatnonzero(self.seq[1:] <= self.seq[:-1])
+        if len(back):
+            raise TraceParseError(f"non-monotone seq: {self.seq[back[0]]} "
+                                  f"then {self.seq[back[0] + 1]}")
         bad = np.isinf(self.delay_ms) | (self.delay_ms < 0)  # NaN passes
         if bad.any():
             i = np.argmax(bad)
@@ -197,11 +216,10 @@ def sticky_scan(fresh, hit):
 
 # The AR(1) scan's lockstep: with fewer blocks than this the loop is as
 # fast (each lockstep step costs about as much as 15 loop rows, and there
-# are up to two steps per block row); a block has at least this many rows,
-# and a repair re-runs the loop this many rows at a time.  With blocks of
-# max(w, 32) rows, runs of a few thousand rows at a weak correlation
-# (w = 38 at 0.3) take the lockstep; a 16-block lockstep is slower than
-# the loop (w = 89 at 0.6, 2,000 rows).
+# are up to two steps per block row); a block has at least this many rows.
+# With blocks of max(w, 32) rows, runs of a few thousand rows at a weak
+# correlation (w = 38 at 0.3) take the lockstep; a 16-block lockstep is
+# slower than the loop (w = 89 at 0.6, 2,000 rows).
 _MIN_BLOCKS = 32
 _MIN_BLOCK_ROWS = 32
 
@@ -219,27 +237,6 @@ def _ar1_loop(x, corr, b, out):
             block.append(x)
         out[lo:lo + len(block)] = block
     return x
-
-
-def _ar1_repair(out, b, lo, hi, corr):
-    """Make rows [lo, hi) of ``out`` exact, given an exact row lo - 1.
-
-    Re-runs the loop from row lo - 1, ``_MIN_BLOCK_ROWS`` rows at a time,
-    until a recomputed row equals the stored one bit for bit: the stored
-    rows from there on follow from it and are right.  Returns False when
-    no row merged, so row hi - 1 has changed.
-    """
-    x = float(out[lo - 1])
-    for p in range(lo, hi, _MIN_BLOCK_ROWS):
-        q = min(p + _MIN_BLOCK_ROWS, hi)
-        fresh = np.empty(q - p)
-        x = _ar1_loop(x, corr, b[p:q], fresh)
-        same = np.flatnonzero(fresh.view(np.int64) == out[p:q].view(np.int64))
-        if len(same):
-            out[p:p + same[0]] = fresh[:same[0]]
-            return True
-        out[p:q] = fresh
-    return False
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -260,9 +257,10 @@ def ar1_scan(eps, corr):
     - each guess is compared, bit for bit on an int64 view, with the value
       block k - 1 ended on.  By induction every block whose guess matched
       is exact;
-    - the other blocks are repaired in order by ``_ar1_repair``.  A block
-      that does not merge has changed its last value, so the next block
-      is repaired too.
+    - a block whose guess missed runs again, whole, with the loop from
+      that exact end.  Its end may change, so the next block runs again
+      too while its own guess misses the new end.  Misses are rare (about
+      one block in ten thousand on drawn inputs), so nothing finer pays.
 
     Runs of fewer than ``_MIN_BLOCKS`` blocks, and the rows after the last
     block, use the loop.  Overflow goes to inf without a warning, as in
@@ -298,15 +296,14 @@ def ar1_scan(eps, corr):
         np.multiply(x, c, row)
         np.add(row, step, row)
         x = row
-    miss = guess.view(np.int64) != rows[:-1, -1].view(np.int64)
-    exact = 1  # blocks below this one are exact
-    for blk in (np.flatnonzero(miss) + 1).tolist():
-        if blk < exact:
-            continue
-        while blk < k and not _ar1_repair(out, b, 1 + blk * m, 1 + (blk + 1) * m,
-                                          corr):
-            blk += 1
-        exact = blk + 1
+    starts, ends = start.view(np.int64), rows[:, -1].view(np.int64)
+    done = 0  # blocks up to this one are exact
+    for blk in (np.flatnonzero(starts[1:] != ends[:-1]) + 1).tolist():
+        if blk > done:
+            while blk < k and starts[blk] != ends[blk - 1]:
+                _ar1_loop(float(rows[blk - 1, -1]), corr, steps[blk], rows[blk])
+                blk += 1
+            done = blk
     _ar1_loop(float(out[hi - 1]), corr, b[hi:], out[hi:])
     return out
 

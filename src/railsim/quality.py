@@ -8,8 +8,6 @@ via the product of loss rates and the expected RTT of the first
 successful copy.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -260,10 +258,7 @@ class TcpPathSet:
         if not self.paths:
             raise DomainError("need at least one path")
         for p in self.paths:
-            if not 0.0 < p.loss_rate < 1.0:
-                raise DomainError(f"loss rate must be in (0, 1), got {p.loss_rate}")
-            if not 0 < p.rtt < math.inf:  # also rejects NaN
-                raise DomainError(f"rtt must be finite and > 0, got {p.rtt}")
+            _check_path(*p)
         rtts = [p.rtt for p in self.paths]
         if rtts != sorted(rtts):
             raise DomainError("paths must be sorted by ascending RTT")
@@ -280,6 +275,14 @@ class TcpPrediction(NamedTuple):
     throughput: float    # packets / s
 
 
+def _check_path(p: float, rtt: float) -> None:
+    """DomainError unless loss ``p`` is in (0, 1) and ``rtt`` is finite and > 0."""
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"loss rate must be in (0, 1), got {p}")
+    if not 0 < rtt < math.inf:  # also rejects NaN
+        raise DomainError(f"rtt must be finite and > 0, got {rtt}")
+
+
 def _throughput(p: float, rtt: float) -> float:
     """1.22 / (RTT * sqrt(p)) in packets/s; DomainError where floats under/overflow."""
     denom = (rtt / 1000.0) * math.sqrt(p)
@@ -290,10 +293,7 @@ def _throughput(p: float, rtt: float) -> float:
 
 def tcp_throughput_single(p: float, rtt: float) -> float:
     """Long-lived TCP throughput over one path: 1.22 / (RTT * sqrt(p))."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"loss rate must be in (0, 1), got {p}")
-    if not 0 < rtt < math.inf:  # also rejects NaN
-        raise DomainError(f"rtt must be finite and > 0, got {rtt}")
+    _check_path(p, rtt)
     return _throughput(p, rtt)
 
 

@@ -3,8 +3,6 @@ seq, suppresses later copies within the dedup window, pads early packets
 and can hold packets to remove reordering, over the ledger of copy
 arrivals that ``engine.simulate`` builds."""
 
-from __future__ import annotations
-
 from collections import Counter
 
 import numpy as np

@@ -2,8 +2,6 @@
 everything needed to reproduce the run byte-for-byte (seed, scenario
 hash, tool version).  Nothing time- or host-dependent goes in here."""
 
-from __future__ import annotations
-
 import csv
 import io
 import json

@@ -7,8 +7,6 @@ packs everything into a :class:`railsim.report.ReportBundle`.  All seeds
 are fixed module constants so every run is bit-identical.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import replace
 from typing import NamedTuple
@@ -410,19 +408,25 @@ TCP_PRACTICAL_P = (  # np.logspace(log10(0.01), log10(0.03), 10)
 TCP_SPOT = (0.01, 10.0)
 
 
+def _tcp_rail(p: float, ratio: float) -> tuple[float, float]:
+    """(Rail throughput, its speedup over the fast path alone) for two paths
+    of loss ``p``, with RTTs ``TCP_RTT1`` and ``ratio`` times that."""
+    rail = tcp_throughput_rail(
+        TcpPathSet.of([(p, TCP_RTT1), (p, TCP_RTT1 * ratio)])).throughput
+    return rail, rail / tcp_throughput_single(p, TCP_RTT1)
+
+
 def tcp_surface() -> list[dict]:
     rows = []
     for p in TCP_SURFACE_P:
         for ratio in TCP_SURFACE_RATIOS:
-            rtt2 = TCP_RTT1 * ratio
-            pred = tcp_throughput_rail(TcpPathSet.of([(p, TCP_RTT1), (p, rtt2)]))
-            t1 = tcp_throughput_single(p, TCP_RTT1)
-            t2 = tcp_throughput_single(p, rtt2)
+            rail, speedup = _tcp_rail(p, ratio)
             rows.append({
                 "p": p, "rtt_ratio": ratio,
-                "throughput_rail": pred.throughput,
-                "throughput_fast": t1, "throughput_slow": t2,
-                "speedup_vs_fast": pred.throughput / t1,
+                "throughput_rail": rail,
+                "throughput_fast": tcp_throughput_single(p, TCP_RTT1),
+                "throughput_slow": tcp_throughput_single(p, TCP_RTT1 * ratio),
+                "speedup_vs_fast": speedup,
             })
     return rows
 
@@ -438,9 +442,7 @@ def tcp_surface_gate(rows: list[dict]) -> Gate:
 
 
 def tcp_spot_ratio() -> float:
-    p, ratio = TCP_SPOT
-    pred = tcp_throughput_rail(TcpPathSet.of([(p, TCP_RTT1), (p, TCP_RTT1 * ratio)]))
-    return pred.throughput / tcp_throughput_single(p, TCP_RTT1)
+    return _tcp_rail(*TCP_SPOT)[1]
 
 
 def tcp_spot_gate() -> Gate:
@@ -454,10 +456,7 @@ def tcp_practical_region() -> list[dict]:
     rows = []
     for p in TCP_PRACTICAL_P:
         for ratio in TCP_SURFACE_RATIOS:
-            pred = tcp_throughput_rail(
-                TcpPathSet.of([(p, TCP_RTT1), (p, TCP_RTT1 * ratio)]))
-            speedup = pred.throughput / tcp_throughput_single(p, TCP_RTT1)
-            rows.append({"p": p, "rtt_ratio": ratio, "speedup": speedup})
+            rows.append({"p": p, "rtt_ratio": ratio, "speedup": _tcp_rail(p, ratio)[1]})
     return rows
 
 
@@ -501,25 +500,25 @@ def tcp_npath_gate(rows: list[dict]) -> Gate:
                 "throughput strictly increasing, two-path value matches")
 
 
+MOS_CONTOUR_LOSSES = tuple(k / 200.0 for k in range(0, 11))
+MOS_CONTOUR_DELAYS = tuple(float(d) for d in range(0, 401, 25))
+
+
 def mos_contour() -> list[dict]:
     rows = []
-    for loss in [k / 200.0 for k in range(0, 11)]:
-        for delay in range(0, 401, 25):
-            score = mos(loss, float(delay))
-            rows.append({"loss": loss, "delay": float(delay),
+    for loss in MOS_CONTOUR_LOSSES:
+        for delay in MOS_CONTOUR_DELAYS:
+            score = mos(loss, delay)
+            rows.append({"loss": loss, "delay": delay,
                          "r_factor": score.r_factor, "mos": score.mos})
     return rows
 
 
 def mos_contour_gate(rows: list[dict]) -> Gate:
-    by_delay: dict[float, list[float]] = {}
-    by_loss: dict[float, list[float]] = {}
-    for r in rows:
-        by_delay.setdefault(r["delay"], []).append(r["mos"])
-        by_loss.setdefault(r["loss"], []).append(r["mos"])
-    for series in list(by_delay.values()) + list(by_loss.values()):
-        if any(b > a + 1e-12 for a, b in zip(series, series[1:])):
-            return Gate("mos-contour-shape", False, "MOS rose along an axis")
+    # the rows of ``mos_contour``: one grid row per loss, one column per delay
+    grid = np.array([r["mos"] for r in rows]).reshape(len(MOS_CONTOUR_LOSSES), -1)
+    if _rises(grid).any() or _rises(grid.T).any():
+        return Gate("mos-contour-shape", False, "MOS rose along an axis")
     return Gate("mos-contour-shape", True, "MOS falls along both axes")
 
 

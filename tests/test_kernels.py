@@ -3,7 +3,7 @@ plain sequential loop, and the AR(1) scan against an array loop, bit for
 bit.  The AR(1) cases reach both of its paths: the plain loop on short
 runs, and the verified lockstep on long ones, including inputs that make
 a block's guess miss (a spike just before a warm-up window, inf and NaN
-rows, signed zeros) so that the repair and its chain of re-checks run."""
+rows, signed zeros) so that whole blocks run again, alone or in a chain."""
 
 import math
 
@@ -160,16 +160,16 @@ def test_suite_sized_ar1_scans_equal_the_loop_bit_for_bit(n, corr):
 
 @pytest.fixture
 def repairs(monkeypatch):
-    """(first row, merged) of every block ``ar1_scan`` repairs, in order."""
+    """The first row of every ``_ar1_loop`` call ``ar1_scan`` makes, in order:
+    the lockstep's reruns, one whole block each, then the tail."""
     calls = []
-    real = pathsim._ar1_repair
+    real = pathsim._ar1_loop
 
-    def spy(out, b, lo, hi, corr):
-        merged = real(out, b, lo, hi, corr)
-        calls.append((lo, merged))
-        return merged
+    def spy(x, corr, b, out):
+        calls.append((out.ctypes.data - out.base.ctypes.data) // out.itemsize)
+        return real(x, corr, b, out)
 
-    monkeypatch.setattr(pathsim, "_ar1_repair", spy)
+    monkeypatch.setattr(pathsim, "_ar1_loop", spy)
     return calls
 
 
@@ -188,6 +188,14 @@ def _before_window(k):
     return 1 + k * M + (M - W) - 1
 
 
+def _reruns(calls):
+    """The blocks a lockstep run over ``_lockstep_eps`` rows ran again,
+    after checking that its last loop call was the tail's."""
+    assert calls[-1] == 1 + BLOCKS * M
+    assert all((row - 1) % M == 0 for row in calls[:-1])
+    return [(row - 1) // M for row in calls[:-1]]
+
+
 def test_the_lockstep_geometry_is_pinned():
     assert math.ceil(45 / -math.log(CORR)) == W
     assert max(W, pathsim._MIN_BLOCK_ROWS) == M
@@ -197,26 +205,27 @@ def test_the_lockstep_geometry_is_pinned():
 def test_a_plain_run_needs_no_repair(repairs):
     eps = _lockstep_eps()
     assert pathsim.ar1_scan(eps, CORR).tobytes() == loop_ar1_scan(eps, CORR).tobytes()
-    assert repairs == []
+    assert _reruns(repairs) == []
 
 
 def test_a_small_spike_is_repaired_within_its_block(repairs):
+    # block 11's guess misses the spike's trace; block 11 rerun ends where
+    # block 12's guess does
     eps = _lockstep_eps()
     eps[_before_window(10)] = 1e6
     assert pathsim.ar1_scan(eps, CORR).tobytes() == loop_ar1_scan(eps, CORR).tobytes()
-    assert repairs == [(1 + 11 * M, True)]
+    assert _reruns(repairs) == [11]
 
 
 def test_a_huge_spike_is_repaired_across_blocks(repairs):
-    # its trace outlasts block 11, so blocks 12.. are re-checked until one
-    # merges
+    # its trace outlasts block 11, so blocks 12.. run again until one ends
+    # where the next block's guess does
     eps = _lockstep_eps()
     eps[_before_window(10)] = 1e200
     assert pathsim.ar1_scan(eps, CORR).tobytes() == loop_ar1_scan(eps, CORR).tobytes()
-    firsts = [lo for lo, _ in repairs]
-    assert firsts == list(range(1 + 11 * M, 1 + (11 + len(repairs)) * M, M))
-    assert len(repairs) > 2
-    assert [merged for _, merged in repairs] == [False] * (len(repairs) - 1) + [True]
+    reruns = _reruns(repairs)
+    assert reruns == list(range(11, 11 + len(reruns)))
+    assert 2 < len(reruns) < BLOCKS - 11
 
 
 @pytest.mark.parametrize("rows", [{0: math.inf}, {0: math.nan}, {0: -math.inf},
@@ -224,14 +233,14 @@ def test_a_huge_spike_is_repaired_across_blocks(repairs):
                          ids=["inf", "nan", "-inf", "inf-then-minus-inf"])
 def test_non_finite_rows_chain_repairs_to_the_end(rows, repairs):
     # from the bad row on the run is inf or NaN, which no guess from 0.0
-    # reaches: no block merges, so every later block is repaired in turn
+    # reaches: every later block misses its guess and runs again in turn
     eps = _lockstep_eps()
     for offset, value in rows.items():
         eps[_before_window(10) + offset] = value
     got = pathsim.ar1_scan(eps, CORR)
     assert got.tobytes() == loop_ar1_scan(eps, CORR).tobytes()
     assert not np.isfinite(got[-1])
-    assert repairs == [(1 + k * M, False) for k in range(11, BLOCKS)]
+    assert _reruns(repairs) == list(range(11, BLOCKS))
 
 
 @pytest.mark.parametrize("lead, zero", [(-5.0, -0.0), (-5.0, 0.0), (5.0, -0.0),
@@ -252,7 +261,9 @@ def test_signed_zero_runs_are_exact(lead, zero):
 
 
 def test_an_all_negative_zero_run_is_repaired(repairs):
+    # every guess from +0.0 ends on +0.0, never on the loop's -0.0
     eps = np.full(1 + BLOCKS * M + 30, -0.0)
     got = pathsim.ar1_scan(eps, CORR)
     assert got.tobytes() == loop_ar1_scan(eps, CORR).tobytes()
-    assert np.signbit(got).all() and repairs
+    assert np.signbit(got).all()
+    assert _reruns(repairs) == list(range(1, BLOCKS))

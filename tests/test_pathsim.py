@@ -1,6 +1,7 @@
 """Loss/delay model behaviour, trace handling and sampling determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -445,6 +446,37 @@ def test_trace_nan_delay_is_a_lost_entry():
 def test_trace_columns_must_be_1d_of_one_length(seq, delay):
     with pytest.raises(TraceParseError, match="1-D columns of one length"):
         Trace(seq, delay)
+
+
+@pytest.mark.parametrize("seq, delay, match", [
+    ([1.5, 2.7], [1.0, 2.0], "seq must be an integer, got 1.5"),
+    ([1.0, 2.0], [1.0, 2.0], "seq must be an integer, got 1.0"),
+    ([True], [1.0], "seq must be an integer, got True"),
+    (["1", "2"], [1.0, 2.0], "seq must be an integer, got '1'"),
+    ([2**63], [1.0], "seq 9223372036854775808 outside the int64 range"),
+    ([-1, 2**63], [1.0, 2.0], "seq 9223372036854775808 outside the int64 range"),
+    ([0, -2**63 - 1], [1.0, 2.0], "seq -9223372036854775809 outside the int64 range"),
+    (np.array([1, 2**63], dtype=np.uint64), [1.0, 2.0],
+     "seq 9223372036854775808 outside the int64 range"),
+    ([5, 3], [1.0, 2.0], "non-monotone seq: 5 then 3"),
+    ([1, 2, 2], [1.0, 2.0, 3.0], "non-monotone seq: 2 then 2"),
+    ([1], ["a"], "delay_ms must be numbers"),
+    ([1, 2], [1.0, "2"], "delay_ms must be numbers"),
+    ([1, 2], [None, 2.0], "delay_ms must be numbers"),
+    ([1], [True], "delay_ms must be numbers"),
+])
+def test_trace_columns_obey_the_file_rules(seq, delay, match):
+    # the rules load_trace applies line by line hold for a Trace built
+    # directly: no seq is rounded, wrapped or reordered
+    with pytest.raises(TraceParseError, match=re.escape(match)):
+        Trace(seq, delay)
+
+
+def test_trace_takes_integer_and_numeric_columns_of_any_width():
+    trace = Trace(np.array([1, 2**63 - 1], dtype=np.uint64), np.array([3, 4], dtype=np.int32))
+    assert trace.seq.dtype == np.int64 and trace.seq.tolist() == [1, 2**63 - 1]
+    assert trace.delay_ms.dtype == np.float64 and trace.delay_ms.tolist() == [3.0, 4.0]
+    assert Trace([np.int64(-2**63), 0], [1.0, 2.0]).seq.tolist() == [-2**63, 0]
 
 
 def test_trace_replay_wraps():

@@ -381,6 +381,20 @@ def test_emodel_gate_scores_its_grid_as_mos_does(monkeypatch):
     assert suite.emodel_monotonicity_gate().detail == "MOS rose with loss at delay 30.0"
 
 
+def test_mos_contour_gate_reads_both_axes():
+    rows = suite.mos_contour()
+    d = len(suite.MOS_CONTOUR_DELAYS)  # rows run over delay within each loss
+    assert len(rows) == len(suite.MOS_CONTOUR_LOSSES) * d
+    assert suite.mos_contour_gate(rows) == suite.Gate(
+        "mos-contour-shape", True, "MOS falls along both axes")
+    # a rise along delay at loss 0, or along loss at delay 0, fails the gate
+    for row, before in ((5, 4), (3 * d, 2 * d)):
+        bent = [dict(r) for r in rows]
+        bent[row]["mos"] = rows[before]["mos"] + 1e-6
+        assert suite.mos_contour_gate(bent) == suite.Gate(
+            "mos-contour-shape", False, "MOS rose along an axis")
+
+
 def test_mos_curve_all_lost_and_empty_inputs():
     for delays in ([], [None] * 5, [math.nan] * 5):
         points = mos_curve(5, delays, [50.0, 150.0], 40.0)
